@@ -34,6 +34,13 @@ from .scenario import Scenario, ScenarioError, load_scenario
 
 COMMANDS = ("nash", "stability", "attain", "simulate", "deceptive-game", "sweep")
 
+#: The gain flags each command reads; any other command refuses them.
+_DELTA_FLAGS = {
+    "stability": ("delta", "delta_grid"),
+    "deceptive-game": ("delta",),
+    "sweep": ("delta_grid",),
+}
+
 
 class CommandError(ValueError):
     """Bad flag combination or a command unsupported by the scenario."""
@@ -68,6 +75,17 @@ def _parse_grid(spec: str) -> np.ndarray:
         raise CommandError("--delta-grid needs step > 0 and hi >= lo")
     count = int(np.floor((hi - lo) / step + 1e-9)) + 1
     return lo + step * np.arange(count)
+
+
+def _check_delta_flags(args) -> None:
+    taken = [f for f in ("delta", "delta_grid") if getattr(args, f) is not None]
+    for flag in taken:
+        if flag not in _DELTA_FLAGS.get(args.command, ()):
+            raise CommandError(
+                f"{args.command} does not take --{flag.replace('_', '-')}"
+            )
+    if len(taken) > 1:
+        raise CommandError("--delta and --delta-grid exclude each other")
 
 
 def _single_deceiver_delta(scenario: Scenario, value: float | None) -> np.ndarray:
@@ -122,27 +140,21 @@ def _cmd_stability(scenario: Scenario, out_dir: Path, args) -> None:
     gains = scenario.tuning.gain
     if topology.n_deceivers == 0:
         raise CommandError("stability analysis needs a deception block")
-
-    def abscissa(delta_vec: np.ndarray) -> tuple[float, bool]:
-        pert = perturbed_pseudogradient(game, topology, delta_vec)
-        m = -(gains[:, None] * pert.qbar)
-        return numerics.spectral_abscissa(m), in_stability_set(pert, gains)
-
     if args.delta_grid is not None:
         if topology.n_deceivers != 1:
             raise CommandError("--delta-grid needs exactly one deceiver")
-        grid = _parse_grid(args.delta_grid)
+        delta = _parse_grid(args.delta_grid)[:, None]
+    else:
+        delta = _single_deceiver_delta(scenario, args.delta)
+    pert = perturbed_pseudogradient(game, topology, delta)
+    sa = numerics.spectral_abscissa(-(gains[:, None] * pert.qbar))
+    ok = in_stability_set(pert, gains)
+    if args.delta_grid is not None:
         with open(out_dir / "sweep.csv", "w", newline="") as fh:
             fh.write("delta,spectral_abscissa,in_delta\n")
-            for g in grid:
-                try:
-                    sa, ok = abscissa(np.array([g]))
-                    fh.write(f"{g:.12g},{sa:.12g},{str(ok).lower()}\n")
-                except numerics.SingularMatrixError:
-                    fh.write(f"{g:.12g},nan,false\n")
+            for g, a, o in zip(delta[:, 0], sa, ok):
+                fh.write(f"{g:.12g},{a:.12g},{str(o).lower()}\n")
         return
-    delta = _single_deceiver_delta(scenario, args.delta)
-    sa, ok = abscissa(delta)
     _write_json(out_dir, "summary.json", {
         "delta": delta,
         "spectral_abscissa": sa,
@@ -241,22 +253,16 @@ def _cmd_sweep(scenario: Scenario, out_dir: Path, args) -> None:
     game = scenario.game()
     gains = scenario.tuning.gain
     grid = _parse_grid(args.delta_grid)
-    n = game.n_players
+    pert = perturbed_pseudogradient(game, topology, grid[:, None])
+    costs = game.costs(numerics.solve_stack(pert.qbar, -pert.bbar))
+    # rows where Qbar(delta) is singular hold NaN costs and are never in Delta
+    ok = in_stability_set(pert, gains) & ~np.isnan(costs).any(axis=1)
     with open(out_dir / "sweep.csv", "w", newline="") as fh:
-        fh.write("delta," + ",".join(f"J_{i+1}" for i in range(n)) + ",in_delta\n")
-        for g in grid:
-            dvec = np.array([g])
-            try:
-                pert = perturbed_pseudogradient(game, topology, dvec)
-                h = numerics.solve_linear(pert.qbar, -pert.bbar)
-                costs = game.costs(h)
-                ok = in_stability_set(pert, gains)
-                fh.write(
-                    f"{g:.12g}," + ",".join(f"{c:.12g}" for c in costs)
-                    + f",{str(ok).lower()}\n"
-                )
-            except numerics.SingularMatrixError:
-                fh.write(f"{g:.12g}," + ",".join(["nan"] * n) + ",false\n")
+        fh.write("delta," + ",".join(f"J_{i+1}" for i in range(game.n_players))
+                 + ",in_delta\n")
+        for g, row, o in zip(grid, costs, ok):
+            fh.write(f"{g:.12g}," + ",".join(f"{c:.12g}" for c in row)
+                     + f",{str(o).lower()}\n")
 
 
 _HANDLERS = {
@@ -321,6 +327,7 @@ def main(argv=None) -> int:
         return fail("validation", exc, 2)
 
     try:
+        _check_delta_flags(args)
         _HANDLERS[args.command](scenario, out_dir, args)
     except CommandError as exc:
         return fail("validation", exc, 2)

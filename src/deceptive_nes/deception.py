@@ -12,10 +12,9 @@ cost-matching conditions (attainability).
 
 from __future__ import annotations
 
-import math
 import warnings
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -30,17 +29,19 @@ HURWITZ_RTOL = 1e-8
 MATCH_RTOL = 1e-8
 
 
-def is_hurwitz(m: np.ndarray) -> bool:
+def is_hurwitz(m: np.ndarray) -> bool | np.ndarray:
     """Deterministic Hurwitz test with a relative margin.
 
     Declares ``m`` Hurwitz iff its spectral abscissa is below
     ``-HURWITZ_RTOL * (1 + ||m||_inf)``, so marginal cases are rejected.
+    For a stack of matrices the verdict is an array, one per matrix.
     """
     m = np.asarray(m, dtype=float)
     if m.size == 0:
         return True
-    scale = float(np.max(np.sum(np.abs(m), axis=1)))
-    return numerics.spectral_abscissa(m) < -HURWITZ_RTOL * (1.0 + scale)
+    scale = np.max(np.sum(np.abs(m), axis=-1), axis=-1)
+    verdict = numerics.spectral_abscissa(m) < -HURWITZ_RTOL * (1.0 + scale)
+    return verdict if m.ndim > 2 else bool(verdict)
 
 
 @dataclass(frozen=True)
@@ -91,6 +92,8 @@ class DeceptionTopology:
         object.__setattr__(self, "eps", float(self.eps))
         if len(rates) != n or len(refs) != n:
             raise ValueError("eps_rates and cost_refs must have one entry per deceiver")
+        if not np.all(np.isfinite((self.eps, *rates, *refs))):
+            raise ValueError("adaptation gains and cost references must be finite")
         if self.eps <= 0.0 or any(r <= 0.0 for r in rates):
             raise ValueError("adaptation gains must be strictly positive")
 
@@ -130,7 +133,8 @@ class DeceptionTopology:
 
 @dataclass(frozen=True)
 class PerturbedPseudogradient:
-    """The pair ``(Qbar(delta), Bbar(delta))`` together with the delta used."""
+    """The pair ``(Qbar(delta), Bbar(delta))`` together with the delta used;
+    all three carry the leading axes of a stacked ``delta``."""
 
     qbar: np.ndarray
     bbar: np.ndarray
@@ -148,29 +152,37 @@ def perturbed_pseudogradient(
     that victim's own cost matrix, for every deceiver ``z_k`` targeting
     ``j``; the offset entry gains ``delta_k`` times the matching linear
     coefficient.  Rows of players nobody deceives are returned untouched.
+    ``delta`` may also be a stack of gain vectors, such as a grid of shape
+    ``(m, n_deceivers)``; the matrices are then stacked the same way.
     """
     d = np.asarray(delta, dtype=float)
-    if d.shape != (topology.n_deceivers,):
+    if d.shape[-1:] != (topology.n_deceivers,):
         raise ValueError(
             f"expected {topology.n_deceivers} delta entries, got shape {d.shape}"
         )
-    topology.validate_against(game.n_players)
-    qbar = game.pseudogradient_matrix.copy()
-    bbar = game.pseudogradient_offset.copy()
+    n = game.n_players
+    topology.validate_against(n)
+    qbar = np.empty(d.shape[:-1] + (n, n))
+    bbar = np.empty(d.shape[:-1] + (n,))
+    qbar[...] = game.pseudogradient_matrix
+    bbar[...] = game.pseudogradient_offset
+    # transposed views put any stack axes last, so the same statements serve
+    # one gain vector at scalar cost and a whole grid in one pass
+    q_t, b_t, d_t = qbar.T, bbar.T, d.T
     for k, (z, vs) in enumerate(zip(topology.deceivers, topology.victims)):
         for j in vs:
-            qbar[j, :] += d[k] * game.q[j, z, :]
-            bbar[j] += d[k] * game.b[j, z]
+            q_t[:, j] += np.multiply.outer(game.q[j, z, :], d_t[k])
+            b_t[j] += game.b[j, z] * d_t[k]
     return PerturbedPseudogradient(qbar=qbar, bbar=bbar, delta=d)
 
 
 def in_stability_set(
     pert: PerturbedPseudogradient, gains: Sequence[float]
-) -> bool:
+) -> bool | np.ndarray:
     """Whether ``-diag(gains) @ Qbar(delta)`` is Hurwitz (delta keeps the
-    equilibrium-seeking loop stable)."""
+    equilibrium-seeking loop stable); one verdict per stacked delta."""
     k = np.asarray(gains, dtype=float)
-    if k.shape != (pert.qbar.shape[0],):
+    if k.shape != (pert.qbar.shape[-1],):
         raise ValueError("need one positive gain per player")
     if np.any(k <= 0.0):
         raise ValueError("gains must be strictly positive")
@@ -193,20 +205,6 @@ def deceptive_equilibrium(
     return numerics.solve_linear(pert.qbar, -pert.bbar)
 
 
-def _condition_estimate(a: np.ndarray) -> float:
-    try:
-        lu, piv = numerics.lu_factor(a)
-    except numerics.SingularMatrixError:
-        return np.inf
-    n = a.shape[0]
-    inv_norm = 0.0
-    eye = np.eye(n)
-    for j in range(n):
-        col = numerics.lu_solve(lu, piv, eye[:, j])
-        inv_norm = max(inv_norm, float(np.sum(np.abs(col))))
-    return float(np.max(np.sum(np.abs(a), axis=1))) * inv_norm
-
-
 def cost_gaps(
     game: QuadraticGame,
     topology: DeceptionTopology,
@@ -217,11 +215,8 @@ def cost_gaps(
     refs = np.asarray(
         topology.cost_refs if cost_refs is None else cost_refs, dtype=float
     )
-    x = deceptive_equilibrium(game, topology, delta)
-    costs = game.costs(x)
-    return np.array([
-        costs[z] for z in topology.deceivers
-    ]) - refs
+    costs = game.costs(deceptive_equilibrium(game, topology, delta))
+    return costs[list(topology.deceivers)] - refs
 
 
 def matching_field(
@@ -253,7 +248,7 @@ def lambda_matrix(
         return np.zeros((0, 0))
     d = np.asarray(delta, dtype=float)
     pert = perturbed_pseudogradient(game, topology, d)
-    cond = _condition_estimate(pert.qbar)
+    cond = np.linalg.cond(pert.qbar, np.inf)
     if not cond < 1e12:
         warnings.warn(
             f"perturbed pseudogradient has condition estimate {cond:.2e}; "
@@ -296,77 +291,6 @@ class AttainabilityResult:
     message: str = ""
 
 
-def _single_deceiver_field(
-    game: QuadraticGame,
-    z: int,
-    victims: Sequence[int],
-    rate: float,
-    ref: float,
-) -> Callable[[float], float]:
-    """The lone deceiver's matching field as a plain scalar function.
-
-    The grid scan in :func:`solve_attainability` calls this hundreds of
-    times, so the linear algebra is hoisted out of the evaluation.  With a
-    single victim the perturbation of the pseudogradient is rank one, and
-    Sherman-Morrison turns the deceived equilibrium into a rational function
-    of the gain: each call is then a handful of scalar operations on
-    precomputed coefficients.  Several victims (or a singular unperturbed
-    matrix) fall back to one small solve per call.
-    """
-    q0 = game.pseudogradient_matrix
-    b0 = game.pseudogradient_offset
-    z_row = q0[z]
-    z_diag = game.q[z, z, z]
-    z_b = game.b[z]
-    z_c = float(game.c[z])
-
-    if len(victims) == 1:
-        j = victims[0]
-        unit = np.zeros(game.n_players)
-        unit[j] = 1.0
-        try:
-            w0 = numerics.solve_linear(q0, b0)
-            col = numerics.solve_linear(q0, unit)
-        except numerics.SingularMatrixError:
-            pass
-        else:
-            v = game.q[j, z, :]
-            beta = float(game.b[j, z])
-            mu = float(v @ col)
-            nu = float(v @ w0)
-            # h(g) = p + s(g) * col  with  s(g) = -g (beta - (nu + g mu beta)
-            # / (1 + g mu)); the denominator vanishes exactly where the
-            # perturbed matrix goes singular.
-            p = -w0
-            pz, cz = float(p[z]), float(col[z])
-            r0, r1 = float(z_row @ p), float(z_row @ col)
-            bp, bc = float(z_b @ p), float(z_b @ col)
-
-            def xi_rational(g: float) -> float:
-                den = 1.0 + g * mu
-                if den == 0.0:
-                    return math.nan
-                s = -g * (beta - (nu + g * mu * beta) / den)
-                hz = pz + s * cz
-                cost = hz * (r0 + s * r1 - 0.5 * z_diag * hz) + bp + s * bc + z_c
-                return rate * (cost - ref)
-
-            return xi_rational
-
-    dq = np.zeros_like(q0)
-    db = np.zeros_like(b0)
-    for j in victims:
-        dq[j, :] = game.q[j, z, :]
-        db[j] = game.b[j, z]
-
-    def xi_solve(g: float) -> float:
-        h = numerics.solve_linear(q0 + g * dq, -(b0 + g * db))
-        cost = h[z] * (z_row @ h - 0.5 * z_diag * h[z]) + z_b @ h + z_c
-        return rate * (cost - ref)
-
-    return xi_solve
-
-
 def solve_attainability(
     game: QuadraticGame,
     topology: DeceptionTopology,
@@ -376,10 +300,11 @@ def solve_attainability(
 ) -> AttainabilityResult:
     """Find deceiver gains at which every deceiver's cost hits its reference.
 
-    For a single deceiver the matching field is scanned on a uniform grid
-    over ``[-delta_max, delta_max]`` and each sign change is refined by
-    bisection; among qualifying roots the one with smallest ``|delta|`` is
-    returned.  For several deceivers a damped Newton iteration starts from
+    For a single deceiver the matching field is evaluated on a uniform grid
+    over ``[-delta_max, delta_max]`` in one stacked solve and each sign
+    change is refined by :func:`~deceptive_nes.numerics.find_root_scalar`;
+    among qualifying roots the one with smallest ``|delta|`` is returned.
+    For several deceivers a damped Newton iteration starts from
     ``delta = 0``.  A failed search returns ``attainable=False`` together
     with the closest approach rather than an arbitrary root.
     """
@@ -426,34 +351,22 @@ def solve_attainability(
     if n == 0:
         return assess(np.zeros(0), message="no deceivers")
 
-    def field_at(delta: np.ndarray) -> np.ndarray:
-        return matching_field(game, topology, delta, refs)
-
     if n == 1:
-        xi = _single_deceiver_field(
-            game, topology.deceivers[0], topology.victims[0],
-            float(topology.eps_rates[0]), float(refs[0]),
-        )
-        grid = np.linspace(-search.delta_max, search.delta_max, search.grid_points)
-        vals = np.empty_like(grid)
-        for idx, g in enumerate(grid):
+        def xi(g: float) -> float:
             try:
-                vals[idx] = xi(float(g))
+                return float(matching_field(game, topology, [g], refs)[0])
             except numerics.SingularMatrixError:
-                vals[idx] = np.nan
-        roots: list[float] = []
-        for idx in range(len(grid) - 1):
-            a, b = vals[idx], vals[idx + 1]
-            if np.isnan(a) or np.isnan(b):
-                continue
-            if a == 0.0:
-                roots.append(float(grid[idx]))
-            elif a * b < 0.0:
-                roots.append(numerics.find_root_scalar(
-                    xi, float(grid[idx]), float(grid[idx + 1]),
-                ))
-        if vals[-1] == 0.0:
-            roots.append(float(grid[-1]))
+                return np.nan
+
+        grid = np.linspace(-search.delta_max, search.delta_max, search.grid_points)
+        pert = perturbed_pseudogradient(game, topology, grid[:, None])
+        costs = game.costs(numerics.solve_stack(pert.qbar, -pert.bbar))
+        vals = topology.eps_rates[0] * (costs[:, topology.deceivers[0]] - refs[0])
+        # NaN rows (singular Qbar) neither vanish nor change sign
+        roots = [*grid[vals == 0.0], *(
+            numerics.find_root_scalar(xi, grid[i], grid[i + 1])
+            for i in np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
+        )]
         if not roots:
             finite = np.where(np.isfinite(vals))[0]
             best = finite[np.argmin(np.abs(vals[finite]))] if finite.size else 0
@@ -462,19 +375,19 @@ def solve_attainability(
                 message="no sign change of the matching field in the search region",
             )
         candidates = sorted(set(roots), key=abs)
-        results = [assess(np.array([r])) for r in candidates]
-        for res in results:
+        for root in candidates:
+            res = assess(np.array([root]))
             if res.attainable:
                 return res
-        return results[0]
+        return assess(np.array([candidates[0]]))
 
     # several deceivers: damped Newton from the undeceived point
     try:
         tol = MATCH_RTOL * (1.0 + float(np.max(np.abs(refs)))) \
             * float(np.min(topology.eps_rates))
         root = numerics.newton_system(
-            field_at, np.zeros(n), tol=tol, max_iter=search.max_newton_iter,
-            max_step=search.delta_max,
+            lambda d: matching_field(game, topology, d, refs), np.zeros(n),
+            tol=tol, max_iter=search.max_newton_iter, max_step=search.delta_max,
         )
     except (numerics.ConvergenceError, numerics.SingularMatrixError) as exc:
         return assess(np.zeros(n), message=f"search failed: {exc}")

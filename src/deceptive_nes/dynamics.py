@@ -77,6 +77,9 @@ class NESTuning:
         object.__setattr__(self, "omega_ratio", ratios)
         if a.ndim != 1 or k.shape != a.shape or len(ratios) != a.size:
             raise ValueError("amplitude, gain and omega_ratio must have equal length")
+        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(k))
+                and np.isfinite(self.omega)):
+            raise ValueError("amplitudes, gains and omega must be finite")
         if np.any(a <= 0.0) or np.any(k <= 0.0) or self.omega <= 0.0:
             raise ValueError("amplitudes, gains and omega must be strictly positive")
         if any(r <= 0 for r in ratios):
@@ -416,9 +419,7 @@ def _finalize(
     x = _reconstruct_prices(
         model, tuning, topology, times * meta.to_physical, u, delta
     )
-    rows = game.pseudogradient_matrix
-    diag = np.diagonal(rows)
-    costs = x * (x @ rows.T - 0.5 * diag * x) + x @ game.b.T + game.c
+    costs = game.costs(x)
     return Trajectory(
         times=times, u=u, delta=delta, x=x, costs=costs, profits=-costs,
         meta=meta,
@@ -697,9 +698,11 @@ def simulate(
             d_mat = states[:, n_players:]
         elif model == "reduced":
             d_mat = states
-            u_mat = np.empty((len(times), n_players))
-            for idx in range(len(times)):
-                u_mat[idx] = deceptive_equilibrium(game, topology, d_mat[idx])
+            pert = perturbed_pseudogradient(game, topology, d_mat)
+            u_mat = numerics.solve_stack(pert.qbar, -pert.bbar)
+            singular = np.flatnonzero(np.isnan(u_mat).any(axis=1))
+            if singular.size:  # raise the first singular sample's error
+                deceptive_equilibrium(game, topology, d_mat[singular[0]])
         else:
             u_mat = states
             d_mat = np.tile(initial.delta, (len(times), 1))

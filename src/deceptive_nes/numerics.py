@@ -1,15 +1,15 @@
-"""Self-contained numerical kernels used throughout the package.
+"""Numerical kernels used throughout the package.
 
-Everything here is implemented directly on top of numpy arrays (elementary
-arithmetic and matrix products only -- no ``numpy.linalg`` calls), so the
-package's linear solves, eigenvalue computations, root finding and ODE
-stepping are fully inspectable.  The test-suite cross-checks these kernels
-against independent references.
+Dense linear algebra is ``numpy.linalg`` behind one contract: a matrix whose
+partial-pivot elimination meets a pivot below ``1e-13 * ||a||_inf`` is
+singular (:class:`SingularMatrixError`, or NaN rows in :func:`solve_stack`),
+and ``numpy.linalg`` failures surface as :class:`ConvergenceError`.  Root
+finding, Newton's method, finite differences and RK4 are written out here.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -19,10 +19,8 @@ _EPS = float(np.finfo(float).eps)
 class SingularMatrixError(ValueError):
     """Raised when Gaussian elimination meets a pivot that is effectively zero.
 
-    Attributes
-    ----------
-    column : int
-        Elimination column at which the pivot collapsed.
+    ``column`` is the elimination column at which the pivot collapsed and
+    ``pivot`` the magnitude of the best pivot available there.
     """
 
     def __init__(self, column: int, pivot: float):
@@ -35,265 +33,98 @@ class SingularMatrixError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """Raised when an iterative routine exhausts its iteration budget."""
+    """Raised when an iterative routine, here or in ``numpy.linalg``, fails."""
 
 
-def _inf_norm(a: np.ndarray) -> float:
-    if a.ndim == 1:
-        return float(np.max(np.abs(a))) if a.size else 0.0
-    return float(np.max(np.sum(np.abs(a), axis=1))) if a.size else 0.0
+def _inf_norm(v: np.ndarray) -> float:
+    return float(np.max(np.abs(v))) if v.size else 0.0
+
+
+def _linalg(routine, *args):
+    """Call a ``numpy.linalg`` routine, turning its ``LinAlgError`` (a
+    ``ValueError``, which callers read as bad input) into ConvergenceError."""
+    try:
+        return routine(*args)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"numpy.linalg.{routine.__name__}: {exc}") from exc
+
+
+def _square(a: np.ndarray, ndim: int | None = None) -> np.ndarray:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or ndim not in (None, a.ndim):
+        raise ValueError(f"expected {ndim or 'n'}-d square matrices, got shape {a.shape}")
+    return a
 
 
 # ---------------------------------------------------------------------------
-# linear systems
+# linear algebra
 # ---------------------------------------------------------------------------
 
-def lu_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """LU factorization with partial pivoting, stored in a single matrix.
-
-    Returns ``(lu, piv)`` where ``piv[k]`` is the row swapped into position
-    ``k`` at step ``k``.  Raises :class:`SingularMatrixError` when the best
-    available pivot is below ``1e-13 * ||a||_inf``.
-    """
-    lu = np.array(a, dtype=float, copy=True)
-    n = lu.shape[0]
-    if lu.shape != (n, n):
-        raise ValueError(f"expected a square matrix, got shape {lu.shape}")
-    piv = np.arange(n)
-    tiny = 1e-13 * max(_inf_norm(lu), _EPS)
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(lu[k:, k])))
-        pivot = abs(lu[p, k])
-        if pivot < tiny:
-            raise SingularMatrixError(k, pivot)
-        if p != k:
-            lu[[k, p]] = lu[[p, k]]
-            piv[k] = p
-        lu[k + 1:, k] /= lu[k, k]
-        lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
-    return lu, piv
-
-
-def lu_solve(lu: np.ndarray, piv: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve using a factorization produced by :func:`lu_factor`."""
-    x = np.array(b, dtype=float, copy=True)
-    n = lu.shape[0]
-    for k in range(n):
-        p = piv[k]
-        if p != k:
-            x[[k, p]] = x[[p, k]]
-    for k in range(1, n):            # forward: L y = P b
-        x[k] -= lu[k, :k] @ x[:k]
-    for k in range(n - 1, -1, -1):   # backward: U x = y
-        x[k] -= lu[k, k + 1:] @ x[k + 1:]
-        x[k] /= lu[k, k]
-    return x
-
-
-def _solve_small(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Scalar elimination for tiny systems.
-
-    Same pivoting, thresholds and refinement as the array route, written on
-    plain floats: for the 2x2..4x4 solves that dominate the equilibrium
-    searches, numpy's per-call overhead costs more than the arithmetic.
-    """
-    n = a.shape[0]
-    orig = [[float(v) for v in row] for row in a]
-    m = [row[:] for row in orig]
-    tiny = 1e-13 * max(max(sum(abs(v) for v in row) for row in m), _EPS)
-    piv = list(range(n))
+def _failing_pivot(a: np.ndarray) -> tuple[int, float] | None:
+    """``(column, pivot)`` where partial-pivot elimination of ``a`` first
+    meets a pivot below ``1e-13 * ||a||_inf``, or None.  The elimination is
+    kept only for its pivots, on plain floats: for this package's small
+    matrices that beats any numpy call."""
+    m = a.tolist()
+    n = len(m)
+    tiny = 1e-13 * max(max(sum(map(abs, row)) for row in m), _EPS)
     for k in range(n):
         p = max(range(k, n), key=lambda r: abs(m[r][k]))
         pivot = abs(m[p][k])
         if pivot < tiny:
-            raise SingularMatrixError(k, pivot)
-        if p != k:
-            m[k], m[p] = m[p], m[k]
-            piv[k] = p
+            return k, pivot
+        m[k], m[p] = m[p], m[k]
         mk = m[k]
         inv = 1.0 / mk[k]
         for r in range(k + 1, n):
             mr = m[r]
             f = mr[k] * inv
-            mr[k] = f
             for c in range(k + 1, n):
                 mr[c] -= f * mk[c]
-
-    def subst(rhs):
-        x = list(rhs)
-        for k in range(n):
-            p = piv[k]
-            if p != k:
-                x[k], x[p] = x[p], x[k]
-        for k in range(1, n):
-            mk = m[k]
-            s = x[k]
-            for c in range(k):
-                s -= mk[c] * x[c]
-            x[k] = s
-        for k in range(n - 1, -1, -1):
-            mk = m[k]
-            s = x[k]
-            for c in range(k + 1, n):
-                s -= mk[c] * x[c]
-            x[k] = s / mk[k]
-        return x
-
-    rhs = [float(v) for v in b]
-    x = subst(rhs)
-    resid = [rv - sum(ar * xv for ar, xv in zip(row, x))
-             for rv, row in zip(rhs, orig)]
-    corr = subst(resid)
-    return np.array([xv + cv for xv, cv in zip(x, corr)])
+    return None
 
 
 def solve_linear(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``a @ x = b`` by pivoted elimination plus one refinement pass."""
-    a = np.asarray(a, dtype=float)
-    if a.ndim == 2 and a.shape[0] == a.shape[1] and 0 < a.shape[0] <= 4:
-        return _solve_small(a, np.asarray(b, dtype=float))
-    lu, piv = lu_factor(a)
-    x = lu_solve(lu, piv, b)
-    # one pass of iterative refinement tightens the residual essentially to
-    # the rounding floor for the well-scaled systems seen here
-    r = np.asarray(b, dtype=float) - a @ x
-    x = x + lu_solve(lu, piv, r)
+    """Solve ``a @ x = b``; raises :class:`SingularMatrixError` where
+    partial-pivot elimination meets a pivot below ``1e-13 * ||a||_inf``."""
+    a = _square(np.asarray(a, dtype=float), ndim=2)
+    failure = _failing_pivot(a)
+    if failure is not None:
+        raise SingularMatrixError(*failure)
+    return _linalg(np.linalg.solve, a, np.asarray(b, dtype=float))
+
+
+def solve_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """:func:`solve_linear` for every ``a[i] @ x[i] = b[i]`` in one call.
+
+    ``a`` has shape ``(m, n, n)`` and ``b`` shape ``(m, n)``.  Row ``i`` of
+    the result is NaN exactly where :func:`solve_linear` would raise
+    :class:`SingularMatrixError` on ``a[i]``.
+    """
+    a = _square(np.asarray(a, dtype=float), ndim=3)
+    b = np.asarray(b, dtype=float)
+    # Partial pivoting keeps every pivot at or above 1 / ||a^-1||_inf, so only
+    # a matrix with cond_inf(a) > 1e13 can fail the gate; run the gate on
+    # those above a tenth of that bound, leaving room for rounding.
+    cond = _linalg(np.linalg.cond, a, np.inf)
+    suspect = np.flatnonzero(~(cond <= 1e12))
+    singular = np.zeros(len(a), dtype=bool)
+    singular[suspect] = [_failing_pivot(a[i]) is not None for i in suspect]
+    a = np.where(singular[:, None, None], np.eye(a.shape[-1]), a)
+    x = _linalg(np.linalg.solve, a, b[..., None])[..., 0]
+    x[singular] = np.nan
     return x
 
 
-# ---------------------------------------------------------------------------
-# eigenvalues (Hessenberg reduction + shifted QR)
-# ---------------------------------------------------------------------------
-
-def _hessenberg(a: np.ndarray) -> np.ndarray:
-    h = np.array(a, dtype=complex, copy=True)
-    n = h.shape[0]
-    for k in range(n - 2):
-        x = h[k + 1:, k]
-        normx = float(np.sqrt(np.sum(np.abs(x) ** 2)))
-        if normx <= _EPS * max(1.0, _inf_norm(np.abs(h))):
-            h[k + 2:, k] = 0.0
-            continue
-        alpha = x[0]
-        phase = alpha / abs(alpha) if alpha != 0 else 1.0
-        v = x.copy()
-        v[0] += phase * normx
-        vnorm2 = float(np.sum(np.abs(v) ** 2))
-        if vnorm2 == 0.0:
-            continue
-        beta = 2.0 / vnorm2
-        # similarity transform by the reflector I - beta v v^H
-        w = np.conj(v) @ h[k + 1:, k:]
-        h[k + 1:, k:] -= beta * np.outer(v, w)
-        w2 = h[:, k + 1:] @ v
-        h[:, k + 1:] -= beta * np.outer(w2, np.conj(v))
-        h[k + 2:, k] = 0.0
-    return h
-
-
-def _eig2x2(a, b, c, d) -> tuple[complex, complex]:
-    t = 0.5 * (a + d)
-    disc = np.sqrt(complex((0.5 * (a - d)) ** 2 + b * c))
-    return t + disc, t - disc
-
-
-def _wilkinson_shift(h: np.ndarray, hi: int) -> complex:
-    a, b = h[hi - 1, hi - 1], h[hi - 1, hi]
-    c, d = h[hi, hi - 1], h[hi, hi]
-    w1, w2 = _eig2x2(a, b, c, d)
-    return w1 if abs(w1 - d) <= abs(w2 - d) else w2
-
-
-def _qr_sweep(h: np.ndarray, lo: int, hi: int, mu: complex) -> None:
-    """One explicit shifted QR step on the active window ``h[lo:hi+1]``."""
-    for k in range(lo, hi + 1):
-        h[k, k] -= mu
-    rots: list[tuple[complex, complex]] = []
-    for k in range(lo, hi):
-        a, b = h[k, k], h[k + 1, k]
-        r = float(np.hypot(abs(a), abs(b)))
-        if r == 0.0:
-            rots.append((1.0 + 0.0j, 0.0 + 0.0j))
-            continue
-        c, s = a / r, b / r
-        rots.append((c, s))
-        cols = slice(k, hi + 1)
-        ra, rb = h[k, cols].copy(), h[k + 1, cols].copy()
-        h[k, cols] = np.conj(c) * ra + np.conj(s) * rb
-        h[k + 1, cols] = -s * ra + c * rb
-    for idx, k in enumerate(range(lo, hi)):
-        c, s = rots[idx]
-        rows = slice(lo, k + 2)
-        ca, cb = h[rows, k].copy(), h[rows, k + 1].copy()
-        h[rows, k] = ca * c + cb * s
-        h[rows, k + 1] = -ca * np.conj(s) + cb * np.conj(c)
-    for k in range(lo, hi + 1):
-        h[k, k] += mu
-
-
 def eigenvalues(a: np.ndarray) -> np.ndarray:
-    """All eigenvalues of a (real or complex) square matrix.
-
-    Householder reduction to Hessenberg form followed by the shifted QR
-    iteration with Wilkinson shifts, deflation and occasional exceptional
-    shifts.  Suited to the small dense matrices this package produces.
-    """
-    a = np.asarray(a)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if n == 0:
-        return np.empty(0, dtype=complex)
-    if n == 1:
-        return np.array([complex(a[0, 0])])
-    h = _hessenberg(a)
-    scale = max(1.0, _inf_norm(np.abs(h)))
-    eig = np.empty(n, dtype=complex)
-    hi = n - 1
-    stuck = 0
-    budget = 100 * n
-    sweeps = 0
-    while hi >= 0:
-        if hi == 0:
-            eig[0] = h[0, 0]
-            break
-        # locate the unreduced block ending at hi
-        lo = hi
-        while lo > 0:
-            s = abs(h[lo - 1, lo - 1]) + abs(h[lo, lo])
-            if abs(h[lo, lo - 1]) <= _EPS * (s if s > 0 else scale):
-                h[lo, lo - 1] = 0.0
-                break
-            lo -= 1
-        if lo == hi:
-            eig[hi] = h[hi, hi]
-            hi -= 1
-            stuck = 0
-            continue
-        if lo == hi - 1:
-            eig[hi], eig[hi - 1] = _eig2x2(
-                h[lo, lo], h[lo, hi], h[hi, lo], h[hi, hi]
-            )
-            hi -= 2
-            stuck = 0
-            continue
-        sweeps += 1
-        stuck += 1
-        if sweeps > budget:
-            raise ConvergenceError(
-                f"QR iteration did not converge within {budget} sweeps"
-            )
-        if stuck % 12 == 0:
-            mu = h[hi, hi] + 1.5 * abs(h[hi, hi - 1])  # exceptional shift
-        else:
-            mu = _wilkinson_shift(h, hi)
-        _qr_sweep(h, lo, hi, mu)
-    return eig
+    """All eigenvalues of a square matrix, or of each matrix of a stack."""
+    return _linalg(np.linalg.eigvals, _square(np.asarray(a)))
 
 
-def spectral_abscissa(a: np.ndarray) -> float:
-    """Largest real part over the spectrum of ``a``."""
-    return float(np.max(eigenvalues(a).real))
+def spectral_abscissa(a: np.ndarray) -> float | np.ndarray:
+    """Largest real part over the spectrum of ``a``: a float for one matrix,
+    an array with one entry per matrix for a stack."""
+    abscissa = np.max(eigenvalues(a).real, axis=-1)
+    return float(abscissa) if abscissa.ndim == 0 else abscissa
 
 
 # ---------------------------------------------------------------------------
@@ -308,9 +139,13 @@ def find_root_scalar(
     xtol_rel: float = 1e-12,
     max_iter: int = 200,
 ) -> float:
-    """Bisection root of ``f`` on a bracketing interval ``[lo, hi]``.
+    """Root of ``f`` on a bracketing interval ``[lo, hi]``.
 
-    Stops once the bracket width falls below ``xtol_rel * (1 + |root|)``.
+    Illinois false position, with a bisection step whenever the last three
+    steps failed to halve the bracket: smooth roots take a handful of
+    evaluations, and a bracket around a pole (or where ``f`` returns NaN)
+    still halves at least every third step.  Stops once the bracket width
+    falls below ``xtol_rel * (1 + |root|)``.
     """
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
@@ -322,18 +157,32 @@ def find_root_scalar(
             f"interval [{lo}, {hi}] does not bracket a root "
             f"(f(lo)={flo:.3e}, f(hi)={fhi:.3e})"
         )
+    kept = 0                  # -1 / +1: the end that survived the last step
+    widths = [np.inf] * 3     # bracket widths before the last three steps
     for _ in range(max_iter):
         mid = 0.5 * (lo + hi)
-        if (hi - lo) <= xtol_rel * (1.0 + abs(mid)):
+        width = hi - lo
+        tol = xtol_rel * (1.0 + abs(mid))
+        if width <= tol:
             return mid
-        fmid = f(mid)
-        if fmid == 0.0:
-            return mid
-        if flo * fmid < 0.0:
-            hi = mid
+        x = lo - flo * width / (fhi - flo)
+        if width > 0.5 * widths[0] or not lo <= x <= hi:
+            x = mid
+        # a step of at least tol / 4 lets a converged end close the bracket
+        x = min(max(x, lo + 0.25 * tol), hi - 0.25 * tol)
+        widths = widths[1:] + [width]
+        fx = f(x)
+        if fx == 0.0:
+            return x
+        if (fx > 0.0) == (fhi > 0.0):
+            hi, fhi = x, fx
+            flo *= 0.5 if kept == -1 else 1.0
+            kept = -1
         else:
-            lo, flo = mid, fmid
-    raise ConvergenceError(f"bisection did not converge in {max_iter} steps")
+            lo, flo = x, fx
+            fhi *= 0.5 if kept == 1 else 1.0
+            kept = 1
+    raise ConvergenceError(f"root search did not converge in {max_iter} steps")
 
 
 def fd_jacobian(

@@ -123,7 +123,8 @@ class QuadraticGame:
         return float(0.5 * x @ qi @ x + self.b[i] @ x + self.c[i])
 
     def costs(self, x: np.ndarray) -> np.ndarray:
-        """All player costs at once.
+        """All player costs at once; ``x`` may carry leading axes (one price
+        vector per row), and so does the result.
 
         Exploits the row/column-``i`` sparsity of ``q[i]``: the quadratic
         term reduces to ``x_i (q[i, i] . x - q[i, i, i] x_i / 2)``.
@@ -131,7 +132,7 @@ class QuadraticGame:
         x = np.asarray(x, dtype=float)
         rows = self.pseudogradient_matrix
         diag = np.diagonal(rows)
-        return x * (rows @ x - 0.5 * diag * x) + self.b @ x + self.c
+        return x * (x @ rows.T - 0.5 * diag * x) + x @ self.b.T + self.c
 
     @cached_property
     def pseudogradient_matrix(self) -> np.ndarray:

@@ -17,6 +17,7 @@ the one the market primitives imply.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -63,7 +64,13 @@ def _as_list(value: Any, path: str) -> list:
 def _as_number(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError("bad-type", path, f"expected a number, got {type(value).__name__}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:            # an integer too large for a float
+        number = math.inf
+    if not math.isfinite(number):    # JSON text may also spell NaN and Infinity
+        raise ScenarioError("non-finite", path, f"must be a finite number, got {number}")
+    return number
 
 
 def _as_int(value: Any, path: str) -> int:

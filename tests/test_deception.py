@@ -59,6 +59,15 @@ def test_topology_rejects_empty_victims():
         DeceptionTopology(deceivers=(0,), victims=((),))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("eps", float("inf")), ("eps_rates", (float("nan"),)),
+    ("cost_refs", (float("nan"),)), ("cost_refs", (-float("inf"),)),
+])
+def test_topology_rejects_non_finite(field, value):
+    with pytest.raises(ValueError):
+        DeceptionTopology(deceivers=(0,), victims=((1,),), **{field: value})
+
+
 def test_topology_bounds_check(topology3):
     topology3.validate_against(3)
     with pytest.raises(ValueError):
@@ -110,6 +119,32 @@ def test_perturbation_matches_oracle_random():
             game.q, game.b, qq, bb, deceivers, victims, delta)
         assert np.max(np.abs(pert.qbar - qbar)) < 1e-12
         assert np.max(np.abs(pert.bbar - bbar)) < 1e-10
+
+
+def test_stacked_perturbation_and_costs_match_oracle_rows():
+    # A leading axis of gains gives one (Qbar, Bbar) per row, and costs of
+    # stacked prices give one cost vector per row.
+    rng = np.random.default_rng(23)
+    for _ in range(10):
+        r, m, sd = oracles.random_market(rng)
+        game = build_quadratic_game(OligopolyParams(r, m, sd))
+        n = game.n_players
+        deceivers, victims = oracles.random_topology(rng, n)
+        topo = DeceptionTopology(deceivers=deceivers, victims=victims)
+        deltas = rng.uniform(-2.0, 2.0, size=(5, len(deceivers)))
+        pert = perturbed_pseudogradient(game, topo, deltas)
+        qq, bb = oracles.pseudogradient_blocks(game.q, game.b)
+        x = rng.uniform(0.0, 100.0, size=(5, n))
+        costs = game.costs(x)
+        assert pert.qbar.shape == (5, n, n) and costs.shape == (5, n)
+        for i, d in enumerate(deltas):
+            qbar, bbar = oracles.perturbed_blocks(
+                game.q, game.b, qq, bb, deceivers, victims, d)
+            assert np.max(np.abs(pert.qbar[i] - qbar)) < 1e-12
+            assert np.max(np.abs(pert.bbar[i] - bbar)) < 1e-10
+            ref = [oracles.quadratic_cost(game.q[p], game.b[p], game.c[p], x[i])
+                   for p in range(n)]
+            assert np.allclose(costs[i], ref, rtol=1e-12, atol=1e-9)
 
 
 def test_deceptive_equilibrium_matches_numpy(game3_published, topology3):
@@ -297,3 +332,26 @@ def test_attainability_defaults_pull_refs_from_topology(game3_published,
     b = solve_attainability(game3_published, topology3,
                             cost_refs=np.array([-1200.0]), gains=GAINS)
     assert np.allclose(a.delta_star, b.delta_star, atol=1e-12)
+
+
+@pytest.mark.parametrize("planted", [0.7, 1.5, -0.4])
+def test_attainability_one_deceiver_two_victims(params3, game3, planted):
+    # Firm 1 deceives firms 2 and 3 at once.  The reference is firm 1's cost
+    # at the deceived equilibrium of the planted gain, computed through the
+    # oracle route; the scan must recover the planted gain.
+    q, b, c = oracles.quadratic_blocks(params3.resistance,
+                                       params3.marginal_cost,
+                                       params3.total_demand)
+    qq, bb = oracles.pseudogradient_blocks(q, b)
+    qbar, bbar = oracles.perturbed_blocks(q, b, qq, bb, (0,), ((1, 2),),
+                                          [planted])
+    h = oracles.np_solve(qbar, -bbar)
+    ref = float(oracles.quadratic_cost(q[0], b[0], c[0], h))
+    topo = DeceptionTopology(deceivers=(0,), victims=((1, 2),),
+                             cost_refs=(ref,))
+    res = solve_attainability(game3, topo, gains=GAINS)
+    assert res.attainable, res.message
+    assert abs(res.delta_star[0] - planted) < 1e-6, (
+        f"recovered {res.delta_star}, planted {planted}"
+    )
+    assert np.max(np.abs(res.u_star - h)) < 1e-6

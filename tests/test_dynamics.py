@@ -69,6 +69,17 @@ def test_tuning_validation():
             NESTuning(**dict(good, **{field: value}))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("amplitude", (0.1, math.inf)), ("gain", (math.nan, 1.0)),
+    ("omega", math.inf), ("omega", math.nan),
+])
+def test_tuning_rejects_non_finite(field, value):
+    good = dict(amplitude=(0.1, 0.1), gain=(1.0, 1.0), omega=1.0,
+                omega_ratio=(2, 3))
+    with pytest.raises(ValueError):
+        NESTuning(**dict(good, **{field: value}))
+
+
 def test_tuning_frequencies_and_scaling(tuning3):
     freqs = tuning3.frequencies()
     assert np.allclose(freqs, [6346.0, 4089.0, 6115.0])

@@ -1,7 +1,9 @@
 """Linear algebra, eigenvalues, root finding and integration substrate.
 
-Every routine is checked against numpy.linalg (or a closed-form solution)
-as the independent route — the package itself never calls numpy.linalg.
+Every routine is checked against numpy.linalg (or a closed-form solution).
+The package's solves and eigenvalues run on numpy.linalg themselves, so
+those tests act as contract tests: they pin the results, the singularity
+gate and the error types that the rest of the package relies on.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from deceptive_nes import numerics
+from deceptive_nes import numerics, perturbed_pseudogradient
 
 import oracles
 
@@ -63,6 +65,42 @@ def test_singular_matrix_raises_with_column():
 def test_solve_rejects_nonsquare():
     with pytest.raises(ValueError):
         numerics.solve_linear(np.ones((2, 3)), np.ones(2))
+
+
+def test_solve_stack_matches_solve_linear_row_by_row(game3_published,
+                                                     topology3):
+    # Well-conditioned rows, the exactly singular [[1, 2], [2, 4]], and the
+    # three-firm study around its singular gain 5.631716138867322, 1e-11
+    # off which the condition number (~2e12) sends a row through the gate.
+    rng = np.random.default_rng(11)
+    stacks = [np.concatenate([rng.normal(size=(5, 2, 2)) + 2 * np.eye(2),
+                              [[[1.0, 2.0], [2.0, 4.0]]]])]
+    deltas = 5.631716138867322 + np.array([-1.0, -1e-11, 0.0, 1e-11, 0.05])
+    pert = perturbed_pseudogradient(game3_published, topology3, deltas[:, None])
+    stacks.append(pert.qbar)
+    for a in stacks:
+        b = rng.normal(size=a.shape[:2])
+        x = numerics.solve_stack(a, b)
+        singular = 0
+        for i in range(len(a)):
+            try:
+                want = numerics.solve_linear(a[i], b[i])
+            except numerics.SingularMatrixError:
+                singular += 1
+                assert np.all(np.isnan(x[i])), f"row {i} should be NaN"
+            else:
+                assert np.allclose(x[i], want, rtol=1e-12, atol=0.0), (
+                    f"row {i}: {x[i]} vs {want}"
+                )
+        assert singular == 1, f"{singular} singular rows, expected 1"
+
+
+def test_linalg_errors_stay_inside_the_package():
+    # numpy.linalg raises LinAlgError, a ValueError the CLI would report as
+    # a validation error; the package turns it into a numerical failure.
+    with pytest.raises(numerics.ConvergenceError) as exc:
+        numerics.eigenvalues(np.full((3, 3), np.nan))
+    assert not isinstance(exc.value, ValueError)
 
 
 # ── eigenvalues ──────────────────────────────────────────────────────────────
@@ -147,6 +185,33 @@ def test_bisection_rejects_unbracketed():
 def test_bisection_accepts_endpoint_root():
     root = numerics.find_root_scalar(lambda x: x, 0.0, 1.0)
     assert root == 0.0
+
+
+@pytest.mark.parametrize("power", [1, 3])
+def test_root_search_converges_on_pole_bracket(power):
+    # A sign change across a pole, not a root: the search must still close
+    # the bracket within its budget, with at least one halving per three
+    # evaluations (about 120 here).
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return 1.0 / (x - 0.3) ** power
+
+    x = numerics.find_root_scalar(f, 0.0, 1.0)
+    assert abs(x - 0.3) < 1e-10
+    assert len(calls) <= 2 + 3 * math.ceil(math.log2(1e12)), len(calls)
+
+
+def test_root_search_is_fast_on_smooth_roots():
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return math.cos(x)
+
+    assert abs(numerics.find_root_scalar(f, 0.0, 3.0) - math.pi / 2.0) < 1e-10
+    assert len(calls) <= 12, f"{len(calls)} evaluations"
 
 
 # ── finite differences and Newton ────────────────────────────────────────────

@@ -314,6 +314,48 @@ def test_cli_flag_misuse_exits_2(tmp_path, scen_path, nominal_path):
                  "--delta", "1", "--delta-grid", "0:1:0.5", ]) in (0, 2)
 
 
+@pytest.mark.parametrize("path_keys, value, argv", [
+    (["sim", "horizon"], math.inf, ["simulate", "--model", "reduced"]),
+    (["deception", "deceivers", 0, "cost_ref"], math.nan, ["attain"]),
+    (["tuning", "omega"], math.inf, ["nash"]),
+])
+def test_cli_non_finite_scenario_number_exits_2(tmp_path, scen_path,
+                                                path_keys, value, argv):
+    # json accepts NaN and Infinity; the loader must refuse them.
+    with open(scen_path) as fh:
+        doc = json.load(fh)
+    node = doc
+    for key in path_keys[:-1]:
+        node = node[key]
+    node[path_keys[-1]] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main([argv[0], "--scenario", str(bad), "--out", str(out)]
+                + argv[1:]) == 2
+    with open(out / "error.json") as fh:
+        err = json.load(fh)
+    assert err["kind"] == "validation"
+    assert "non-finite" in err["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["nash", "--delta", "3"],
+    ["attain", "--delta-grid", "0:1:0.5"],
+    ["simulate", "--model", "reduced", "--delta", "1"],
+    ["deceptive-game", "--delta-grid", "0:1:0.5"],
+    ["sweep", "--delta", "1", "--delta-grid", "0:1:0.5"],
+    ["stability", "--delta", "1", "--delta-grid", "0:1:0.5"],
+])
+def test_cli_rejects_flags_the_command_ignores(tmp_path, scen_path, argv):
+    out = tmp_path / "flags"
+    assert main([argv[0], "--scenario", scen_path, "--out", str(out)]
+                + argv[1:]) == 2
+    with open(out / "error.json") as fh:
+        assert json.load(fh)["kind"] == "validation"
+    assert not (out / "summary.json").exists()
+
+
 def test_console_script_entry_point(tmp_path, scen_path):
     out = tmp_path / "console"
     proc = subprocess.run(
