@@ -3,9 +3,9 @@
 Every command loads a scenario JSON file and writes deterministic artifacts
 into an output directory (``summary.json``, and ``trajectory.csv`` /
 ``sweep.csv`` where applicable).  Exit status: 0 on success, 2 for
-validation problems (bad scenario, bad flags), 3 for numerical failures;
-failures also leave a machine-readable ``error.json`` in the output
-directory.
+validation problems (bad scenario, bad flags), 3 for numerical failures and
+1 for any other exception (a defect, kind ``internal``); failures also leave
+a machine-readable ``error.json`` in the output directory.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -321,15 +322,9 @@ def main(argv=None) -> int:
 
     try:
         scenario = load_scenario(args.scenario)
-    except FileNotFoundError as exc:
-        return fail("validation", exc, 2)
-    except ScenarioError as exc:
-        return fail("validation", exc, 2)
-
-    try:
         _check_delta_flags(args)
         _HANDLERS[args.command](scenario, out_dir, args)
-    except CommandError as exc:
+    except (FileNotFoundError, ScenarioError, CommandError) as exc:
         return fail("validation", exc, 2)
     except (
         numerics.SingularMatrixError,
@@ -339,6 +334,9 @@ def main(argv=None) -> int:
         return fail("numerical", exc, 3)
     except ValueError as exc:
         return fail("validation", exc, 2)
+    except Exception as exc:   # a defect: still leave error.json behind
+        traceback.print_exc(file=sys.stderr)
+        return fail("internal", exc, 1)
     return 0
 
 

@@ -1,13 +1,21 @@
 """Deception topology, perturbed pseudogradient, stability set and attainability.
 
 A subset of players ("deceivers") each inject copies of selected other
-players' ("victims") probing signals, scaled by a gain ``delta_k``.  On the
-slow timescale this perturbs the game's pseudogradient: victim rows of the
+players' ("victims") probing signals, scaled by a gain ``delta_k``.  All of
+that is one linear map: the injection tensor ``G`` of
+:meth:`DeceptionTopology.injection`, with ``G[k, z_k, l] = 1`` for every
+victim ``l`` of deceiver ``z_k``.  The played prices are
+
+    x = u + (I + delta . G)(a o s),      delta . G = sum_k delta_k G[k],
+
+for learned actions ``u`` and probing tones ``a o s``.  On the slow
+timescale this perturbs the game's pseudogradient: victim rows of the
 pseudogradient matrix pick up delta-dependent terms while everything else is
-untouched.  This module computes that perturbed pair ``(Qbar(d), Bbar(d))``,
-the resulting quasi-equilibrium ``h(d) = -Qbar(d)^{-1} Bbar(d)``, membership
-in the stability-preserving gain set, and roots of the deceivers'
-cost-matching conditions (attainability).
+untouched, ``Qbar(d) = Q0 + sum_k d_k P_k`` and ``Bbar(d) = B0 + sum_k d_k
+p_k``.  This module computes that perturbed pair, the resulting
+quasi-equilibrium ``h(d) = -Qbar(d)^{-1} Bbar(d)``, membership in the
+stability-preserving gain set, and roots of the deceivers' cost-matching
+conditions (attainability).
 """
 
 from __future__ import annotations
@@ -109,19 +117,28 @@ class DeceptionTopology:
                         f"player index {j} out of range for {n_players} players"
                     )
 
+    def injection(self, n_players: int) -> np.ndarray:
+        """Injection tensor ``G`` of shape ``(n_deceivers, n, n)``.
+
+        ``G[k, z_k, l] = 1`` for every victim ``l`` of deceiver ``z_k`` and
+        zero elsewhere, so deceiver ``k`` adds ``delta_k`` times its victims'
+        tones to its own price.  Every other use of the topology in
+        arithmetic is algebra on this tensor.
+        """
+        self.validate_against(n_players)
+        g = np.zeros((self.n_deceivers, n_players, n_players))
+        for k, (z, vs) in enumerate(zip(self.deceivers, self.victims)):
+            g[k, z, list(vs)] = 1.0
+        return g
+
     def attacker_positions(self, n_players: int) -> tuple[tuple[int, ...], ...]:
         """For every player ``j``, the deceiver *positions* ``k`` with ``j`` a victim.
 
         Positions index into ``deceivers`` / ``delta``; use
         ``deceivers[k]`` to recover the attacking player.
         """
-        self.validate_against(n_players)
-        out: list[tuple[int, ...]] = []
-        for j in range(n_players):
-            out.append(tuple(
-                k for k, v in enumerate(self.victims) if j in v
-            ))
-        return tuple(out)
+        hit = self.injection(n_players).any(axis=1)   # hit[k, j]: j is a victim of k
+        return tuple(tuple(np.flatnonzero(hit[:, j]).tolist()) for j in range(n_players))
 
     def attacker_players(self, n_players: int) -> tuple[tuple[int, ...], ...]:
         """For every player ``j``, the player indices currently deceiving ``j``."""
@@ -139,6 +156,22 @@ class PerturbedPseudogradient:
     qbar: np.ndarray
     bbar: np.ndarray
     delta: np.ndarray
+
+
+def _pseudogradient_basis(
+    game: QuadraticGame, topology: DeceptionTopology
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(P, p)`` with ``Qbar(d) = Q0 + (d @ P).reshape(n, n)`` and
+    ``Bbar(d) = B0 + d @ p``.
+
+    ``P[k]`` is the flattened ``(n, n)`` matrix whose victim rows ``j`` are
+    row ``z_k`` of ``q[j]``, and ``p[k, j] = b[j, z_k]``: the victim sees the
+    deceiver's injection of its own tone as its own price moving.
+    """
+    g = topology.injection(game.n_players)
+    n, n_dec = game.n_players, topology.n_deceivers
+    big_p = np.einsum("kij,jim->kjm", g, game.q).reshape(n_dec, n * n)
+    return big_p, np.einsum("kij,ji->kj", g, game.b)
 
 
 def perturbed_pseudogradient(
@@ -161,18 +194,9 @@ def perturbed_pseudogradient(
             f"expected {topology.n_deceivers} delta entries, got shape {d.shape}"
         )
     n = game.n_players
-    topology.validate_against(n)
-    qbar = np.empty(d.shape[:-1] + (n, n))
-    bbar = np.empty(d.shape[:-1] + (n,))
-    qbar[...] = game.pseudogradient_matrix
-    bbar[...] = game.pseudogradient_offset
-    # transposed views put any stack axes last, so the same statements serve
-    # one gain vector at scalar cost and a whole grid in one pass
-    q_t, b_t, d_t = qbar.T, bbar.T, d.T
-    for k, (z, vs) in enumerate(zip(topology.deceivers, topology.victims)):
-        for j in vs:
-            q_t[:, j] += np.multiply.outer(game.q[j, z, :], d_t[k])
-            b_t[j] += game.b[j, z] * d_t[k]
+    big_p, p = _pseudogradient_basis(game, topology)
+    qbar = game.pseudogradient_matrix + (d @ big_p).reshape(d.shape[:-1] + (n, n))
+    bbar = game.pseudogradient_offset + d @ p
     return PerturbedPseudogradient(qbar=qbar, bbar=bbar, delta=d)
 
 

@@ -20,7 +20,9 @@ from typing import Sequence
 import numpy as np
 
 from .deception import DeceptionTopology, PerturbedPseudogradient, perturbed_pseudogradient
-from .oligopoly import OligopolyParams, QuadraticGame, derive_aggregates, sales
+from .oligopoly import (
+    OligopolyParams, QuadraticGame, build_quadratic_game, derive_aggregates, sales,
+)
 
 
 @dataclass(frozen=True)
@@ -51,14 +53,12 @@ class DeceptiveGame:
         becomes ``qbar[i, i]``, the own linear coefficient ``bbar[i]``, and
         the constant picks up ``sigma_i``.
         """
+        idx = np.arange(self.n_players)
         q = self.base.q.copy()
         b = self.base.b.copy()
-        c = self.base.c.copy()
-        for i in range(self.n_players):
-            q[i, i, i] = self.pert.qbar[i, i]
-            b[i, i] = self.pert.bbar[i]
-            c[i] = c[i] + self.sigma[i]
-        return QuadraticGame(q=q, b=b, c=c)
+        q[idx, idx, idx] = np.diagonal(self.pert.qbar)
+        b[idx, idx] = self.pert.bbar
+        return QuadraticGame(q=q, b=b, c=self.base.c + self.sigma)
 
 
 def build_deceptive_game(
@@ -74,8 +74,6 @@ def build_deceptive_game(
     exact quadratic market game; pass a modified base to keep its
     coefficients as the starting point.
     """
-    from .oligopoly import build_quadratic_game
-
     d = np.asarray(delta, dtype=float)
     if d.shape != (topology.n_deceivers,):
         raise ValueError(
@@ -88,17 +86,11 @@ def build_deceptive_game(
         )
     if base is None:
         base = build_quadratic_game(params)
-    topology.validate_against(params.n_players)
-
-    agg = derive_aggregates(params)
+    # (delta . G)[z, i]: how strongly deceiver z re-injects victim i's tone
+    injected = np.tensordot(d, topology.injection(params.n_players), axes=1)
     r = params.resistance
-    m = params.marginal_cost
-    n = params.n_players
-    gamma = np.zeros(n)
-    for k, (z, vs) in enumerate(zip(topology.deceivers, topology.victims)):
-        for i in vs:
-            gamma[i] += (agg.r_parallel / (2.0 * r[i])) * d[k] / r[z]
-    sigma = -gamma * m ** 2
+    gamma = (derive_aggregates(params).r_parallel / (2.0 * r)) * ((1.0 / r) @ injected)
+    sigma = -gamma * params.marginal_cost ** 2
     pert = perturbed_pseudogradient(base, topology, d)
     return DeceptiveGame(
         params=params,
@@ -118,9 +110,7 @@ def deceptive_cost(dgame: DeceptiveGame, x: Sequence[float], i: int) -> float:
         raise ValueError(
             f"expected a price vector of length {dgame.n_players}, got {x.shape}"
         )
-    margin = x[i] - dgame.params.marginal_cost[i]
-    s_i = sales(dgame.params, x)[i]
-    return float(-(s_i + margin * dgame.inflation_coeff[i]) * margin)
+    return float(deceptive_costs(dgame, x)[i])
 
 
 def deceptive_costs(dgame: DeceptiveGame, x: Sequence[float]) -> np.ndarray:

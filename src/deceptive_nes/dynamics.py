@@ -30,19 +30,29 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import numerics
 from .deception import (
     DeceptionTopology,
+    _pseudogradient_basis,
     deceptive_equilibrium,
+    lambda_matrix,
     perturbed_pseudogradient,
 )
 from .oligopoly import QuadraticGame
 
 MODEL_KINDS = ("full", "averaged", "reduced", "boundary")
+
+#: :func:`simulate` refuses a run needing more integration steps than this;
+#: the full-frequency deception run of the test suite takes 22.6 M.
+MAX_STEPS = 30_000_000
+
+#: ... or recording more samples than this, since every recorded sample is
+#: held in memory until the run ends.
+MAX_SAMPLES = 4_000_000
 
 
 class DivergenceError(RuntimeError):
@@ -136,20 +146,26 @@ def dither_vector(
     tuning: NESTuning,
     topology: DeceptionTopology,
     delta: Sequence[float],
-    t: float,
+    t: float | np.ndarray,
 ) -> np.ndarray:
-    """Probing offset of every player at physical time ``t``.
+    """Probing offset ``(I + delta . G)(a o sin(w t))`` of every player at
+    physical time ``t``.
 
     Player ``i`` contributes ``a_i sin(w_i t)``; a deceiver additionally
-    re-injects each victim's sinusoid scaled by its current gain.
+    re-injects each victim's sinusoid scaled by its current gain (``G`` is
+    :meth:`DeceptionTopology.injection`).  For an array of times ``delta``
+    holds one row per time and the result one row per time.
     """
+    return _played_prices(0.0, tuning, topology, delta, t)
+
+
+def _played_prices(u, tuning, topology, delta, t) -> np.ndarray:
+    """``x = u + (I + delta . G)(a o s)``, summed as ``(u + a o s) + (delta .
+    G)(a o s)`` like the full model's scalar loop."""
+    tones = tuning.amplitude * np.sin(np.multiply.outer(t, tuning.frequencies()))
+    g = topology.injection(tuning.n_players)
     d = np.asarray(delta, dtype=float)
-    w = tuning.frequencies()
-    s = np.sin(w * t)
-    mu = tuning.amplitude * s
-    for k, (z, vs) in enumerate(zip(topology.deceivers, topology.victims)):
-        mu[z] += d[k] * float(np.sum(tuning.amplitude[list(vs)] * s[list(vs)]))
-    return mu
+    return (u + tones) + np.einsum("...k,kij,...j->...i", d, g, tones)
 
 
 # ---------------------------------------------------------------------------
@@ -174,27 +190,18 @@ def _residual_polynomial(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Coefficients of the residual as a quadratic polynomial in ``delta``.
 
-    Writing the probing vector as a sum of one tone per player, tone ``m``
-    enters player ``j``'s coordinate with weight ``a_m`` (own tone) plus
-    ``delta_k a_m`` for every deceiver ``k`` that mimics ``m``; distinct
-    tones average to zero against each other, matched tones to one half.
+    The probing vector is ``M (a o s)`` with ``M = I + delta . G``; distinct
+    tones average to zero against each other and matched tones to one half,
+    so deceiver ``k`` sees ``1/4 tr(q[z_k] M D M')`` with ``D = diag(a^2)``.
+    Expanding ``M`` gives ``const[k] + lin[k] @ delta + delta @ quad[k] @
+    delta``.
     """
-    n = topology.n_deceivers
-    nn = game.n_players
     a2 = np.asarray(tuning.amplitude, dtype=float) ** 2
-    z = topology.deceivers
-    vict = topology.victims
-    const = np.zeros(n)
-    lin = np.zeros((n, n))
-    quad = np.zeros((n, n, n))
-    for kk in range(n):
-        qi = game.q[z[kk]]
-        const[kk] = 0.25 * float(np.sum(a2 * np.diagonal(qi)))
-        for j in range(n):
-            lin[kk, j] = 0.5 * sum(a2[m] * qi[m, z[j]] for m in vict[j])
-            for l in range(n):
-                shared = set(vict[j]) & set(vict[l])
-                quad[kk, j, l] = 0.25 * sum(a2[m] for m in shared) * qi[z[j], z[l]]
+    q = game.q[list(topology.deceivers)]
+    g = topology.injection(game.n_players)
+    const = 0.25 * np.einsum("kmm,m->k", q, a2)
+    lin = 0.5 * np.einsum("kmi,jim,m->kj", q, g, a2)
+    quad = 0.25 * np.einsum("kab,jbc,c,lac->kjl", q, g, a2, g)
     return const, lin, quad
 
 
@@ -207,8 +214,7 @@ def averaged_residual(
     """Closed-form probing residual for each deceiver at gains ``delta``."""
     const, lin, quad = _residual_polynomial(game, topology, tuning)
     d = np.asarray(delta, dtype=float)
-    vals = const + lin @ d + np.array([d @ quad[kk] @ d for kk in range(len(const))])
-    return AveragedResidual(p_term=vals)
+    return AveragedResidual(p_term=const + lin @ d + np.einsum("kjl,j,l->k", quad, d, d))
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +251,82 @@ def default_initial(
     return SimState(t=0.0, u=u0, delta=np.zeros(topology.n_deceivers))
 
 
+def _pack(model: str, u: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """The integrator state of ``model``, packed as described in :func:`rhs`."""
+    if model == "reduced":
+        return delta
+    if model == "boundary":
+        return u
+    return np.concatenate([u, delta])
+
+
+def _vector_field(
+    model: str,
+    game: QuadraticGame,
+    topology: DeceptionTopology,
+    tuning: NESTuning,
+    delta: np.ndarray,
+    freeze_delta: bool,
+) -> Callable[[float, np.ndarray], np.ndarray]:
+    """The derivative ``f(t, y)`` of ``model`` on its native axis, with ``y``
+    packed as in :func:`rhs` and everything that does not depend on the
+    state computed once.
+
+    ``delta`` is the frozen gain of the ``boundary`` model; the other models
+    read their gains from ``y``, and ``freeze_delta`` zeroes their gain
+    derivative.
+    """
+    if model not in MODEL_KINDS:
+        raise ValueError(f"unknown model kind {model!r}")
+    n = game.n_players
+    z = list(topology.deceivers)
+    refs = np.asarray(topology.cost_refs, dtype=float)
+    rates = np.zeros(topology.n_deceivers) if freeze_delta \
+        else np.asarray(topology.eps_rates, dtype=float)
+    q0, b0 = game.pseudogradient_matrix, game.pseudogradient_offset
+    big_p, p = _pseudogradient_basis(game, topology)
+
+    def pseudogradient(d):
+        return q0 + (d @ big_p).reshape(n, n), b0 + d @ p
+
+    if model == "full":
+        w = tuning.frequencies()
+        drift = -(2.0 * tuning.gain / tuning.amplitude)
+        d_gain = topology.eps * rates
+
+        def f(t, y):
+            costs = game.costs(_played_prices(y[:n], tuning, topology, y[n:], t))
+            return np.concatenate([
+                drift * costs * np.sin(w * t), d_gain * (costs[z] - refs),
+            ])
+    elif model == "averaged":
+        const, lin, quad = _residual_polynomial(game, topology, tuning)
+        quad = quad.reshape(len(z), len(z) ** 2)
+        d_gain = (topology.eps / tuning.omega) * rates
+
+        def f(t, y):
+            u, d = y[:n], y[n:]
+            qbar, bbar = pseudogradient(d)
+            resid = const + lin @ d + quad @ np.outer(d, d).ravel()
+            return np.concatenate([
+                -(tuning.gain * (qbar @ u + bbar)) / tuning.omega,
+                d_gain * (game.costs(u)[z] - refs + resid),
+            ])
+    elif model == "reduced":
+        d_gain = rates / tuning.omega
+
+        def f(t, d):
+            qbar, bbar = pseudogradient(d)
+            h = numerics.solve_linear(qbar, -bbar)
+            return d_gain * (game.costs(h)[z] - refs)
+    else:
+        kq = tuning.gain[:, None] * pseudogradient(np.asarray(delta, dtype=float))[0]
+
+        def f(t, y):
+            return -(kq @ y)
+    return f
+
+
 def rhs(
     model: str,
     game: QuadraticGame,
@@ -256,41 +338,10 @@ def rhs(
 
     Packing: ``full`` and ``averaged`` return ``[du, ddelta]``; ``reduced``
     returns ``ddelta``; ``boundary`` returns ``dy`` at the frozen
-    ``state.delta``.
+    ``state.delta``.  :func:`simulate` integrates the same vector field.
     """
-    if model not in MODEL_KINDS:
-        raise ValueError(f"unknown model kind {model!r}")
-    k = tuning.gain
-    eps = topology.eps
-    rates = np.asarray(topology.eps_rates, dtype=float)
-    refs = np.asarray(topology.cost_refs, dtype=float)
-    z = list(topology.deceivers)
-
-    if model == "full":
-        mu = dither_vector(tuning, topology, state.delta, state.t)
-        x = state.u + mu
-        costs = game.costs(x)
-        w = tuning.frequencies()
-        du = -(2.0 * k / tuning.amplitude) * costs * np.sin(w * state.t)
-        dd = eps * rates * (costs[z] - refs)
-        return np.concatenate([du, dd])
-
-    if model == "averaged":
-        pert = perturbed_pseudogradient(game, topology, state.delta)
-        du = -(k * (pert.qbar @ state.u + pert.bbar)) / tuning.omega
-        costs = game.costs(state.u)
-        resid = averaged_residual(game, topology, tuning, state.delta).p_term
-        dd = (eps / tuning.omega) * rates * (costs[z] - refs + resid)
-        return np.concatenate([du, dd])
-
-    if model == "reduced":
-        h = deceptive_equilibrium(game, topology, state.delta)
-        costs = game.costs(h)
-        return (rates / tuning.omega) * (costs[z] - refs)
-
-    # boundary layer: action deviations at frozen delta, physical time
-    pert = perturbed_pseudogradient(game, topology, state.delta)
-    return -(k * (pert.qbar @ state.u))
+    f = _vector_field(model, game, topology, tuning, state.delta, freeze_delta=False)
+    return f(state.t, _pack(model, state.u, state.delta))
 
 
 # ---------------------------------------------------------------------------
@@ -369,61 +420,17 @@ class Trajectory:
         deceiver (1-based player number), ``x_1..x_N``, ``J_1..J_N``,
         ``P_1..P_N``.
         """
-        n_players = self.u.shape[1]
-        cols = ["t"]
-        cols += [f"u_{i+1}" for i in range(n_players)]
-        cols += [f"delta_{z+1}" for z in self.meta.deceivers]
-        cols += [f"x_{i+1}" for i in range(n_players)]
-        cols += [f"J_{i+1}" for i in range(n_players)]
-        cols += [f"P_{i+1}" for i in range(n_players)]
+        players = range(1, self.u.shape[1] + 1)
+        cols = ["t", *(f"u_{i}" for i in players),
+                *(f"delta_{z + 1}" for z in self.meta.deceivers),
+                *(f"{c}_{i}" for c in "xJP" for i in players)]
+        rows = np.column_stack(
+            [self.times, self.u, self.delta, self.x, self.costs, self.profits]
+        )
         with open(path, "w", newline="") as fh:
             fh.write(",".join(cols) + "\n")
-            for idx in range(len(self.times)):
-                row = [self.times[idx]]
-                row += list(self.u[idx])
-                row += list(self.delta[idx])
-                row += list(self.x[idx])
-                row += list(self.costs[idx])
-                row += list(self.profits[idx])
+            for row in rows.tolist():
                 fh.write(",".join(f"{v:.12g}" for v in row) + "\n")
-
-
-def _reconstruct_prices(
-    model: str,
-    tuning: NESTuning,
-    topology: DeceptionTopology,
-    times_phys: np.ndarray,
-    u: np.ndarray,
-    delta: np.ndarray,
-) -> np.ndarray:
-    if model != "full":
-        return u.copy()
-    w = tuning.frequencies()
-    s = np.sin(np.outer(times_phys, w)) * tuning.amplitude
-    x = u + s
-    for k, (z, vs) in enumerate(zip(topology.deceivers, topology.victims)):
-        x[:, z] += delta[:, k] * np.sum(s[:, list(vs)], axis=1)
-    return x
-
-
-def _finalize(
-    model: str,
-    game: QuadraticGame,
-    topology: DeceptionTopology,
-    tuning: NESTuning,
-    times: np.ndarray,
-    u: np.ndarray,
-    delta: np.ndarray,
-    meta: TrajectoryMeta,
-) -> Trajectory:
-    x = _reconstruct_prices(
-        model, tuning, topology, times * meta.to_physical, u, delta
-    )
-    costs = game.costs(x)
-    return Trajectory(
-        times=times, u=u, delta=delta, x=x, costs=costs, profits=-costs,
-        meta=meta,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -444,8 +451,10 @@ def _integrate_full(
 
     This is the hot path (millions of steps at realistic frequencies);
     everything is unpacked into lists so a step costs a handful of
-    arithmetic operations per player.  The test-suite pins it against the
-    generic :func:`rhs` + :func:`numerics.rk4_step` route.
+    arithmetic operations per player.  It is the one place that walks the
+    victim lists instead of using the injection tensor: single-lane numpy
+    costs about three times as much per step.  The test-suite pins it
+    against the generic :func:`rhs` + :func:`numerics.rk4_step` route.
     """
     sin = math.sin
     n_players = game.n_players
@@ -541,13 +550,6 @@ def _integrate_full(
     )
 
 
-def _rate_bound(matrix: np.ndarray) -> float:
-    m = np.asarray(matrix, dtype=float)
-    if m.size == 0:
-        return 0.0
-    return float(np.max(np.sum(np.abs(m), axis=1)))
-
-
 def simulate(
     model: str,
     game: QuadraticGame,
@@ -569,16 +571,19 @@ def simulate(
     steps per fastest probing period); dither-free models pick their step
     from their own rate bounds unless ``dt`` (native-axis units) is given.
     ``freeze_delta`` holds deceiver gains at their initial values while the
-    probing injections stay active.
+    probing injections stay active.  Runs above :data:`MAX_STEPS` steps or
+    :data:`MAX_SAMPLES` recorded samples are refused with ``ValueError``.
     """
     if model not in MODEL_KINDS:
         raise ValueError(f"unknown model kind {model!r}")
     if horizon <= 0.0:
         raise ValueError("horizon must be positive")
-    if stride < 1:
-        raise ValueError("stride must be a positive integer")
-    if oversampling < 16:
-        raise ValueError("oversampling below 16 does not resolve the dither")
+    if dt is not None and not dt > 0.0:
+        raise ValueError("dt must be positive")
+    if not 1 <= stride <= MAX_STEPS:
+        raise ValueError(f"stride must be an integer in 1..{MAX_STEPS}")
+    if not 16 <= oversampling <= MAX_STEPS:   # below 16 does not resolve the dither
+        raise ValueError(f"oversampling must be an integer in 16..{MAX_STEPS}")
     topology.validate_against(game.n_players)
     if initial is None:
         initial = default_initial(game, topology)
@@ -588,114 +593,60 @@ def simulate(
             f"topology has {topology.n_deceivers}"
         )
 
+    if model == "reduced" and topology.n_deceivers == 0:
+        raise ValueError("the reduced model needs at least one deceiver")
     period_tau = common_period(tuning.omega_ratio)
     omega = tuning.omega
-    eps = topology.eps
+    axis = {"full": "t", "averaged": "tau", "reduced": "tau_star", "boundary": "t"}[model]
+    scale = {"t": 1.0, "tau": omega, "tau_star": topology.eps * omega}[axis]
+    native_horizon = scale * horizon
+    period_native = {
+        "t": period_tau / omega, "tau": period_tau, "tau_star": topology.eps * period_tau,
+    }[axis]
 
-    if model == "full":
-        w_max = float(np.max(tuning.frequencies()))
-        step = 2.0 * math.pi / (w_max * oversampling) if dt is None else float(dt)
-        native_horizon = horizon
-        axis, to_phys = "t", 1.0
-        period_native = period_tau / omega
-    elif model == "averaged":
-        native_horizon = omega * horizon
-        axis, to_phys = "tau", 1.0 / omega
-        period_native = period_tau
-        if dt is None:
+    if dt is not None:
+        step = float(dt)
+    elif model == "full":
+        step = 2.0 * math.pi / (float(np.max(tuning.frequencies())) * oversampling)
+    else:
+        if model == "reduced":
+            lam = lambda_matrix(game, topology, initial.delta)
+            rate = float(np.linalg.norm(lam, np.inf)) / omega
+        else:
             pert = perturbed_pseudogradient(game, topology, initial.delta)
-            rate = _rate_bound(tuning.gain[:, None] * pert.qbar) / omega
-            step = min(period_tau / 64.0, 0.2 / rate if rate > 0 else np.inf)
+            rate = float(np.linalg.norm(tuning.gain[:, None] * pert.qbar, np.inf)) / scale
+        step = 0.2 / rate if rate > 0 else np.inf
+        if model == "averaged":
             # keep an integer number of steps per common period so the
             # trailing-period mean tiles exactly
-            step = period_tau / max(1, round(period_tau / step))
+            step = period_tau / max(1, round(period_tau / min(period_tau / 64.0, step)))
         else:
-            step = float(dt)
-    elif model == "reduced":
-        if topology.n_deceivers == 0:
-            raise ValueError("the reduced model needs at least one deceiver")
-        native_horizon = eps * omega * horizon
-        axis, to_phys = "tau_star", 1.0 / (eps * omega)
-        period_native = eps * period_tau
-        if dt is None:
-            from .deception import lambda_matrix
-
-            lam = lambda_matrix(game, topology, initial.delta)
-            rate = _rate_bound(lam) / omega
-            step = 0.2 / rate if rate > 0 else native_horizon / 200.0
             step = min(step, native_horizon / 200.0)
-        else:
-            step = float(dt)
-    else:  # boundary
-        native_horizon = horizon
-        axis, to_phys = "t", 1.0
-        period_native = period_tau / omega
-        if dt is None:
-            pert = perturbed_pseudogradient(game, topology, initial.delta)
-            rate = _rate_bound(tuning.gain[:, None] * pert.qbar)
-            step = 0.2 / rate if rate > 0 else native_horizon / 200.0
-            step = min(step, native_horizon / 200.0)
-        else:
-            step = float(dt)
 
-    n_steps = stride * max(1, math.ceil(native_horizon / (step * stride) - 1e-9))
+    blocks = native_horizon / (step * stride)   # may be huge, inf or NaN
+    if not (blocks * stride <= MAX_STEPS and blocks + 1.0 <= MAX_SAMPLES):
+        raise ValueError(
+            f"the run needs {blocks * stride:.4g} steps and {blocks + 1.0:.4g} "
+            f"recorded samples; the caps are {MAX_STEPS} steps and "
+            f"{MAX_SAMPLES} samples"
+        )
+    n_steps = stride * max(1, math.ceil(blocks - 1e-9))
 
     if model == "full":
         times, u_mat, d_mat = _integrate_full(
             game, topology, tuning, initial, step, n_steps, stride, freeze_delta
         )
     else:
-        n_players = game.n_players
-        n_dec = topology.n_deceivers
-
-        if model == "averaged":
-            const, lin, quad = _residual_polynomial(game, topology, tuning)
-            k = tuning.gain
-            rates = np.asarray(topology.eps_rates, dtype=float)
-            refs = np.asarray(topology.cost_refs, dtype=float)
-            z = list(topology.deceivers)
-
-            def f(t, yv):
-                u_, d_ = yv[:n_players], yv[n_players:]
-                if freeze_delta:
-                    d_dot = np.zeros(n_dec)
-                else:
-                    resid = const + lin @ d_ + np.array(
-                        [d_ @ quad[kk] @ d_ for kk in range(n_dec)]
-                    )
-                    costs = game.costs(u_)
-                    d_dot = (eps / omega) * rates * (costs[z] - refs + resid)
-                pert_ = perturbed_pseudogradient(game, topology, d_)
-                u_dot = -(k * (pert_.qbar @ u_ + pert_.bbar)) / omega
-                return np.concatenate([u_dot, d_dot])
-
-            y0 = np.concatenate([initial.u, initial.delta])
-        elif model == "reduced":
-            def f(t, yv):
-                return rhs(
-                    "reduced", game, topology, tuning,
-                    SimState(t=t, u=np.zeros(0), delta=yv),
-                )
-
-            y0 = initial.delta.copy()
-        else:
-            pert = perturbed_pseudogradient(game, topology, initial.delta)
-            kq = tuning.gain[:, None] * pert.qbar
-
-            def f(t, yv):
-                return -(kq @ yv)
-
-            y0 = initial.u.copy()
-
+        f = _vector_field(model, game, topology, tuning, initial.delta, freeze_delta)
         times, states = numerics.integrate_fixed(
-            f, initial.t, y0, step, n_steps, record_every=stride
+            f, initial.t, _pack(model, initial.u, initial.delta), step, n_steps,
+            record_every=stride,
         )
         if not np.all(np.isfinite(states[-1])):
             bad = np.where(~np.all(np.isfinite(states), axis=1))[0]
             raise DivergenceError(times[bad[0]], axis)
         if model == "averaged":
-            u_mat = states[:, :n_players]
-            d_mat = states[:, n_players:]
+            u_mat, d_mat = states[:, :game.n_players], states[:, game.n_players:]
         elif model == "reduced":
             d_mat = states
             pert = perturbed_pseudogradient(game, topology, d_mat)
@@ -707,13 +658,18 @@ def simulate(
             u_mat = states
             d_mat = np.tile(initial.delta, (len(times), 1))
 
-    meta = TrajectoryMeta(
-        model=model,
-        time_axis=axis,
-        to_physical=to_phys,
-        dt=step,
-        stride=stride,
-        common_period=period_native,
-        deceivers=topology.deceivers,
+    x = _played_prices(u_mat, tuning, topology, d_mat, times) if model == "full" \
+        else u_mat.copy()
+    costs = game.costs(x)
+    return Trajectory(
+        times=times, u=u_mat, delta=d_mat, x=x, costs=costs, profits=-costs,
+        meta=TrajectoryMeta(
+            model=model,
+            time_axis=axis,
+            to_physical=1.0 / scale,
+            dt=step,
+            stride=stride,
+            common_period=period_native,
+            deceivers=topology.deceivers,
+        ),
     )
-    return _finalize(model, game, topology, tuning, times, u_mat, d_mat, meta)

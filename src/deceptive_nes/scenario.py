@@ -26,7 +26,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from .deception import DeceptionTopology
-from .dynamics import MODEL_KINDS, NESTuning, SimState, default_initial
+from .dynamics import MAX_STEPS, MODEL_KINDS, NESTuning, SimState, common_period, default_initial
 from .oligopoly import OligopolyParams, QuadraticGame, market_game
 
 
@@ -107,7 +107,25 @@ def _ratio(value: Any, path: str) -> Fraction:
         raise ScenarioError("nonpositive-parameter", f"{path}.den", "denominator must be positive")
     if num <= 0:
         raise ScenarioError("nonpositive-parameter", f"{path}.num", "numerator must be positive")
-    return Fraction(num, den)
+    ratio = Fraction(num, den)
+    try:
+        value = float(ratio)
+    except OverflowError:
+        value = math.inf
+    if not 0.0 < value < math.inf:
+        raise ScenarioError("non-finite", path, "num/den must be a positive finite float")
+    return ratio
+
+
+def _bounded_int(value: Any, low: int, path: str) -> int:
+    """An integer in ``low..MAX_STEPS``: a larger stride or oversampling
+    would alone ask for more integration steps than a simulation accepts."""
+    number = _as_int(value, path)
+    if number < low:
+        raise ScenarioError("nonpositive-parameter", path, f"must be at least {low}, got {number}")
+    if number > MAX_STEPS:
+        raise ScenarioError("out-of-range", path, f"must be at most {MAX_STEPS}")
+    return number
 
 
 @dataclass(frozen=True)
@@ -279,6 +297,13 @@ def scenario_from_dict(doc: Mapping[str, Any]) -> Scenario:
             "duplicate-frequency", "$.tuning.omega_ratio",
             "frequency ratios must be pairwise distinct",
         )
+    try:
+        common_period(ratios)
+    except OverflowError:
+        raise ScenarioError(
+            "non-finite", "$.tuning.omega_ratio",
+            "the common probing period of these ratios overflows a float",
+        ) from None
     tuning = NESTuning(
         amplitude=np.array(amplitude), gain=np.array(gain),
         omega=omega, omega_ratio=ratios,
@@ -344,17 +369,10 @@ def scenario_from_dict(doc: Mapping[str, Any]) -> Scenario:
             )
         horizon = _positive(_as_number(sm.get("horizon", sim.horizon), "$.sim.horizon"),
                             "$.sim.horizon")
-        stride = _as_int(sm.get("stride", sim.stride), "$.sim.stride")
-        if stride < 1:
-            raise ScenarioError("nonpositive-parameter", "$.sim.stride",
-                                "stride must be at least 1")
-        oversampling = _as_int(sm.get("oversampling", sim.oversampling),
-                               "$.sim.oversampling")
-        if oversampling < 16:
-            raise ScenarioError(
-                "nonpositive-parameter", "$.sim.oversampling",
-                "oversampling below 16 does not resolve the dither",
-            )
+        stride = _bounded_int(sm.get("stride", sim.stride), 1, "$.sim.stride")
+        # below 16 steps per fastest probing period the dither is not resolved
+        oversampling = _bounded_int(sm.get("oversampling", sim.oversampling), 16,
+                                    "$.sim.oversampling")
         freq_scale = _positive(
             _as_number(sm.get("freq_scale", sim.freq_scale), "$.sim.freq_scale"),
             "$.sim.freq_scale",

@@ -108,6 +108,19 @@ def np_is_hurwitz(a):
     return np_abscissa(a) < 0.0
 
 
+# ── probing offsets, by the definition ──────────────────────────────────────
+
+def played_offset(amplitude, frequencies, deceivers, victims, delta, t):
+    """μ(t): a_i sin(ω_i t) in every component i, plus, for each deceiver k,
+    δ_k Σ_{j∈V_k} a_j sin(ω_j t) in component z_k."""
+    a = np.asarray(amplitude, float)
+    w = np.asarray(frequencies, float)
+    mu = np.array([a[i] * np.sin(w[i] * t) for i in range(a.size)])
+    for k, (z, vs) in enumerate(zip(deceivers, victims)):
+        mu[z] += delta[k] * sum(a[j] * np.sin(w[j] * t) for j in vs)
+    return mu
+
+
 # ── period-average of the dither residual, by Simpson quadrature ────────────
 
 def simpson_residual(q_rows, amplitude, frequencies, deceivers, victims,
@@ -125,9 +138,7 @@ def simpson_residual(q_rows, amplitude, frequencies, deceivers, victims,
     ts = np.linspace(0.0, period, 2 * n_panels + 1)
     vals = np.zeros((len(q_rows), ts.size))
     for s, t in enumerate(ts):
-        mu = a * np.sin(w * t)
-        for k, (z, vs) in enumerate(zip(deceivers, victims)):
-            mu[z] += delta[k] * sum(a[j] * np.sin(w[j] * t) for j in vs)
+        mu = played_offset(a, w, deceivers, victims, delta, t)
         for i, qi in enumerate(q_rows):
             vals[i, s] = 0.5 * mu @ qi @ mu
     h = ts[1] - ts[0]

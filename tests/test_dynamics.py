@@ -22,12 +22,15 @@ from deceptive_nes import (
     deceptive_equilibrium,
     default_initial,
     dither_vector,
+    perturbed_pseudogradient,
     rhs,
     simulate,
     solve_attainability,
 )
 from deceptive_nes import numerics
-from deceptive_nes.dynamics import _residual_polynomial
+from deceptive_nes.dynamics import (
+    MAX_SAMPLES, MAX_STEPS, MODEL_KINDS, _residual_polynomial,
+)
 
 import oracles
 
@@ -119,6 +122,103 @@ def test_dither_vector_zero_gain_is_plain_probing(tuning3, topology3):
     expected = np.array([0.04, 0.03, 0.05]) \
         * np.sin(np.array([6346.0, 4089.0, 6115.0]) * t)
     assert np.max(np.abs(mu - expected)) < 1e-15
+
+
+def _rich_cases(count=4):
+    """Random markets whose topology has several deceivers, at least one of
+    them with several victims, plus a tuning with distinct integer ratios."""
+    rng = np.random.default_rng(7)
+    cases = []
+    while len(cases) < count:
+        r, m, sd = oracles.random_market(rng, n_min=4, n_max=6)
+        decs, vics = oracles.random_topology(rng, r.size)
+        if len(decs) < 2 or max(map(len, vics)) < 2:
+            continue
+        tuning = NESTuning(amplitude=rng.uniform(0.01, 0.1, size=r.size),
+                           gain=rng.uniform(0.005, 0.02, size=r.size),
+                           omega=1.0,
+                           omega_ratio=tuple(int(v) for v in rng.choice(
+                               np.arange(3, 40), size=r.size, replace=False)))
+        game = build_quadratic_game(OligopolyParams(r, m, sd))
+        cases.append((game, DeceptionTopology(decs, vics), tuning, rng))
+    return cases
+
+
+def test_dither_vector_matches_played_offset_oracle():
+    for game, topo, tuning, rng in _rich_cases():
+        w = tuning.frequencies()
+        ts = rng.uniform(0.0, 5.0, size=6)
+        deltas = rng.uniform(-3.0, 3.0, size=(ts.size, topo.n_deceivers))
+        ref = np.array([
+            oracles.played_offset(tuning.amplitude, w, topo.deceivers,
+                                  topo.victims, d, t)
+            for t, d in zip(ts, deltas)])
+        for t, d, row in zip(ts, deltas, ref):
+            mu = dither_vector(tuning, topo, d, t)
+            assert np.max(np.abs(mu - row)) < 1e-14, f"t={t}: {mu} vs {row}"
+        stacked = dither_vector(tuning, topo, deltas, ts)
+        assert stacked.shape == ref.shape
+        assert np.max(np.abs(stacked - ref)) < 1e-14
+
+
+def test_full_model_prices_match_played_offset_oracle():
+    for game, topo, tuning, rng in _rich_cases(2):
+        init = SimState(t=0.0, u=game.nash_equilibrium(),
+                        delta=rng.uniform(-1.0, 1.0, size=topo.n_deceivers))
+        traj = simulate("full", game, topo, tuning, initial=init,
+                        horizon=0.5, stride=4)
+        assert traj.delta.shape == (traj.times.size, topo.n_deceivers)
+        for t, u, d, x in zip(traj.times, traj.u, traj.delta, traj.x):
+            mu = oracles.played_offset(tuning.amplitude, tuning.frequencies(),
+                                       topo.deceivers, topo.victims, d, t)
+            assert np.max(np.abs(x - (u + mu))) < 1e-12 * (1 + np.max(np.abs(u)))
+
+
+def test_empty_topology_reduces_to_unperturbed_game(game3_published,
+                                                     tuning3):
+    game = game3_published
+    bare = DeceptionTopology((), ())
+    none = np.zeros(0)
+    q0, b0 = game.pseudogradient_matrix, game.pseudogradient_offset
+    pert = perturbed_pseudogradient(game, bare, none)
+    assert np.array_equal(pert.qbar, q0) and np.array_equal(pert.bbar, b0)
+    a, k, w = tuning3.amplitude, tuning3.gain, tuning3.frequencies()
+    ts = np.array([0.0, 0.1, 0.37])
+    tones = a * np.sin(np.outer(ts, w))
+    assert np.array_equal(dither_vector(tuning3, bare, none, 0.37), tones[2])
+    assert np.array_equal(dither_vector(tuning3, bare, np.zeros((3, 0)), ts),
+                          tones)
+    assert averaged_residual(game, bare, tuning3, none).p_term.shape == (0,)
+
+    u = game.nash_equilibrium() + np.array([1.0, -2.0, 0.5])
+    state = SimState(t=0.37, u=u, delta=none)
+    expected = {
+        "full": -(2.0 * k / a) * game.costs(u + tones[2]) * np.sin(w * 0.37),
+        "averaged": -(k * (q0 @ u + b0)) / tuning3.omega,
+        "reduced": none,
+        "boundary": -(k[:, None] * q0) @ u,
+    }
+    for model in MODEL_KINDS:
+        deriv = rhs(model, game, bare, tuning3, state)
+        assert deriv.shape == expected[model].shape, model
+        assert np.max(np.abs(deriv - expected[model]), initial=0.0) \
+            < 1e-12 * (1 + np.max(np.abs(expected[model]), initial=0.0)), model
+
+    tun = tuning3.scaled(0.1)
+    nash = game.nash_equilibrium()
+    full = simulate("full", game, bare, tun, horizon=0.05, stride=8)
+    assert full.delta.shape == (full.times.size, 0)
+    tones = tun.amplitude * np.sin(np.outer(full.times, tun.frequencies()))
+    assert np.max(np.abs(full.x - (full.u + tones))) < 1e-12
+    averaged = simulate("averaged", game, bare, tun, horizon=50.0, stride=8)
+    assert averaged.delta.shape == (averaged.times.size, 0)
+    # the unperturbed averaged flow rests at the Nash prices
+    assert np.max(np.abs(averaged.u - nash)) < 1e-9
+    start = SimState(t=0.0, u=np.array([1.0, -1.0, 0.5]), delta=none)
+    boundary = simulate("boundary", game, bare, tuning3, initial=start,
+                        horizon=400.0, stride=16)
+    assert np.max(np.abs(boundary.u[-1])) < 1e-2
+    assert np.array_equal(boundary.x, boundary.u)
 
 
 # ── averaged probing residual ────────────────────────────────────────────────
@@ -283,6 +383,59 @@ def test_full_integrator_matches_generic_rk4_on_rhs(game3_published,
         f"fast loop drifted from reference: {traj.u[-1] - y[:3]}"
     )
     assert abs(traj.delta[-1][0] - y[3]) < 1e-13
+
+
+@pytest.mark.parametrize("model", ["averaged", "reduced", "boundary"])
+def test_simulate_matches_generic_rk4_on_rhs(game3_published, topology3,
+                                             tuning3, model):
+    # simulate() and rhs() share one vector field per model; integrating
+    # rhs with numerics.rk4_step must land on the recorded final state.
+    tun = tuning3.scaled(0.1)
+    scale = {"averaged": tun.omega, "reduced": topology3.eps * tun.omega,
+             "boundary": 1.0}[model]
+    dt = {"averaged": 0.05, "reduced": 1e-3, "boundary": 0.5}[model]
+    n_steps = 20
+    init = SimState(t=0.0, u=game3_published.nash_equilibrium() + 0.7,
+                    delta=np.array([1.3]))
+    traj = simulate(model, game3_published, topology3, tun, initial=init,
+                    horizon=n_steps * dt / scale, stride=n_steps, dt=dt)
+    assert traj.times.size == 2 and abs(traj.times[-1] - n_steps * dt) < 1e-12
+
+    def f(t, y):
+        if model == "averaged":
+            state = SimState(t=t, u=y[:3], delta=y[3:])
+        elif model == "reduced":
+            state = SimState(t=t, u=np.zeros(3), delta=y)
+        else:
+            state = SimState(t=t, u=y, delta=init.delta)
+        return rhs(model, game3_published, topology3, tun, state)
+
+    y = {"averaged": np.concatenate([init.u, init.delta]),
+         "reduced": init.delta, "boundary": init.u}[model]
+    for i in range(n_steps):
+        y = numerics.rk4_step(f, i * dt, y, dt)
+    got = {"averaged": np.concatenate([traj.u[-1], traj.delta[-1]]),
+           "reduced": traj.delta[-1], "boundary": traj.u[-1]}[model]
+    assert np.max(np.abs(got - y)) < 1e-12 * (1 + np.max(np.abs(y))), (
+        f"{model}: {got} vs {y}"
+    )
+
+
+@pytest.mark.parametrize("model", MODEL_KINDS)
+def test_simulate_refuses_runs_above_the_step_cap(game3_published, topology3,
+                                                  tuning3, model):
+    with pytest.raises(ValueError, match=rf"needs [0-9.e+]+ steps and [0-9.e+]+ "
+                       rf"recorded samples; the caps are {MAX_STEPS} steps"):
+        simulate(model, game3_published, topology3, tuning3, horizon=1e300)
+
+
+def test_simulate_refuses_runs_above_the_sample_cap(game3_published,
+                                                    topology3, tuning3):
+    # within the step cap, but recording every one of the steps
+    steps = (MAX_STEPS + MAX_SAMPLES) // 2
+    with pytest.raises(ValueError, match=f"{MAX_SAMPLES} samples"):
+        simulate("boundary", game3_published, topology3, tuning3,
+                 horizon=float(steps), dt=1.0, stride=1)
 
 
 def test_freeze_delta_holds_gain_constant(game3_published, topology3,

@@ -339,6 +339,47 @@ def test_cli_non_finite_scenario_number_exits_2(tmp_path, scen_path,
     assert "non-finite" in err["message"]
 
 
+@pytest.mark.parametrize("path_keys", [
+    ["tuning", "omega_ratio", 0, "den"],
+    ["tuning", "omega_ratio", 0, "num"],
+    ["sim", "stride"],
+    ["sim", "oversampling"],
+])
+def test_cli_integer_overflow_in_scenario_exits_2(tmp_path, scen_path,
+                                                  path_keys):
+    # Python integers have no size limit; a float computed from one does.
+    with open(scen_path) as fh:
+        doc = json.load(fh)
+    node = doc
+    for key in path_keys[:-1]:
+        node = node[key]
+    node[path_keys[-1]] = 10 ** 400
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["simulate", "--scenario", str(bad), "--out", str(out),
+                 "--model", "reduced"]) == 2
+    with open(out / "error.json") as fh:
+        err = json.load(fh)
+    assert err["kind"] == "validation" and err["error"] == "ScenarioError"
+
+
+def test_cli_unexpected_exception_writes_internal_error(tmp_path, scen_path,
+                                                        monkeypatch):
+    from deceptive_nes import cli
+
+    def broken(scenario, out_dir, args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._HANDLERS, "nash", broken)
+    out = tmp_path / "internal"
+    assert main(["nash", "--scenario", scen_path, "--out", str(out)]) == 1
+    with open(out / "error.json") as fh:
+        err = json.load(fh)
+    assert err == {"kind": "internal", "error": "RuntimeError",
+                   "message": "boom"}
+
+
 @pytest.mark.parametrize("argv", [
     ["nash", "--delta", "3"],
     ["attain", "--delta-grid", "0:1:0.5"],
