@@ -21,7 +21,8 @@ conditions (attainability).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -78,12 +79,10 @@ class DeceptionTopology:
         object.__setattr__(self, "deceivers", decs)
         object.__setattr__(self, "victims", vics)
         if len(vics) != len(decs):
-            raise ValueError(
-                f"{len(decs)} deceivers but {len(vics)} victim sets"
-            )
+            raise ValueError(f"{len(decs)} deceivers but {len(vics)} victim sets")
         if len(set(decs)) != len(decs):
             raise ValueError("deceiver indices must be distinct")
-        for k, (i, v) in enumerate(zip(decs, vics)):
+        for i, v in zip(decs, vics):
             if not v:
                 raise ValueError(f"deceiver {i} has an empty victim set")
             if i in v:
@@ -91,10 +90,8 @@ class DeceptionTopology:
             if len(set(v)) != len(v):
                 raise ValueError(f"duplicate victims for deceiver {i}")
         n = len(decs)
-        rates = self.eps_rates if self.eps_rates is not None else (1.0,) * n
-        refs = self.cost_refs if self.cost_refs is not None else (0.0,) * n
-        rates = tuple(float(r) for r in rates)
-        refs = tuple(float(r) for r in refs)
+        rates = tuple(map(float, (1.0,) * n if self.eps_rates is None else self.eps_rates))
+        refs = tuple(map(float, (0.0,) * n if self.cost_refs is None else self.cost_refs))
         object.__setattr__(self, "eps_rates", rates)
         object.__setattr__(self, "cost_refs", refs)
         object.__setattr__(self, "eps", float(self.eps))
@@ -113,9 +110,7 @@ class DeceptionTopology:
         for i, v in zip(self.deceivers, self.victims):
             for j in (i, *v):
                 if not 0 <= j < n_players:
-                    raise ValueError(
-                        f"player index {j} out of range for {n_players} players"
-                    )
+                    raise ValueError(f"player index {j} out of range for {n_players} players")
 
     def injection(self, n_players: int) -> np.ndarray:
         """Injection tensor ``G`` of shape ``(n_deceivers, n, n)``.
@@ -174,6 +169,56 @@ def _pseudogradient_basis(
     return big_p, np.einsum("kij,ji->kj", g, game.b)
 
 
+class _Evaluation:
+    """What the attainability conditions read at one gain vector, all from
+    one ``Qbar(delta)``: ``h``, the cost gaps, the matching field and
+    ``Lambda``, each computed on first use.  Evaluations may share one
+    ``basis`` from :func:`_pseudogradient_basis`."""
+
+    def __init__(self, game, topology, delta, refs=None, basis=None):
+        d = np.asarray(delta, dtype=float)
+        if d.shape[-1:] != (topology.n_deceivers,):
+            raise ValueError(f"expected {topology.n_deceivers} delta entries, got shape {d.shape}")
+        self.game, self.topology = game, topology
+        self.refs = np.asarray(topology.cost_refs if refs is None else refs, dtype=float)
+        self.rates = np.asarray(topology.eps_rates, dtype=float)
+        self.basis = _pseudogradient_basis(game, topology) if basis is None else basis
+        big_p, p = self.basis
+        n = game.n_players
+        self.pert = PerturbedPseudogradient(
+            qbar=game.pseudogradient_matrix + (d @ big_p).reshape(d.shape[:-1] + (n, n)),
+            bbar=game.pseudogradient_offset + d @ p,
+            delta=d,
+        )
+
+    @cached_property
+    def h(self) -> np.ndarray:
+        """``h(delta)``; for a stack of gains, NaN rows where ``Qbar`` is singular."""
+        solve = numerics.solve_stack if self.pert.qbar.ndim == 3 else numerics.solve_linear
+        return solve(self.pert.qbar, -self.pert.bbar)
+
+    @cached_property
+    def gaps(self) -> np.ndarray:
+        return self.game.costs(self.h)[..., list(self.topology.deceivers)] - self.refs
+
+    @cached_property
+    def field(self) -> np.ndarray:
+        return self.rates * self.gaps
+
+    @cached_property
+    def lam(self) -> np.ndarray:
+        """``Lambda[j, k] = rate_k grad J_{z_k}(h) . dh/ddelta_j``, where
+        differentiating ``Qbar h + Bbar = 0`` gives ``Qbar dh/ddelta_k =
+        -(P_k h + p_k)``: one solve with a right-hand side per deceiver."""
+        big_p, p = self.basis
+        n, z = self.game.n_players, list(self.topology.deceivers)
+        dh = numerics.solve_linear(
+            self.pert.qbar, -(big_p.reshape(-1, n, n) @ self.h + p).T
+        )
+        grad = self.game.q[z] @ self.h + self.game.b[z]
+        return self.rates * (grad @ dh).T
+
+
 def perturbed_pseudogradient(
     game: QuadraticGame,
     topology: DeceptionTopology,
@@ -188,16 +233,7 @@ def perturbed_pseudogradient(
     ``delta`` may also be a stack of gain vectors, such as a grid of shape
     ``(m, n_deceivers)``; the matrices are then stacked the same way.
     """
-    d = np.asarray(delta, dtype=float)
-    if d.shape[-1:] != (topology.n_deceivers,):
-        raise ValueError(
-            f"expected {topology.n_deceivers} delta entries, got shape {d.shape}"
-        )
-    n = game.n_players
-    big_p, p = _pseudogradient_basis(game, topology)
-    qbar = game.pseudogradient_matrix + (d @ big_p).reshape(d.shape[:-1] + (n, n))
-    bbar = game.pseudogradient_offset + d @ p
-    return PerturbedPseudogradient(qbar=qbar, bbar=bbar, delta=d)
+    return _Evaluation(game, topology, delta).pert
 
 
 def in_stability_set(
@@ -225,8 +261,7 @@ def deceptive_equilibrium(
     :class:`~deceptive_nes.numerics.SingularMatrixError` (which is distinct
     from falling outside the stability set).
     """
-    pert = perturbed_pseudogradient(game, topology, delta)
-    return numerics.solve_linear(pert.qbar, -pert.bbar)
+    return _Evaluation(game, topology, delta).h
 
 
 def cost_gaps(
@@ -236,11 +271,7 @@ def cost_gaps(
     cost_refs: Sequence[float] | None = None,
 ) -> np.ndarray:
     """Per-deceiver gap ``J_{z_k}(h(delta)) - ref_k`` at the quasi-equilibrium."""
-    refs = np.asarray(
-        topology.cost_refs if cost_refs is None else cost_refs, dtype=float
-    )
-    costs = game.costs(deceptive_equilibrium(game, topology, delta))
-    return costs[list(topology.deceivers)] - refs
+    return _Evaluation(game, topology, delta, cost_refs).gaps
 
 
 def matching_field(
@@ -251,39 +282,27 @@ def matching_field(
 ) -> np.ndarray:
     """The slow vector field whose roots are candidate deceptive operating
     points: componentwise ``eps_rate_k * (J_{z_k}(h(delta)) - ref_k)``."""
-    rates = np.asarray(topology.eps_rates, dtype=float)
-    return rates * cost_gaps(game, topology, delta, cost_refs)
+    return _Evaluation(game, topology, delta, cost_refs).field
 
 
 def lambda_matrix(
     game: QuadraticGame,
     topology: DeceptionTopology,
     delta: Sequence[float],
-    cost_refs: Sequence[float] | None = None,
 ) -> np.ndarray:
-    """Sensitivity of the matching field: entry ``[j, k]`` is the central
-    finite-difference derivative of component ``k`` along ``delta_j``.
+    """Sensitivity of the matching field: entry ``[j, k]`` is the derivative
+    of component ``k`` along ``delta_j``, exact by the implicit function
+    theorem (it does not depend on the cost references).
 
     Warns when ``Qbar(delta)`` is badly conditioned (near the edge of
-    invertibility) since the differences are then unreliable.
+    invertibility) since the entries are then unreliable.
     """
-    n = topology.n_deceivers
-    if n == 0:
-        return np.zeros((0, 0))
-    d = np.asarray(delta, dtype=float)
-    pert = perturbed_pseudogradient(game, topology, d)
-    cond = np.linalg.cond(pert.qbar, np.inf)
+    ev = _Evaluation(game, topology, delta)
+    cond = np.linalg.cond(ev.pert.qbar, np.inf)
     if not cond < 1e12:
-        warnings.warn(
-            f"perturbed pseudogradient has condition estimate {cond:.2e}; "
-            "sensitivity entries may be inaccurate",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return numerics.fd_jacobian(
-        lambda dd: matching_field(game, topology, dd, cost_refs), d,
-        rel_step=1e-5,
-    )
+        warnings.warn(f"perturbed pseudogradient has condition estimate {cond:.2e}; "
+                      "sensitivity entries may be inaccurate", RuntimeWarning, stacklevel=2)
+    return ev.lam
 
 
 @dataclass(frozen=True)
@@ -333,42 +352,48 @@ def solve_attainability(
     with the closest approach rather than an arbitrary root.
     """
     search = search or AttainabilitySearch()
-    refs = np.asarray(
-        topology.cost_refs if cost_refs is None else cost_refs, dtype=float
-    )
+    refs = np.asarray(topology.cost_refs if cost_refs is None else cost_refs, dtype=float)
     n = topology.n_deceivers
     if refs.shape != (n,):
         raise ValueError(f"expected {n} cost references, got shape {refs.shape}")
     k_gains = np.ones(game.n_players) if gains is None else np.asarray(gains, float)
+    basis = _pseudogradient_basis(game, topology)
+    seen: dict[bytes, _Evaluation] = {}
+
+    def at(delta) -> _Evaluation:
+        """The evaluation at ``delta``; every gain vector is evaluated once.
+        Of the points without ``Lambda`` only the newest is kept: an older
+        one was a line-search trial that Newton rejected."""
+        d = np.asarray(delta, dtype=float)
+        if d.tobytes() not in seen:
+            newest = next(reversed(seen), None)
+            if newest is not None and "lam" not in vars(seen[newest]):
+                del seen[newest]
+            seen[d.tobytes()] = _Evaluation(game, topology, d, refs, basis)
+        return seen[d.tobytes()]
+
+    def field(delta) -> np.ndarray:
+        """The matching field, NaN where ``Qbar(delta)`` is singular."""
+        try:
+            return at(delta).field
+        except numerics.SingularMatrixError:
+            return np.full(n, np.nan)
 
     def assess(delta: np.ndarray, message: str = "") -> AttainabilityResult:
-        u = deceptive_equilibrium(game, topology, delta)
-        lam = lambda_matrix(game, topology, delta, refs)
-        gaps = cost_gaps(game, topology, delta, refs)
-        residual = float(np.max(np.abs(gaps))) if n else 0.0
-        matched = bool(np.all(np.abs(gaps) <= MATCH_RTOL * (1.0 + np.abs(refs)))) \
-            if n else True
-        stable_lam = is_hurwitz(lam)
-        in_delta = in_stability_set(
-            perturbed_pseudogradient(game, topology, delta), k_gains
-        )
+        ev = at(delta)
+        matched = bool(np.all(np.abs(ev.gaps) <= MATCH_RTOL * (1.0 + np.abs(refs))))
+        stable_lam = is_hurwitz(ev.lam)
+        in_delta = in_stability_set(ev.pert, k_gains)
         ok = matched and stable_lam and in_delta
         if not message and not ok:
-            causes = []
-            if not matched:
-                causes.append("cost mismatch")
-            if not stable_lam:
-                causes.append("sensitivity matrix not Hurwitz")
-            if not in_delta:
-                causes.append("outside stability set")
-            message = "; ".join(causes)
+            message = "; ".join(cause for cause, failed in (
+                ("cost mismatch", not matched),
+                ("sensitivity matrix not Hurwitz", not stable_lam),
+                ("outside stability set", not in_delta),
+            ) if failed)
         return AttainabilityResult(
-            delta_star=np.asarray(delta, dtype=float),
-            u_star=u,
-            lambda_mat=lam,
-            attainable=ok,
-            in_stability=in_delta,
-            residual=residual,
+            delta_star=ev.pert.delta, u_star=ev.h, lambda_mat=ev.lam, attainable=ok,
+            in_stability=in_delta, residual=float(np.max(np.abs(ev.gaps), initial=0.0)),
             message=message,
         )
 
@@ -376,43 +401,33 @@ def solve_attainability(
         return assess(np.zeros(0), message="no deceivers")
 
     if n == 1:
-        def xi(g: float) -> float:
-            try:
-                return float(matching_field(game, topology, [g], refs)[0])
-            except numerics.SingularMatrixError:
-                return np.nan
-
         grid = np.linspace(-search.delta_max, search.delta_max, search.grid_points)
-        pert = perturbed_pseudogradient(game, topology, grid[:, None])
-        costs = game.costs(numerics.solve_stack(pert.qbar, -pert.bbar))
-        vals = topology.eps_rates[0] * (costs[:, topology.deceivers[0]] - refs[0])
+        vals = _Evaluation(game, topology, grid[:, None], refs, basis).field[:, 0]
         # NaN rows (singular Qbar) neither vanish nor change sign
         roots = [*grid[vals == 0.0], *(
-            numerics.find_root_scalar(xi, grid[i], grid[i + 1])
+            numerics.find_root_scalar(lambda g: float(field([g])[0]), grid[i], grid[i + 1])
             for i in np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
         )]
         if not roots:
             finite = np.where(np.isfinite(vals))[0]
             best = finite[np.argmin(np.abs(vals[finite]))] if finite.size else 0
-            return assess(
-                np.array([grid[best]]),
-                message="no sign change of the matching field in the search region",
-            )
-        candidates = sorted(set(roots), key=abs)
-        for root in candidates:
-            res = assess(np.array([root]))
-            if res.attainable:
-                return res
-        return assess(np.array([candidates[0]]))
+            return assess(np.array([grid[best]]), message="no sign change of the "
+                          "matching field in the search region")
+        rejected = []
+        for root in sorted(set(roots), key=abs):
+            rejected.append(assess(np.array([root])))
+            if rejected[-1].attainable:
+                return rejected[-1]
+        return replace(rejected[0], message="no root qualifies: " + "; ".join(
+            f"delta={r.delta_star[0]:.12g} ({r.message})" for r in rejected
+        ))
 
-    # several deceivers: damped Newton from the undeceived point
+    # several deceivers: damped Newton from the undeceived point, with the
+    # exact Jacobian Lambda^T of the matching field
+    tol = MATCH_RTOL * (1.0 + float(np.max(np.abs(refs)))) * float(np.min(topology.eps_rates))
     try:
-        tol = MATCH_RTOL * (1.0 + float(np.max(np.abs(refs)))) \
-            * float(np.min(topology.eps_rates))
-        root = numerics.newton_system(
-            lambda d: matching_field(game, topology, d, refs), np.zeros(n),
-            tol=tol, max_iter=search.max_newton_iter, max_step=search.delta_max,
-        )
-    except (numerics.ConvergenceError, numerics.SingularMatrixError) as exc:
-        return assess(np.zeros(n), message=f"search failed: {exc}")
+        root = numerics.newton_system(field, lambda d: at(d).lam.T, np.zeros(n), tol=tol,
+                                      max_iter=search.max_newton_iter, max_step=search.delta_max)
+    except numerics.ConvergenceError as exc:
+        return assess(exc.best, message=f"search failed: {exc}")
     return assess(root)

@@ -28,6 +28,7 @@ factor back to physical time.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -96,6 +97,12 @@ class NESTuning:
             raise ValueError("frequency ratios must be strictly positive")
         if len(set(ratios)) != len(ratios):
             raise ValueError("frequency ratios must be pairwise distinct")
+        try:
+            common_period(ratios)
+        except OverflowError:
+            raise ValueError(
+                "the common probing period of these frequency ratios overflows a float"
+            ) from None
 
     @property
     def n_players(self) -> int:
@@ -402,8 +409,7 @@ class Trajectory:
         whole record is averaged.
         """
         spacing = self.meta.dt * self.meta.stride
-        m = int(round(self.meta.common_period / spacing))
-        m = max(1, min(m, len(self.times)))
+        m = max(1, int(round(min(self.meta.common_period / spacing, len(self.times)))))
         sl = slice(len(self.times) - m, None)
         return SteadyState(
             u=self.u[sl].mean(axis=0),
@@ -504,9 +510,10 @@ def _integrate_full(
     d = [float(v) for v in initial.delta]
     half = 0.5 * dt
     sixth = dt / 6.0
-    ts = [t0]
-    us = [u[:]]
-    ds = [d[:]]
+    # samples go straight into flat float buffers: 8 bytes a number
+    ts = array("d", [t0])
+    us = array("d", u)
+    ds = array("d", d)
     for step in range(n_steps):
         t = t0 + step * dt
         s0 = [sin(w[j] * t) for j in players]
@@ -541,13 +548,22 @@ def _integrate_full(
                 if not math.isfinite(v):
                     raise DivergenceError(tr, "t")
             ts.append(tr)
-            us.append(u[:])
-            ds.append(d[:])
+            us.extend(u)
+            ds.extend(d)
     return (
-        np.asarray(ts),
-        np.asarray(us),
-        np.asarray(ds).reshape(len(ts), n_dec),
+        np.frombuffer(ts),
+        np.frombuffer(us).reshape(len(ts), n_players),
+        np.frombuffer(ds).reshape(len(ts), n_dec),
     )
+
+
+def _positive_finite(name: str, value: float, axis: str) -> float:
+    if not 0.0 < value < math.inf:
+        raise ValueError(
+            f"the {name} on the {axis} axis is {value:.6g}; "
+            "it must be a positive finite float"
+        )
+    return value
 
 
 def simulate(
@@ -572,7 +588,9 @@ def simulate(
     from their own rate bounds unless ``dt`` (native-axis units) is given.
     ``freeze_delta`` holds deceiver gains at their initial values while the
     probing injections stay active.  Runs above :data:`MAX_STEPS` steps or
-    :data:`MAX_SAMPLES` recorded samples are refused with ``ValueError``.
+    :data:`MAX_SAMPLES` recorded samples are refused with ``ValueError``, and
+    so are runs whose horizon, common probing period or step on the native
+    axis is zero or infinite (a float underflow or overflow).
     """
     if model not in MODEL_KINDS:
         raise ValueError(f"unknown model kind {model!r}")
@@ -599,10 +617,10 @@ def simulate(
     omega = tuning.omega
     axis = {"full": "t", "averaged": "tau", "reduced": "tau_star", "boundary": "t"}[model]
     scale = {"t": 1.0, "tau": omega, "tau_star": topology.eps * omega}[axis]
-    native_horizon = scale * horizon
-    period_native = {
+    native_horizon = _positive_finite("horizon", scale * horizon, axis)
+    period_native = _positive_finite("common probing period", {
         "t": period_tau / omega, "tau": period_tau, "tau_star": topology.eps * period_tau,
-    }[axis]
+    }[axis], axis)
 
     if dt is not None:
         step = float(dt)
@@ -618,10 +636,13 @@ def simulate(
         step = 0.2 / rate if rate > 0 else np.inf
         if model == "averaged":
             # keep an integer number of steps per common period so the
-            # trailing-period mean tiles exactly
-            step = period_tau / max(1, round(period_tau / min(period_tau / 64.0, step)))
+            # trailing-period mean tiles exactly; a rate so large that the
+            # count overflows leaves a zero step, refused below
+            per_period = period_tau / min(period_tau / 64.0, step) if step > 0 else math.inf
+            step = period_tau / max(1, round(per_period)) if per_period < math.inf else 0.0
         else:
             step = min(step, native_horizon / 200.0)
+    _positive_finite("integration step", step, axis)
 
     blocks = native_horizon / (step * stride)   # may be huge, inf or NaN
     if not (blocks * stride <= MAX_STEPS and blocks + 1.0 <= MAX_SAMPLES):

@@ -4,7 +4,7 @@ Dense linear algebra is ``numpy.linalg`` behind one contract: a matrix whose
 partial-pivot elimination meets a pivot below ``1e-13 * ||a||_inf`` is
 singular (:class:`SingularMatrixError`, or NaN rows in :func:`solve_stack`),
 and ``numpy.linalg`` failures surface as :class:`ConvergenceError`.  Root
-finding, Newton's method, finite differences and RK4 are written out here.
+finding, Newton's method and RK4 are written out here.
 """
 
 from __future__ import annotations
@@ -33,7 +33,12 @@ class SingularMatrixError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """Raised when an iterative routine, here or in ``numpy.linalg``, fails."""
+    """Raised when an iterative routine, here or in ``numpy.linalg``, fails;
+    ``best`` is the closest approach of an iteration that has one."""
+
+    def __init__(self, message: str, best: np.ndarray | None = None):
+        super().__init__(message)
+        self.best = best
 
 
 def _inf_norm(v: np.ndarray) -> float:
@@ -185,72 +190,50 @@ def find_root_scalar(
     raise ConvergenceError(f"root search did not converge in {max_iter} steps")
 
 
-def fd_jacobian(
-    f: Callable[[np.ndarray], np.ndarray],
-    x: np.ndarray,
-    *,
-    rel_step: float = 1e-5,
-) -> np.ndarray:
-    """Central-difference sensitivity matrix with entries ``[j, k] = df_k/dx_j``.
-
-    Note the orientation: row ``j`` holds the response of every output to a
-    perturbation of input ``j`` (the transpose of the usual Jacobian layout).
-    """
-    x = np.asarray(x, dtype=float)
-    f0 = np.atleast_1d(np.asarray(f(x), dtype=float))
-    jac = np.empty((x.size, f0.size))
-    for j in range(x.size):
-        h = rel_step * (1.0 + abs(x[j]))
-        xp, xm = x.copy(), x.copy()
-        xp[j] += h
-        xm[j] -= h
-        fp = np.atleast_1d(np.asarray(f(xp), dtype=float))
-        fm = np.atleast_1d(np.asarray(f(xm), dtype=float))
-        jac[j] = (fp - fm) / (2.0 * h)
-    return jac
-
-
 def newton_system(
     f: Callable[[np.ndarray], np.ndarray],
+    jac: Callable[[np.ndarray], np.ndarray],
     x0: np.ndarray,
     *,
     tol: float = 1e-10,
     max_iter: int = 50,
     max_step: float | None = None,
 ) -> np.ndarray:
-    """Damped Newton iteration for ``f(x) = 0`` with a finite-difference Jacobian.
+    """Damped Newton iteration for ``f(x) = 0`` with the Jacobian
+    ``jac(x)[k, j] = df_k/dx_j``.
 
-    The step is halved (up to 20 times) whenever it fails to reduce
-    ``||f||_inf``; raises :class:`ConvergenceError` if the residual never
-    falls below ``tol``.  ``max_step`` clips each raw step to that sup-norm
-    length, which keeps a near-singular Jacobian from catapulting the
-    iterate out of the region of interest.
+    The step is halved (up to 20 times, evaluating only ``f``) whenever it
+    fails to reduce ``||f||_inf``.  ``max_step`` clips each raw step to that
+    sup-norm length, which keeps a near-singular Jacobian from catapulting
+    the iterate out of the region of interest.  Raises
+    :class:`ConvergenceError` if the residual never falls below ``tol`` or
+    the Jacobian is singular; its ``best`` is the visited iterate with the
+    smallest ``||f||_inf``.
     """
     x = np.array(x0, dtype=float, copy=True)
     fx = np.atleast_1d(np.asarray(f(x), dtype=float))
-    for _ in range(max_iter):
-        err = _inf_norm(fx)
+    err = _inf_norm(fx)
+    best, best_err = x, err
+    for it in range(max_iter):
         if err <= tol:
             return x
-        jac = fd_jacobian(f, x).T  # conventional orientation for the solve
-        step = solve_linear(jac, -fx)
-        if max_step is not None:
-            length = _inf_norm(step)
-            if length > max_step:
-                step *= max_step / length
-        lam = 1.0
-        for _ in range(20):
-            x_new = x + lam * step
+        try:
+            step = solve_linear(jac(x), -fx)
+        except SingularMatrixError as exc:
+            raise ConvergenceError(f"singular Jacobian at iteration {it}: {exc}", best) from exc
+        if max_step is not None and _inf_norm(step) > max_step:
+            step *= max_step / _inf_norm(step)
+        for halvings in range(20):
+            x_new = x + 0.5 ** halvings * step
             f_new = np.atleast_1d(np.asarray(f(x_new), dtype=float))
-            if _inf_norm(f_new) < err or lam < 1e-6:
+            if _inf_norm(f_new) < err:
                 break
-            lam *= 0.5
-        x, fx = x_new, f_new
-    if _inf_norm(fx) <= tol:
+        x, fx, err = x_new, f_new, _inf_norm(f_new)
+        if err < best_err:
+            best, best_err = x, err
+    if err <= tol:
         return x
-    raise ConvergenceError(
-        f"residual {_inf_norm(fx):.3e} after {max_iter} Newton iterations"
-    )
+    raise ConvergenceError(f"residual {err:.3e} after {max_iter} Newton iterations", best)
 
 
 # ---------------------------------------------------------------------------

@@ -270,6 +270,55 @@ def test_lambda_matrix_warns_near_singularity(game3_published, topology3):
                       np.array([SINGULAR_DELTA + 1e-11]))
 
 
+def test_lambda_matrix_matches_oracle_differences():
+    # The exact Lambda against Richardson-extrapolated central differences
+    # of rate_k * J_{z_k}(h) along the oracle route, on random markets with
+    # several deceivers and victims.  A point counts only where Qbar is
+    # well conditioned and the two difference steps agree (the reference
+    # resolves the derivative there).
+    rng = np.random.default_rng(2024)
+    checked = 0
+    for _ in range(150):
+        r, m, sd = oracles.random_market(rng, n_min=3)
+        deceivers, victims = oracles.random_topology(rng, r.size)
+        k = len(deceivers)
+        rates = rng.uniform(0.5, 2.0, size=k)
+        refs = rng.uniform(-2000.0, 0.0, size=k)
+        delta = rng.uniform(-3.0, 3.0, size=k)
+        q, b, c = oracles.quadratic_blocks(r, m, sd)
+        qq, bb = oracles.pseudogradient_blocks(q, b)
+
+        def weighted_costs(d):
+            qbar, bbar = oracles.perturbed_blocks(q, b, qq, bb, deceivers, victims, d)
+            h = oracles.np_solve(qbar, -bbar)
+            return rates * np.array(
+                [oracles.quadratic_cost(q[z], b[z], c[z], h) for z in deceivers])
+
+        def central(j, rel):
+            e = np.zeros(k)
+            e[j] = rel * (1.0 + abs(delta[j]))
+            return (weighted_costs(delta + e) - weighted_costs(delta - e)) / (2.0 * e[j])
+
+        qbar, _ = oracles.perturbed_blocks(q, b, qq, bb, deceivers, victims, delta)
+        coarse = np.array([central(j, 1e-4) for j in range(k)])
+        fine = np.array([central(j, 5e-5) for j in range(k)])
+        scale = np.max(np.abs(fine))
+        if np.linalg.cond(qbar, np.inf) > 1e6 or \
+                np.max(np.abs(fine - coarse)) > 1e-4 * scale:
+            continue
+        topo = DeceptionTopology(deceivers=deceivers, victims=victims,
+                                 eps_rates=tuple(rates), cost_refs=tuple(refs))
+        lam = lambda_matrix(build_quadratic_game(OligopolyParams(r, m, sd)),
+                            topo, delta)
+        reference = (4.0 * fine - coarse) / 3.0
+        assert np.max(np.abs(lam - reference)) <= 1e-6 * scale, (
+            f"R={r}, deceivers={deceivers}, victims={victims}, delta={delta}: "
+            f"{lam} vs {reference}"
+        )
+        checked += 1
+    assert checked >= 140, f"only {checked} of 150 points checked"
+
+
 # ── attainability ────────────────────────────────────────────────────────────
 
 def test_attainability_three_firm_frozen(game3_published, topology3):
@@ -335,6 +384,61 @@ def test_attainability_shared_victim_is_degenerate(game3_published):
     res = solve_attainability(game3_published, topo, gains=GAINS)
     assert not res.attainable
     assert "search failed" in res.message
+
+
+def test_attainability_shared_victim_reports_singular_jacobian(game3_published):
+    # The exact Jacobian of the shared-victim field has rank one, so Newton
+    # stops at its first step instead of iterating to its limit.
+    topo = DeceptionTopology(deceivers=(0, 1), victims=((2,), (2,)),
+                             cost_refs=(-1100.0, -1250.0))
+    res = solve_attainability(game3_published, topo, gains=GAINS)
+    assert not res.attainable
+    assert "search failed: singular Jacobian" in res.message, res.message
+
+
+def test_attainability_failed_newton_returns_closest_approach(game3_published):
+    topo = DeceptionTopology(deceivers=(0, 1), victims=((2,), (0,)),
+                             cost_refs=(-1100.0, -1250.0))
+    res = solve_attainability(game3_published, topo, gains=GAINS)
+    assert not res.attainable
+    assert "search failed" in res.message
+    at_start = np.max(np.abs(cost_gaps(game3_published, topo, np.zeros(2))))
+    assert res.residual < at_start, (
+        f"residual {res.residual} at {res.delta_star}, {at_start} at delta = 0"
+    )
+
+
+def test_attainability_reports_every_rejected_root(game3_published):
+    # Both sign changes refine to roots, and neither qualifies: the result
+    # keeps the smaller one and names the causes of each.
+    topo = DeceptionTopology(deceivers=(0,), victims=((2,),), cost_refs=(-300.0,))
+    res = solve_attainability(game3_published, topo, gains=GAINS)
+    assert not res.attainable
+    assert abs(res.delta_star[0] - 6.2580189) < 1e-6
+    assert "delta=6.2580189" in res.message and "delta=8.7535166" in res.message, \
+        res.message
+    assert res.message.count("outside stability set") == 2, res.message
+
+
+@pytest.mark.parametrize("deceivers, victims, refs", [
+    ((0,), ((2,),), (-1200.0,)),
+    ((0, 1), ((1,), (2,)), (-1300.0, -1400.0)),
+])
+def test_attainability_evaluates_each_delta_through_one_route(
+        game3_published, monkeypatch, deceivers, victims, refs):
+    # Candidate assessment and the Newton callbacks share one evaluation per
+    # delta; none of them goes back through the one-shot public functions.
+    import deceptive_nes.deception as deception
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("solve_attainability called a one-shot function")
+
+    for name in ("perturbed_pseudogradient", "deceptive_equilibrium",
+                 "cost_gaps", "matching_field", "lambda_matrix"):
+        monkeypatch.setattr(deception, name, refuse)
+    topo = DeceptionTopology(deceivers=deceivers, victims=victims, cost_refs=refs)
+    res = solve_attainability(game3_published, topo, gains=GAINS)
+    assert res.lambda_mat.shape == (len(deceivers),) * 2
 
 
 def test_attainability_defaults_pull_refs_from_topology(game3_published,

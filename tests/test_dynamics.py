@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -27,7 +28,7 @@ from deceptive_nes import (
     simulate,
     solve_attainability,
 )
-from deceptive_nes import numerics
+from deceptive_nes import dynamics, numerics
 from deceptive_nes.dynamics import (
     MAX_SAMPLES, MAX_STEPS, MODEL_KINDS, _residual_polynomial,
 )
@@ -81,6 +82,13 @@ def test_tuning_rejects_non_finite(field, value):
                 omega_ratio=(2, 3))
     with pytest.raises(ValueError):
         NESTuning(**dict(good, **{field: value}))
+
+
+def test_tuning_refuses_ratios_whose_common_period_overflows():
+    # lcm of the denominators is 10**400: no float holds that period
+    with pytest.raises(ValueError, match="common probing period"):
+        NESTuning(amplitude=(0.1, 0.1), gain=(1.0, 1.0), omega=1.0,
+                  omega_ratio=(Fraction(1, 10 ** 400), 3))
 
 
 def test_tuning_frequencies_and_scaling(tuning3):
@@ -436,6 +444,21 @@ def test_simulate_refuses_runs_above_the_sample_cap(game3_published,
     with pytest.raises(ValueError, match=f"{MAX_SAMPLES} samples"):
         simulate("boundary", game3_published, topology3, tuning3,
                  horizon=float(steps), dt=1.0, stride=1)
+
+
+def test_full_model_records_samples_compactly(game3_published, topology3,
+                                             tuning3):
+    # a recorded sample is t, three prices and one gain: 40 bytes of floats
+    n_steps = 3000
+    tracemalloc.start()
+    try:
+        dynamics._integrate_full(game3_published, topology3, tuning3.scaled(0.1),
+                                 default_initial(game3_published, topology3),
+                                 1e-4, n_steps, 1, False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (n_steps + 1) <= 100.0, f"{peak / (n_steps + 1):.0f} B per sample"
 
 
 def test_freeze_delta_holds_gain_constant(game3_published, topology3,

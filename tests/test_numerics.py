@@ -214,33 +214,16 @@ def test_root_search_is_fast_on_smooth_roots():
     assert len(calls) <= 12, f"{len(calls)} evaluations"
 
 
-# ── finite differences and Newton ────────────────────────────────────────────
-
-def test_fd_jacobian_orientation_is_transposed():
-    # jac[j, k] = d f_k / d x_j: for f(x) = A x that is A transposed.
-    a = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-    jac = numerics.fd_jacobian(lambda x: a @ x, np.array([0.3, -0.7, 1.1]))
-    assert jac.shape == (3, 2)
-    assert np.max(np.abs(jac - a.T)) < 1e-7, (
-        f"fd_jacobian deviates from A.T by {np.max(np.abs(jac - a.T)):.2e}"
-    )
-
-
-def test_fd_jacobian_on_nonlinear_map():
-    def f(x):
-        return np.array([x[0] ** 2 + x[1], math.sin(x[1])])
-
-    x0 = np.array([1.2, 0.4])
-    jac = numerics.fd_jacobian(f, x0)
-    expected = np.array([[2.4, 0.0], [1.0, math.cos(0.4)]])
-    assert np.max(np.abs(jac - expected)) < 1e-8
-
+# ── Newton ──────────────────────────────────────────────────────────────────
 
 def test_newton_solves_nonlinear_system():
     def f(x):
         return np.array([x[0] ** 2 + x[1] ** 2 - 4.0, x[0] - x[1]])
 
-    x = numerics.newton_system(f, np.array([1.0, 0.5]))
+    def jac(x):
+        return np.array([[2.0 * x[0], 2.0 * x[1]], [1.0, -1.0]])
+
+    x = numerics.newton_system(f, jac, np.array([1.0, 0.5]))
     assert np.allclose(x, [math.sqrt(2.0), math.sqrt(2.0)], atol=1e-9)
 
 
@@ -248,6 +231,7 @@ def test_newton_reports_failure():
     # No root: f(x) = 1 + x² never vanishes.
     with pytest.raises(numerics.ConvergenceError):
         numerics.newton_system(lambda x: np.array([1.0 + x[0] ** 2]),
+                               lambda x: np.array([[2.0 * x[0]]]),
                                np.array([0.5]), max_iter=25)
 
 

@@ -364,6 +364,34 @@ def test_cli_integer_overflow_in_scenario_exits_2(tmp_path, scen_path,
     assert err["kind"] == "validation" and err["error"] == "ScenarioError"
 
 
+@pytest.mark.parametrize("path_keys, model", [
+    (["sim", "freq_scale"], "full"),
+    (["sim", "freq_scale"], "averaged"),
+    (["sim", "freq_scale"], "reduced"),
+    (["sim", "freq_scale"], "boundary"),
+    (["sim", "horizon"], "reduced"),
+    (["sim", "horizon"], "boundary"),
+    (["deception", "eps"], "reduced"),
+])
+def test_cli_unrepresentable_step_or_horizon_exits_2(tmp_path, scen_path,
+                                                     path_keys, model):
+    # The smallest positive float passes the loader, but turns the native
+    # step, horizon or common period into zero or infinity.
+    with open(scen_path) as fh:
+        doc = json.load(fh)
+    doc["sim"]["horizon"] = 1.0
+    doc[path_keys[0]][path_keys[1]] = 5e-324
+    bad = tmp_path / "tiny.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["simulate", "--scenario", str(bad), "--out", str(out),
+                 "--model", model]) == 2
+    with open(out / "error.json") as fh:
+        err = json.load(fh)
+    assert err["kind"] == "validation" and err["error"] == "ValueError"
+    assert "must be a positive finite float" in err["message"], err["message"]
+
+
 def test_cli_unexpected_exception_writes_internal_error(tmp_path, scen_path,
                                                         monkeypatch):
     from deceptive_nes import cli
