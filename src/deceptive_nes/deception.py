@@ -344,9 +344,10 @@ def solve_attainability(
     """Find deceiver gains at which every deceiver's cost hits its reference.
 
     For a single deceiver the matching field is evaluated on a uniform grid
-    over ``[-delta_max, delta_max]`` in one stacked solve and each sign
-    change is refined by :func:`~deceptive_nes.numerics.find_root_scalar`;
-    among qualifying roots the one with smallest ``|delta|`` is returned.
+    over ``[-delta_max, delta_max]`` in one stacked solve and its sign
+    changes are refined by :func:`~deceptive_nes.numerics.find_root_scalar`,
+    nearest to zero first, until a qualifying root is nearer than every
+    bracket left; the qualifying root with smallest ``|delta|`` is returned.
     For several deceivers a damped Newton iteration starts from
     ``delta = 0``.  A failed search returns ``attainable=False`` together
     with the closest approach rather than an arbitrary root.
@@ -403,23 +404,30 @@ def solve_attainability(
     if n == 1:
         grid = np.linspace(-search.delta_max, search.delta_max, search.grid_points)
         vals = _Evaluation(game, topology, grid[:, None], refs, basis).field[:, 0]
-        # NaN rows (singular Qbar) neither vanish nor change sign
-        roots = [*grid[vals == 0.0], *(
-            numerics.find_root_scalar(lambda g: float(field([g])[0]), grid[i], grid[i + 1])
-            for i in np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
-        )]
-        if not roots:
+        # NaN rows (singular Qbar) neither vanish nor change sign; a bracket
+        # holds no root nearer to 0 than its nearest end (0 if it spans 0)
+        lows = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
+        todo = sorted([(abs(g), g, g) for g in grid[vals == 0.0]]
+                      + [(max(lo, -hi, 0.0), lo, hi) for lo, hi in zip(grid[lows], grid[lows + 1])])
+        if not todo:
             finite = np.where(np.isfinite(vals))[0]
             best = finite[np.argmin(np.abs(vals[finite]))] if finite.size else 0
             return assess(np.array([grid[best]]), message="no sign change of the "
                           "matching field in the search region")
-        rejected = []
-        for root in sorted(set(roots), key=abs):
-            rejected.append(assess(np.array([root])))
-            if rejected[-1].attainable:
-                return rejected[-1]
-        return replace(rejected[0], message="no root qualifies: " + "; ".join(
-            f"delta={r.delta_star[0]:.12g} ({r.message})" for r in rejected
+        found: dict[float, AttainabilityResult] = {}
+        for near, lo, hi in todo:
+            if any(r.attainable and abs(root) < near for root, r in found.items()):
+                break
+            root = lo if lo == hi else numerics.find_root_scalar(
+                lambda g: float(field([g])[0]), lo, hi)
+            if root not in found:
+                found[root] = assess(np.array([root]))
+        ranked = [found[root] for root in sorted(found, key=abs)]
+        for r in ranked:
+            if r.attainable:
+                return r
+        return replace(ranked[0], message="no root qualifies: " + "; ".join(
+            f"delta={r.delta_star[0]:.12g} ({r.message})" for r in ranked
         ))
 
     # several deceivers: damped Newton from the undeceived point, with the

@@ -267,6 +267,39 @@ def _pack(model: str, u: np.ndarray, delta: np.ndarray) -> np.ndarray:
     return np.concatenate([u, delta])
 
 
+def _polynomial_field(model, game, topology, tuning, delta, freeze_delta):
+    """``(c, A, T)`` with the ``averaged`` or ``boundary`` field equal to
+    ``c + (A + T @ y) @ y``.
+
+    The averaged field is quadratic in ``y = (u, delta)``: ``T`` carries
+    ``delta_k P_k u`` in the price rows and the cost Hessian and residual
+    cross terms in the gain rows.  The boundary field is ``-K Qbar(delta)
+    y``, so its ``c`` and ``T`` are zero.
+    """
+    n, n_dec = game.n_players, topology.n_deceivers
+    q0, b0 = game.pseudogradient_matrix, game.pseudogradient_offset
+    big_p, p = _pseudogradient_basis(game, topology)
+    if model == "boundary":
+        qbar = q0 + (np.asarray(delta, dtype=float) @ big_p).reshape(n, n)
+        return np.zeros(n), -(tuning.gain[:, None] * qbar), np.zeros((n, n, n))
+    z, m = list(topology.deceivers), n + n_dec
+    k_w = (tuning.gain / tuning.omega)[:, None]
+    g = (0.0 if freeze_delta else topology.eps / tuning.omega) \
+        * np.asarray(topology.eps_rates, dtype=float)[:, None]
+    const, lin, quad = _residual_polynomial(game, topology, tuning)
+    c, a, t = np.zeros(m), np.zeros((m, m)), np.zeros((m, m, m))
+    c[:n] = -k_w[:, 0] * b0
+    a[:n, :n] = -k_w * q0
+    a[:n, n:] = -k_w * p.T
+    t[:n, :n, n:] = -k_w[:, :, None] * big_p.reshape(n_dec, n, n).transpose(1, 2, 0)
+    c[n:] = g[:, 0] * (game.c[z] - np.asarray(topology.cost_refs, dtype=float) + const)
+    a[n:, :n] = g * game.b[z]
+    a[n:, n:] = g * lin
+    t[n:, :n, :n] = g[:, :, None] * 0.5 * game.q[z]
+    t[n:, n:, n:] = g[:, :, None] * quad
+    return c, a, t
+
+
 def _vector_field(
     model: str,
     game: QuadraticGame,
@@ -277,7 +310,8 @@ def _vector_field(
 ) -> Callable[[float, np.ndarray], np.ndarray]:
     """The derivative ``f(t, y)`` of ``model`` on its native axis, with ``y``
     packed as in :func:`rhs` and everything that does not depend on the
-    state computed once.
+    state computed once; the dither-free ``averaged`` and ``boundary``
+    fields are the polynomial of :func:`_polynomial_field`.
 
     ``delta`` is the frozen gain of the ``boundary`` model; the other models
     read their gains from ``y``, and ``freeze_delta`` zeroes their gain
@@ -290,11 +324,6 @@ def _vector_field(
     refs = np.asarray(topology.cost_refs, dtype=float)
     rates = np.zeros(topology.n_deceivers) if freeze_delta \
         else np.asarray(topology.eps_rates, dtype=float)
-    q0, b0 = game.pseudogradient_matrix, game.pseudogradient_offset
-    big_p, p = _pseudogradient_basis(game, topology)
-
-    def pseudogradient(d):
-        return q0 + (d @ big_p).reshape(n, n), b0 + d @ p
 
     if model == "full":
         w = tuning.frequencies()
@@ -306,31 +335,19 @@ def _vector_field(
             return np.concatenate([
                 drift * costs * np.sin(w * t), d_gain * (costs[z] - refs),
             ])
-    elif model == "averaged":
-        const, lin, quad = _residual_polynomial(game, topology, tuning)
-        quad = quad.reshape(len(z), len(z) ** 2)
-        d_gain = (topology.eps / tuning.omega) * rates
-
-        def f(t, y):
-            u, d = y[:n], y[n:]
-            qbar, bbar = pseudogradient(d)
-            resid = const + lin @ d + quad @ np.outer(d, d).ravel()
-            return np.concatenate([
-                -(tuning.gain * (qbar @ u + bbar)) / tuning.omega,
-                d_gain * (game.costs(u)[z] - refs + resid),
-            ])
     elif model == "reduced":
+        q0, b0 = game.pseudogradient_matrix, game.pseudogradient_offset
+        big_p, p = _pseudogradient_basis(game, topology)
         d_gain = rates / tuning.omega
 
         def f(t, d):
-            qbar, bbar = pseudogradient(d)
-            h = numerics.solve_linear(qbar, -bbar)
+            h = numerics.solve_linear(q0 + (d @ big_p).reshape(n, n), -(b0 + d @ p))
             return d_gain * (game.costs(h)[z] - refs)
     else:
-        kq = tuning.gain[:, None] * pseudogradient(np.asarray(delta, dtype=float))[0]
+        c, a, tensor = _polynomial_field(model, game, topology, tuning, delta, freeze_delta)
 
         def f(t, y):
-            return -(kq @ y)
+            return c + (a + tensor @ y) @ y
     return f
 
 
@@ -433,10 +450,11 @@ class Trajectory:
         rows = np.column_stack(
             [self.times, self.u, self.delta, self.x, self.costs, self.profits]
         )
+        line = ",".join(["%.12g"] * len(cols)) + "\n"
         with open(path, "w", newline="") as fh:
             fh.write(",".join(cols) + "\n")
             for row in rows.tolist():
-                fh.write(",".join(f"{v:.12g}" for v in row) + "\n")
+                fh.write(line % tuple(row))
 
 
 # ---------------------------------------------------------------------------
@@ -658,11 +676,17 @@ def simulate(
             game, topology, tuning, initial, step, n_steps, stride, freeze_delta
         )
     else:
-        f = _vector_field(model, game, topology, tuning, initial.delta, freeze_delta)
-        times, states = numerics.integrate_fixed(
-            f, initial.t, _pack(model, initial.u, initial.delta), step, n_steps,
-            record_every=stride,
-        )
+        y0 = _pack(model, initial.u, initial.delta)
+        c, a, tensor = (None, None, None) if model == "reduced" else _polynomial_field(
+            model, game, topology, tuning, initial.delta, freeze_delta)
+        if tensor is not None and not tensor.any():
+            # an affine field: each RK4 step is exactly one affine map
+            times, states = numerics.integrate_affine(
+                a, c, initial.t, y0, step, n_steps, record_every=stride)
+        else:
+            f = _vector_field(model, game, topology, tuning, initial.delta, freeze_delta)
+            times, states = numerics.integrate_fixed(
+                f, initial.t, y0, step, n_steps, record_every=stride)
         if not np.all(np.isfinite(states[-1])):
             bad = np.where(~np.all(np.isfinite(states), axis=1))[0]
             raise DivergenceError(times[bad[0]], axis)

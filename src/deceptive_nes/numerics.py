@@ -206,21 +206,21 @@ def newton_system(
     fails to reduce ``||f||_inf``.  ``max_step`` clips each raw step to that
     sup-norm length, which keeps a near-singular Jacobian from catapulting
     the iterate out of the region of interest.  Raises
-    :class:`ConvergenceError` if the residual never falls below ``tol`` or
-    the Jacobian is singular; its ``best`` is the visited iterate with the
-    smallest ``||f||_inf``.
+    :class:`ConvergenceError` if the residual never falls below ``tol``, the
+    Jacobian is singular or 20 halvings find no decrease; its ``best`` is the
+    last accepted iterate, the one with the smallest ``||f||_inf`` (a step
+    is accepted only if it lowers that norm).
     """
     x = np.array(x0, dtype=float, copy=True)
     fx = np.atleast_1d(np.asarray(f(x), dtype=float))
     err = _inf_norm(fx)
-    best, best_err = x, err
     for it in range(max_iter):
         if err <= tol:
             return x
         try:
             step = solve_linear(jac(x), -fx)
         except SingularMatrixError as exc:
-            raise ConvergenceError(f"singular Jacobian at iteration {it}: {exc}", best) from exc
+            raise ConvergenceError(f"singular Jacobian at iteration {it}: {exc}", x) from exc
         if max_step is not None and _inf_norm(step) > max_step:
             step *= max_step / _inf_norm(step)
         for halvings in range(20):
@@ -228,12 +228,13 @@ def newton_system(
             f_new = np.atleast_1d(np.asarray(f(x_new), dtype=float))
             if _inf_norm(f_new) < err:
                 break
+        else:
+            raise ConvergenceError(f"residual {err:.3e}: 20 step halvings found no "
+                                   f"decrease at Newton iteration {it}", x)
         x, fx, err = x_new, f_new, _inf_norm(f_new)
-        if err < best_err:
-            best, best_err = x, err
     if err <= tol:
         return x
-    raise ConvergenceError(f"residual {err:.3e} after {max_iter} Newton iterations", best)
+    raise ConvergenceError(f"residual {err:.3e} after {max_iter} Newton iterations", x)
 
 
 # ---------------------------------------------------------------------------
@@ -268,14 +269,40 @@ def integrate_fixed(
 
     Returns ``(times, states)`` with ``states[k]`` the state at ``times[k]``.
     """
+    return _record(lambda t, y: rk4_step(f, t, y, dt), t0, y0, dt, n_steps, record_every)
+
+
+def integrate_affine(
+    a: np.ndarray, c: np.ndarray, t0: float, y0: np.ndarray, dt: float, n_steps: int,
+    *, record_every: int = 1,
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`integrate_fixed` of the field ``f(t, y) = a @ y + c``.
+
+    One RK4 step of an affine field is exactly the affine map ``y <- R y +
+    s`` with ``R = sum_{j<=4} (h a)^j / j!`` and ``s = h sum_{j<=3} (h
+    a)^j / (j+1)! c``, so each step is one matrix-vector product.
+    """
+    ha = dt * np.asarray(a, dtype=float)
+    eye = np.eye(len(ha))
+    series = eye + ha @ (eye + ha @ (eye + ha / 4.0) / 3.0) / 2.0   # sum_{j<=3} (h a)^j / (j+1)!
+    r = eye + ha @ series
+    s = dt * series @ np.asarray(c, dtype=float)
+    return _record(lambda t, y: r @ y + s, t0, y0, dt, n_steps, record_every)
+
+
+def _record(step, t0, y0, dt, n_steps, record_every):
+    """Apply ``y <- step(t, y)`` ``n_steps`` times, keeping ``y0``, every
+    ``record_every``-th state and the last one in arrays allocated up front."""
+    n_rec = 1 + n_steps // record_every + (n_steps % record_every != 0)
     y = np.array(y0, dtype=float, copy=True)
-    times = [t0]
-    states = [y.copy()]
-    t = t0
+    times = np.empty(n_rec)
+    states = np.empty((n_rec,) + y.shape)
+    times[0], states[0] = t0, y
+    t, row = t0, 1
     for k in range(1, n_steps + 1):
-        y = rk4_step(f, t, y, dt)
+        y = step(t, y)
         t = t0 + k * dt
         if k % record_every == 0 or k == n_steps:
-            times.append(t)
-            states.append(y.copy())
-    return np.asarray(times), np.asarray(states)
+            times[row], states[row] = t, y
+            row += 1
+    return times, states

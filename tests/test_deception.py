@@ -420,6 +420,54 @@ def test_attainability_reports_every_rejected_root(game3_published):
     assert res.message.count("outside stability set") == 2, res.message
 
 
+def test_attainability_refines_the_nearest_bracket_first(game3_published,
+                                                        topology3, monkeypatch):
+    # The study's matching field changes sign twice; the root nearer to
+    # zero qualifies, so the farther bracket is never refined.
+    from deceptive_nes import numerics
+    refined = []
+    find_root = numerics.find_root_scalar
+
+    def counting(f, lo, hi, **kwargs):
+        refined.append((lo, hi))
+        return find_root(f, lo, hi, **kwargs)
+
+    monkeypatch.setattr(numerics, "find_root_scalar", counting)
+    res = solve_attainability(game3_published, topology3, gains=GAINS)
+    assert res.attainable and abs(res.delta_star[0] - DELTA_STAR) < 1e-9
+    assert len(refined) == 1, refined
+
+
+def test_attainability_newton_stops_at_exhausted_line_search(monkeypatch):
+    # Three deceivers with overlapping victims and no root: the search used
+    # to creep on for 200 iterations (3913 field evaluations) after its line
+    # search first found no decrease, without moving its closest approach.
+    from deceptive_nes import numerics
+    params = OligopolyParams(
+        resistance=np.array([3.789484967511827, 2.802356604228619,
+                             3.4921408585794587, 2.8879184954497212]),
+        marginal_cost=np.array([44.442184568289264, 1.3780595587698397,
+                                25.132910021160733, 4.7910387759840685]),
+        total_demand=169.63533491988935)
+    topo = DeceptionTopology(
+        deceivers=(1, 3, 2), victims=((0,), (0, 2), (0, 3)), eps=1e-4,
+        cost_refs=(-9112.900122884716, -11036.883961594964, -7764.691249105232))
+    calls = []
+    newton = numerics.newton_system
+
+    def counting(f, jac, x0, **kwargs):
+        return newton(lambda x: calls.append(1) or f(x), jac, x0, **kwargs)
+
+    monkeypatch.setattr(numerics, "newton_system", counting)
+    res = solve_attainability(market_game(params), topo, gains=np.array(
+        [6.380295755555501, 6.697973671338105, 6.408476035218095, 6.717561573236357]))
+    assert not res.attainable and res.message.startswith("search failed"), res.message
+    closest = [4.823188781738281, -1.547798772807847, -1.2092395220045884]
+    assert np.allclose(res.delta_star, closest, rtol=1e-12, atol=0.0), res.delta_star
+    assert abs(res.residual - 1266.098746450176) <= 1e-12 * 1266.1
+    assert len(calls) <= 200, f"{len(calls)} field evaluations"
+
+
 @pytest.mark.parametrize("deceivers, victims, refs", [
     ((0,), ((2,),), (-1200.0,)),
     ((0, 1), ((1,), (2,)), (-1300.0, -1400.0)),

@@ -335,6 +335,50 @@ def test_full_rhs_matches_hand_formula(game3_published, topology3, tuning3):
         1 + np.max(np.abs(ddelta)))
 
 
+def test_dither_free_fields_match_oracle_route():
+    # The averaged and boundary fields, assembled once as a polynomial in
+    # (u, delta), against the models written out from the oracle blocks:
+    # one to three deceivers, overlapping victims included.
+    rng = np.random.default_rng(43)
+    topologies = [((0,), ((2,),)), ((0, 1), ((1, 2), (2,))),
+                  ((1, 3, 2), ((0,), (0, 2), (0, 3)))]
+    topologies += [oracles.random_topology(rng, 4) for _ in range(4)]
+    for deceivers, victims in topologies:
+        r, m, sd = oracles.random_market(rng, n_min=4, n_max=4)
+        k = len(deceivers)
+        topo = DeceptionTopology(deceivers, victims, eps=rng.uniform(1e-4, 1.0),
+                                 eps_rates=rng.uniform(0.5, 2.0, size=k),
+                                 cost_refs=rng.uniform(-500.0, 0.0, size=k))
+        omega = rng.uniform(0.5, 3.0)
+        ratios = rng.choice(np.arange(1, 10), size=4, replace=False)
+        tuning = NESTuning(amplitude=rng.uniform(0.01, 0.1, size=4),
+                           gain=rng.uniform(0.01, 0.3, size=4), omega=omega,
+                           omega_ratio=tuple(int(v) for v in ratios))
+        game = build_quadratic_game(OligopolyParams(r, m, sd))
+        u = rng.uniform(0.0, 60.0, size=4)
+        delta = rng.uniform(-2.0, 2.0, size=k)
+
+        q, b, c = oracles.quadratic_blocks(r, m, sd)
+        qbar, bbar = oracles.perturbed_blocks(
+            q, b, *oracles.pseudogradient_blocks(q, b), deceivers, victims, delta)
+        resid = oracles.simpson_residual(
+            q[list(deceivers)], tuning.amplitude, omega * ratios, deceivers,
+            victims, delta, 2.0 * math.pi / omega, n_panels=256)
+        costs = np.array([oracles.quadratic_cost(q[z], b[z], c[z], u)
+                          for z in deceivers])
+        want_u = -(tuning.gain / omega) * (qbar @ u + bbar)
+        want_d = (topo.eps / omega) * np.array(topo.eps_rates) * (
+            costs - np.array(topo.cost_refs) + resid)
+        want_y = -(tuning.gain[:, None] * qbar) @ u
+
+        state = SimState(t=0.0, u=u, delta=delta)
+        got = rhs("averaged", game, topo, tuning, state)
+        got_y = rhs("boundary", game, topo, tuning, state)
+        for mine, want in ((got[:4], want_u), (got[4:], want_d), (got_y, want_y)):
+            assert np.max(np.abs(mine - want)) <= 1e-12 * np.max(np.abs(want)), (
+                f"{deceivers} {victims}: {mine} vs {want}")
+
+
 def test_rhs_rejects_unknown_model(game3_published, topology3, tuning3):
     state = SimState(t=0.0, u=np.zeros(3), delta=np.zeros(1))
     with pytest.raises(ValueError):
@@ -393,19 +437,25 @@ def test_full_integrator_matches_generic_rk4_on_rhs(game3_published,
     assert abs(traj.delta[-1][0] - y[3]) < 1e-13
 
 
-@pytest.mark.parametrize("model", ["averaged", "reduced", "boundary"])
+@pytest.mark.parametrize("model", ["averaged", "reduced", "boundary",
+                                   "averaged-nominal"])
 def test_simulate_matches_generic_rk4_on_rhs(game3_published, topology3,
                                              tuning3, model):
     # simulate() and rhs() share one vector field per model; integrating
     # rhs with numerics.rk4_step must land on the recorded final state.
+    # Without deceivers the averaged field is affine, which simulate() steps
+    # by its exact RK4 map, as it does the boundary field.
+    topo = topology3
+    if model == "averaged-nominal":
+        model, topo = "averaged", DeceptionTopology(deceivers=(), victims=())
     tun = tuning3.scaled(0.1)
     scale = {"averaged": tun.omega, "reduced": topology3.eps * tun.omega,
              "boundary": 1.0}[model]
     dt = {"averaged": 0.05, "reduced": 1e-3, "boundary": 0.5}[model]
     n_steps = 20
     init = SimState(t=0.0, u=game3_published.nash_equilibrium() + 0.7,
-                    delta=np.array([1.3]))
-    traj = simulate(model, game3_published, topology3, tun, initial=init,
+                    delta=np.array([1.3])[:topo.n_deceivers])
+    traj = simulate(model, game3_published, topo, tun, initial=init,
                     horizon=n_steps * dt / scale, stride=n_steps, dt=dt)
     assert traj.times.size == 2 and abs(traj.times[-1] - n_steps * dt) < 1e-12
 
@@ -416,7 +466,7 @@ def test_simulate_matches_generic_rk4_on_rhs(game3_published, topology3,
             state = SimState(t=t, u=np.zeros(3), delta=y)
         else:
             state = SimState(t=t, u=y, delta=init.delta)
-        return rhs(model, game3_published, topology3, tun, state)
+        return rhs(model, game3_published, topo, tun, state)
 
     y = {"averaged": np.concatenate([init.u, init.delta]),
          "reduced": init.delta, "boundary": init.u}[model]

@@ -9,6 +9,7 @@ gate and the error types that the rest of the package relies on.
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -273,3 +274,45 @@ def test_integrate_fixed_recording():
     spacings = np.diff(times)
     assert np.allclose(spacings, 0.1, atol=1e-12)
     assert abs(states[-1][0] - math.exp(-1.0)) < 1e-8
+
+
+def test_integrate_fixed_records_samples_compactly():
+    # a recorded sample is t and a 4-vector: 40 bytes of floats
+    n_steps = 20_000
+    tracemalloc.start()
+    try:
+        numerics.integrate_fixed(lambda t, y: -y, 0.0, np.ones(4), 1e-4, n_steps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (n_steps + 1) <= 100.0, f"{peak / (n_steps + 1):.0f} B per sample"
+
+
+def test_integrate_affine_is_rk4_on_the_affine_field():
+    # One RK4 step of y' = a y + c is exactly the affine map of
+    # integrate_affine: 200 steps agree with rk4_step to round-off, on a
+    # grid whose stride leaves a trailing sample.
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        n = int(rng.integers(1, 7))
+        m = rng.normal(size=(n, n))
+        a = -(m @ m.T + 0.1 * np.eye(n)) + rng.normal(scale=0.5, size=(n, n))
+        a -= max(0.0, np.max(np.linalg.eigvals(a).real) + 0.05) * np.eye(n)
+        c = rng.normal(size=n)
+        y0 = rng.normal(size=n)
+        dt = 0.5 / np.linalg.norm(a, np.inf)
+
+        def f(t, y):
+            return a @ y + c
+
+        times, states = numerics.integrate_affine(a, c, 0.0, y0, dt, 200,
+                                                  record_every=7)
+        ref_times, ref_states = numerics.integrate_fixed(f, 0.0, y0, dt, 200,
+                                                         record_every=7)
+        y = y0
+        for k in range(200):
+            y = numerics.rk4_step(f, k * dt, y, dt)
+        assert np.array_equal(times, ref_times) and len(times) == 30
+        scale = 1.0 + np.max(np.abs(ref_states))
+        assert np.max(np.abs(states - ref_states)) <= 1e-12 * scale
+        assert np.max(np.abs(states[-1] - y)) <= 1e-12 * scale
