@@ -135,13 +135,6 @@ class DeceptionTopology:
         hit = self.injection(n_players).any(axis=1)   # hit[k, j]: j is a victim of k
         return tuple(tuple(np.flatnonzero(hit[:, j]).tolist()) for j in range(n_players))
 
-    def attacker_players(self, n_players: int) -> tuple[tuple[int, ...], ...]:
-        """For every player ``j``, the player indices currently deceiving ``j``."""
-        return tuple(
-            tuple(self.deceivers[k] for k in ks)
-            for ks in self.attacker_positions(n_players)
-        )
-
 
 @dataclass(frozen=True)
 class PerturbedPseudogradient:

@@ -27,6 +27,7 @@ factor back to physical time.
 
 from __future__ import annotations
 
+import functools
 import math
 from array import array
 from dataclasses import dataclass
@@ -168,7 +169,7 @@ def dither_vector(
 
 def _played_prices(u, tuning, topology, delta, t) -> np.ndarray:
     """``x = u + (I + delta . G)(a o s)``, summed as ``(u + a o s) + (delta .
-    G)(a o s)`` like the full model's scalar loop."""
+    G)(a o s)`` like the full model's generated kernel."""
     tones = tuning.amplitude * np.sin(np.multiply.outer(t, tuning.frequencies()))
     g = topology.injection(tuning.n_players)
     d = np.asarray(delta, dtype=float)
@@ -461,6 +462,92 @@ class Trajectory:
 # simulation driver
 # ---------------------------------------------------------------------------
 
+#: Above this many players ``simulate("full")`` steps the numpy field of
+#: :func:`_vector_field` instead of the generated kernel, whose source and
+#: compile time grow with the square of the player count.  Measured per step
+#: on 2 cores (Python 3.11, numpy 2.4), generated against numpy: 126 / 196 µs
+#: at N = 20, 216-274 / 282-290 µs at 30, 351 / 307 µs at 34, 550 / 339 µs
+#: at 40.
+MAX_GENERATED_PLAYERS = 30
+
+
+def _full_kernel(game, topology, tuning, freeze_delta) -> tuple[str, str, dict]:
+    """Source of the full model's RK4 ``stage`` and ``run`` loop for this
+    market, and the namespace of numbers they read.
+
+    Every player and victim is unrolled and the state travels as separate
+    floats.  Every number is a name bound in the namespace, never a literal,
+    so the source depends only on the player count, the deceivers and their
+    victims.  Sums are flat left-to-right chains from ``0.0``, in the order
+    ``x = (u + a o s) + (delta . G)(a o s)`` and ``J_i = x_i (sum_j Q_ij x_j
+    - Q_ii x_i / 2) + sum_j b_ij x_j + c_i``.
+    """
+    n, z = game.n_players, topology.deceivers
+    players, decs = range(n), range(len(z))
+    names = {"sin": math.sin, "isfinite": math.isfinite, "DivergenceError": DivergenceError}
+    for i in players:
+        amp = names[f"a{i}"] = float(tuning.amplitude[i])
+        names[f"w{i}"] = tuning.omega * float(tuning.omega_ratio[i])
+        names[f"m{i}"] = -(2.0 * float(tuning.gain[i]) / amp)
+        names[f"c{i}"] = float(game.c[i])
+        for j in players:
+            names[f"q{i}_{j}"] = float(game.pseudogradient_matrix[i, j])
+            names[f"b{i}_{j}"] = float(game.b[i, j])
+    for k in decs:
+        names[f"g{k}"] = 0.0 if freeze_delta else topology.eps * topology.eps_rates[k]
+        names[f"r{k}"] = topology.cost_refs[k]
+
+    def chain(terms):
+        return " + ".join(["0.0", *terms])
+
+    u, d = [f"u{i}" for i in players], [f"d{k}" for k in decs]
+    state = u + d
+    stage = [f"def stage({', '.join(state + [f's{i}' for i in players])}):"]
+    stage += [f"    x{i} = u{i} + a{i} * s{i}" for i in players]
+    stage += [f"    x{zk} = x{zk} + d{k} * ({chain(f'a{l} * s{l}' for l in vs)})"
+              for k, (zk, vs) in enumerate(zip(z, topology.victims))]
+    stage += [f"    j{i} = x{i} * ({chain(f'q{i}_{j} * x{j}' for j in players)}"
+              f" - 0.5 * q{i}_{i} * x{i}) + ({chain(f'b{i}_{j} * x{j}' for j in players)})"
+              f" + c{i}" for i in players]
+    # the trailing comma keeps a one-component derivative a tuple
+    stage.append("    return " + "".join(
+        [*(f"m{i} * j{i} * s{i}, " for i in players),
+         *(f"g{k} * (j{zk} - r{k}), " for k, zk in enumerate(z))]))
+
+    def stage_call(r, tones, step):
+        """RK4 stage ``r``, at the state plus ``step`` times stage ``r - 1``."""
+        at = state if r == 1 else [f"{v} + {step} * f{r - 1}{v}" for v in state]
+        return (f"        {''.join(f'f{r}{v}, ' for v in state)}= stage("
+                f"{', '.join(at + [f'{tones}{i}' for i in players])})")
+
+    run = [f"def run({', '.join(state)}, t0, dt, n_steps, stride, ts, us, ds):",
+           "    half = 0.5 * dt",
+           "    sixth = dt / 6.0",
+           "    for step in range(n_steps):",
+           "        t = t0 + step * dt",
+           "        tm = t + half",
+           "        te = t + dt"]
+    run += [f"        {s}{i} = sin(w{i} * {t})"
+            for s, t in (("s", "t"), ("h", "tm"), ("e", "te")) for i in players]
+    run += [stage_call(1, "s", None), stage_call(2, "h", "half"),
+            stage_call(3, "h", "half"), stage_call(4, "e", "dt")]
+    run += [f"        {v} = {v} + sixth * (f1{v} + 2.0 * (f2{v} + f3{v}) + f4{v})"
+            for v in state]
+    run += ["        if (step + 1) % stride == 0:",
+            "            tr = t0 + (step + 1) * dt",
+            f"            if not ({' and '.join(f'isfinite({v})' for v in state)}):",
+            '                raise DivergenceError(tr, "t")',
+            "            ts.append(tr)",
+            f"            us.extend([{', '.join(u)}])",
+            f"            ds.extend([{', '.join(d)}])"]
+    return "\n".join(stage) + "\n", "\n".join(run) + "\n", names
+
+
+@functools.lru_cache(maxsize=16)
+def _compiled(source: str):
+    return compile(source, "<full-model kernel>", "exec")
+
+
 def _integrate_full(
     game: QuadraticGame,
     topology: DeceptionTopology,
@@ -471,107 +558,31 @@ def _integrate_full(
     stride: int,
     freeze_delta: bool,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Hand-rolled RK4 loop over plain floats for the dithered model.
+    """RK4 loop of the dithered model, run by the straight-line code that
+    :func:`_full_kernel` generates for this market.
 
-    This is the hot path (millions of steps at realistic frequencies);
-    everything is unpacked into lists so a step costs a handful of
-    arithmetic operations per player.  It is the one place that walks the
-    victim lists instead of using the injection tensor: single-lane numpy
-    costs about three times as much per step.  The test-suite pins it
-    against the generic :func:`rhs` + :func:`numerics.rk4_step` route.
+    This is the hot path (millions of steps at realistic frequencies), so a
+    step is plain float arithmetic with every player and victim unrolled.
+    ``stage`` and ``run`` are compiled separately, which keeps the
+    compiler's peak memory down, and the code of recent market structures
+    is kept compiled.  Recorded samples are checked finite and go straight
+    into flat float buffers.  :func:`simulate` runs it up to
+    :data:`MAX_GENERATED_PLAYERS` players; the test-suite pins it, and the
+    numpy route above that bound, against the generic :func:`rhs` +
+    :func:`numerics.rk4_step` route.
     """
-    sin = math.sin
-    n_players = game.n_players
-    n_dec = topology.n_deceivers
-    w = [tuning.omega * float(r) for r in tuning.omega_ratio]
-    amp = [float(v) for v in tuning.amplitude]
-    k2a = [2.0 * float(tuning.gain[i]) / amp[i] for i in range(n_players)]
-    qrow = [[float(v) for v in row] for row in game.pseudogradient_matrix]
-    bmat = [[float(v) for v in row] for row in game.b]
-    cvec = [float(v) for v in game.c]
-    z = list(topology.deceivers)
-    vict = [list(v) for v in topology.victims]
-    gain_d = [
-        0.0 if freeze_delta else topology.eps * topology.eps_rates[kk]
-        for kk in range(n_dec)
-    ]
-    refs = list(topology.cost_refs)
-    players = range(n_players)
-    decs = range(n_dec)
-
-    def stage(u_, d_, s):
-        x = [u_[i] + amp[i] * s[i] for i in players]
-        for kk in decs:
-            inj = 0.0
-            for l in vict[kk]:
-                inj += amp[l] * s[l]
-            x[z[kk]] += d_[kk] * inj
-        du = [0.0] * n_players
-        costs = [0.0] * n_players
-        for i in players:
-            qi = qrow[i]
-            bi = bmat[i]
-            acc = 0.0
-            accb = 0.0
-            for j in players:
-                xj = x[j]
-                acc += qi[j] * xj
-                accb += bi[j] * xj
-            ji = x[i] * (acc - 0.5 * qi[i] * x[i]) + accb + cvec[i]
-            costs[i] = ji
-            du[i] = -k2a[i] * ji * s[i]
-        dd = [gain_d[kk] * (costs[z[kk]] - refs[kk]) for kk in decs]
-        return du, dd
-
-    t0 = initial.t
+    *sources, names = _full_kernel(game, topology, tuning, freeze_delta)
+    for source in sources:
+        exec(_compiled(source), names)
     u = [float(v) for v in initial.u]
     d = [float(v) for v in initial.delta]
-    half = 0.5 * dt
-    sixth = dt / 6.0
     # samples go straight into flat float buffers: 8 bytes a number
-    ts = array("d", [t0])
-    us = array("d", u)
-    ds = array("d", d)
-    for step in range(n_steps):
-        t = t0 + step * dt
-        s0 = [sin(w[j] * t) for j in players]
-        tm = t + half
-        sm = [sin(w[j] * tm) for j in players]
-        te = t + dt
-        se = [sin(w[j] * te) for j in players]
-        du1, dd1 = stage(u, d, s0)
-        u2 = [u[i] + half * du1[i] for i in players]
-        d2 = [d[kk] + half * dd1[kk] for kk in decs]
-        du2, dd2 = stage(u2, d2, sm)
-        u3 = [u[i] + half * du2[i] for i in players]
-        d3 = [d[kk] + half * dd2[kk] for kk in decs]
-        du3, dd3 = stage(u3, d3, sm)
-        u4 = [u[i] + dt * du3[i] for i in players]
-        d4 = [d[kk] + dt * dd3[kk] for kk in decs]
-        du4, dd4 = stage(u4, d4, se)
-        u = [
-            u[i] + sixth * (du1[i] + 2.0 * (du2[i] + du3[i]) + du4[i])
-            for i in players
-        ]
-        d = [
-            d[kk] + sixth * (dd1[kk] + 2.0 * (dd2[kk] + dd3[kk]) + dd4[kk])
-            for kk in decs
-        ]
-        if (step + 1) % stride == 0:
-            tr = t0 + (step + 1) * dt
-            for v in u:
-                if not math.isfinite(v):
-                    raise DivergenceError(tr, "t")
-            for v in d:
-                if not math.isfinite(v):
-                    raise DivergenceError(tr, "t")
-            ts.append(tr)
-            us.extend(u)
-            ds.extend(d)
+    ts, us, ds = array("d", [initial.t]), array("d", u), array("d", d)
+    names["run"](*u, *d, initial.t, dt, n_steps, stride, ts, us, ds)
     return (
         np.frombuffer(ts),
-        np.frombuffer(us).reshape(len(ts), n_players),
-        np.frombuffer(ds).reshape(len(ts), n_dec),
+        np.frombuffer(us).reshape(len(ts), game.n_players),
+        np.frombuffer(ds).reshape(len(ts), topology.n_deceivers),
     )
 
 
@@ -671,14 +682,14 @@ def simulate(
         )
     n_steps = stride * max(1, math.ceil(blocks - 1e-9))
 
-    if model == "full":
+    if model == "full" and game.n_players <= MAX_GENERATED_PLAYERS:
         times, u_mat, d_mat = _integrate_full(
             game, topology, tuning, initial, step, n_steps, stride, freeze_delta
         )
     else:
         y0 = _pack(model, initial.u, initial.delta)
-        c, a, tensor = (None, None, None) if model == "reduced" else _polynomial_field(
-            model, game, topology, tuning, initial.delta, freeze_delta)
+        c, a, tensor = (None, None, None) if model in ("full", "reduced") else \
+            _polynomial_field(model, game, topology, tuning, initial.delta, freeze_delta)
         if tensor is not None and not tensor.any():
             # an affine field: each RK4 step is exactly one affine map
             times, states = numerics.integrate_affine(
@@ -690,7 +701,7 @@ def simulate(
         if not np.all(np.isfinite(states[-1])):
             bad = np.where(~np.all(np.isfinite(states), axis=1))[0]
             raise DivergenceError(times[bad[0]], axis)
-        if model == "averaged":
+        if model in ("full", "averaged"):
             u_mat, d_mat = states[:, :game.n_players], states[:, game.n_players:]
         elif model == "reduced":
             d_mat = states

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import csv
+import io
 import math
+import tokenize
 import tracemalloc
 from fractions import Fraction
 
@@ -413,9 +415,19 @@ def test_simulate_records_uniform_grid(game3_published, topology3, tuning3):
 
 
 def test_full_integrator_matches_generic_rk4_on_rhs(game3_published,
-                                                    topology3, tuning3):
-    # The production loop inlines its stages; one coarse run must agree
-    # with numerics.rk4_step applied to the reference rhs to round-off.
+                                                    topology3, tuning3,
+                                                    monkeypatch):
+    # The production loop is generated per market structure; one coarse run
+    # must agree with numerics.rk4_step applied to the reference rhs to
+    # round-off, and so must the numpy field stepped above the player bound.
+    generated = []
+    integrate_full = dynamics._integrate_full
+
+    def spy(game, *args):
+        generated.append(game.n_players)
+        return integrate_full(game, *args)
+
+    monkeypatch.setattr(dynamics, "_integrate_full", spy)
     tun = tuning3.scaled(0.1)
     dt = 1e-4
     n_steps = 25
@@ -435,6 +447,64 @@ def test_full_integrator_matches_generic_rk4_on_rhs(game3_published,
         f"fast loop drifted from reference: {traj.u[-1] - y[:3]}"
     )
     assert abs(traj.delta[-1][0] - y[3]) < 1e-13
+
+    # More structures: several deceivers with several victims, no deceiver,
+    # frozen gains, and one market just above the generated kernel's bound.
+    rng = np.random.default_rng(3)
+    big = dynamics.MAX_GENERATED_PLAYERS + 1
+    r, m, sd = oracles.random_market(rng, n_min=big, n_max=big)
+    cases = [(g, topo, tuning, False) for g, topo, tuning, _ in _rich_cases()]
+    cases += [(game3_published, DeceptionTopology((), ()), tun, False),
+              (game3_published, topology3, tun, True),
+              (build_quadratic_game(OligopolyParams(r, m, sd)),
+               DeceptionTopology((0, 5), ((1, 2, big - 1), (0, 2)), eps=0.1),
+               NESTuning(amplitude=rng.uniform(0.01, 0.1, size=big),
+                         gain=rng.uniform(0.005, 0.02, size=big), omega=1.0,
+                         omega_ratio=tuple(range(3, 3 + big))), False)]
+    generated.clear()
+    for game, topo, tuning, freeze in cases:
+        n = game.n_players
+        dt = 0.2 / float(max(tuning.frequencies()))
+        init = SimState(t=0.0, u=game.nash_equilibrium(),
+                        delta=rng.uniform(-1.0, 1.0, size=topo.n_deceivers))
+        traj = simulate("full", game, topo, tuning, initial=init,
+                        horizon=dt * n_steps, stride=n_steps, dt=dt,
+                        freeze_delta=freeze)
+
+        def f(t, y):
+            dy = rhs("full", game, topo, tuning, SimState(t=t, u=y[:n], delta=y[n:]))
+            return np.concatenate([dy[:n], 0.0 * dy[n:] if freeze else dy[n:]])
+
+        y = np.concatenate([init.u, init.delta])
+        for i in range(n_steps):
+            y = numerics.rk4_step(f, i * dt, y, dt)
+        got = np.concatenate([traj.u[-1], traj.delta[-1]])
+        assert np.max(np.abs(got - y)) < 1e-13 * (1 + np.max(np.abs(y))), (
+            f"N={n}, deceivers {topo.deceivers}, freeze {freeze}: {got - y}")
+    assert generated == [c[0].n_players for c in cases[:-1]]
+
+
+def test_full_kernel_source_depends_only_on_market_structure():
+    # Two markets alike in players, deceivers and victims, unlike in every
+    # number: the generated source is the same text, and it carries no
+    # number of the market, only the RK4 constants and the stride test's.
+    game, topo, tuning, rng = _rich_cases(1)[0]
+    r, m, sd = oracles.random_market(rng, game.n_players, game.n_players)
+    other = build_quadratic_game(OligopolyParams(r, m, sd))
+    retuned = NESTuning(amplitude=rng.uniform(0.01, 0.1, size=game.n_players),
+                        gain=tuning.gain * 1.5, omega=2.0,
+                        omega_ratio=tuning.omega_ratio[::-1])
+    retopo = DeceptionTopology(topo.deceivers, topo.victims, eps=0.3,
+                               cost_refs=rng.uniform(-9.0, 9.0, size=topo.n_deceivers))
+    *source, names = dynamics._full_kernel(game, topo, tuning, False)
+    *same, other_names = dynamics._full_kernel(other, retopo, retuned, True)
+    assert same == source
+    assert all(names[k] != other_names[k] for k in ("a0", "w0", "m0", "q0_1", "b1_0", "c0",
+                                                    "g0", "r0"))
+    numbers = {tok.string for text in source
+               for tok in tokenize.generate_tokens(io.StringIO(text).readline)
+               if tok.type == tokenize.NUMBER}
+    assert numbers <= {"0", "1", "0.0", "0.5", "2.0", "6.0"}, numbers
 
 
 @pytest.mark.parametrize("model", ["averaged", "reduced", "boundary",
