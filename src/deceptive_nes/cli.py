@@ -43,6 +43,9 @@ _DELTA_FLAGS = {
 }
 
 
+MAX_GRID_POINTS = 100_000   #: the most points a ``--delta-grid`` may hold
+
+
 class CommandError(ValueError):
     """Bad flag combination or a command unsupported by the scenario."""
 
@@ -60,8 +63,11 @@ def _jsonable(value):
 
 
 def _write_json(out_dir: Path, name: str, payload: dict) -> None:
-    text = json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n"
-    (out_dir / name).write_text(text)
+    try:   # strict JSON: a NaN or an infinity in a result is a numerical failure
+        text = json.dumps(_jsonable(payload), indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise numerics.ConvergenceError(f"{name} would hold a non-finite number") from exc
+    (out_dir / name).write_text(text + "\n")
 
 
 def _parse_grid(spec: str) -> np.ndarray:
@@ -72,10 +78,14 @@ def _parse_grid(spec: str) -> np.ndarray:
         lo, hi, step = (float(p) for p in parts)
     except ValueError:
         raise CommandError(f"--delta-grid has non-numeric parts: {spec!r}")
+    if not np.all(np.isfinite((lo, hi, step))):
+        raise CommandError(f"--delta-grid needs finite numbers, got {spec!r}")
     if step <= 0.0 or hi < lo:
         raise CommandError("--delta-grid needs step > 0 and hi >= lo")
-    count = int(np.floor((hi - lo) / step + 1e-9)) + 1
-    return lo + step * np.arange(count)
+    steps = np.floor((hi - lo) / step + 1e-9)
+    if not steps < MAX_GRID_POINTS:
+        raise CommandError(f"--delta-grid holds more than {MAX_GRID_POINTS} points")
+    return lo + step * np.arange(int(steps) + 1)
 
 
 def _check_delta_flags(args) -> None:
@@ -87,6 +97,8 @@ def _check_delta_flags(args) -> None:
             )
     if len(taken) > 1:
         raise CommandError("--delta and --delta-grid exclude each other")
+    if args.delta is not None and not np.isfinite(args.delta):
+        raise CommandError(f"--delta must be finite, got {args.delta}")
 
 
 def _single_deceiver_delta(scenario: Scenario, value: float | None) -> np.ndarray:
@@ -212,7 +224,10 @@ def _cmd_deceptive_game(scenario: Scenario, out_dir: Path, args) -> None:
     if args.delta is not None:
         delta = _single_deceiver_delta(scenario, args.delta)
     else:
-        delta = _attainability(scenario).delta_star
+        res = _attainability(scenario)
+        if not res.attainable:
+            raise numerics.ConvergenceError(f"no attainable delta: {res.message}")
+        delta = res.delta_star
     dgame = build_deceptive_game(scenario.params, topology, delta, base=game)
     u_star = numerics.solve_linear(dgame.pert.qbar, -dgame.pert.bbar)
     verdict = verify_deceptive_nash(dgame, u_star)

@@ -303,7 +303,6 @@ class AttainabilitySearch:
     """Search-region / solver controls for :func:`solve_attainability`."""
 
     delta_max: float = 10.0
-    grid_points: int = 400
     max_newton_iter: int = 200
 
 
@@ -336,14 +335,14 @@ def solve_attainability(
 ) -> AttainabilityResult:
     """Find deceiver gains at which every deceiver's cost hits its reference.
 
-    For a single deceiver the matching field is evaluated on a uniform grid
-    over ``[-delta_max, delta_max]`` in one stacked solve and its sign
-    changes are refined by :func:`~deceptive_nes.numerics.find_root_scalar`,
-    nearest to zero first, until a qualifying root is nearer than every
-    bracket left; the qualifying root with smallest ``|delta|`` is returned.
-    For several deceivers a damped Newton iteration starts from
-    ``delta = 0``.  A failed search returns ``attainable=False`` together
-    with the closest approach rather than an arbitrary root.
+    For a single deceiver every real root in ``[-delta_max, delta_max]``,
+    tangential roots included, comes from the roots of one polynomial,
+    polished by Newton; they are assessed nearest to ``delta = 0`` first
+    and the first qualifying one is returned.  Without a real root the result is the
+    interpolation node with the smallest ``|field|``.  For several
+    deceivers a damped Newton iteration starts from ``delta = 0``.  A
+    failed search returns ``attainable=False`` together with the closest
+    approach rather than an arbitrary root.
     """
     search = search or AttainabilitySearch()
     refs = np.asarray(topology.cost_refs if cost_refs is None else cost_refs, dtype=float)
@@ -395,30 +394,62 @@ def solve_attainability(
         return assess(np.zeros(0), message="no deceivers")
 
     if n == 1:
-        grid = np.linspace(-search.delta_max, search.delta_max, search.grid_points)
-        vals = _Evaluation(game, topology, grid[:, None], refs, basis).field[:, 0]
-        # NaN rows (singular Qbar) neither vanish nor change sign; a bracket
-        # holds no root nearer to 0 than its nearest end (0 if it spans 0)
-        lows = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
-        todo = sorted([(abs(g), g, g) for g in grid[vals == 0.0]]
-                      + [(max(lo, -hi, 0.0), lo, hi) for lo, hi in zip(grid[lows], grid[lows + 1])])
-        if not todo:
-            finite = np.where(np.isfinite(vals))[0]
-            best = finite[np.argmin(np.abs(vals[finite]))] if finite.size else 0
-            return assess(np.array([grid[best]]), message="no sign change of the "
-                          "matching field in the search region")
-        found: dict[float, AttainabilityResult] = {}
-        for near, lo, hi in todo:
-            if any(r.attainable and abs(root) < near for root, r in found.items()):
-                break
-            root = lo if lo == hi else numerics.find_root_scalar(
-                lambda g: float(field([g])[0]), lo, hi)
-            if root not in found:
-                found[root] = assess(np.array([root]))
-        ranked = [found[root] for root in sorted(found, key=abs)]
-        for r in ranked:
-            if r.attainable:
-                return r
+        # d enters only the |V| victim rows of Qbar = Q0 + d P, so gap(d)
+        # det Qbar(d)^2 is a polynomial of degree <= 2|V| (Cramer's rule).
+        # It is interpolated at Chebyshev points on each piece between the
+        # poles -1/mu (mu: real eigenvalues of Q0^-1 P), where one window-wide
+        # interpolant turns root pairs flanking a pole complex.  Near-real
+        # roots of every piece's interpolant (Boyd, SIAM J. Numer. Anal.
+        # 40(5), 2002) are polished in the piece that holds them.
+        dm, n_players = search.delta_max, game.n_players
+        mu = numerics.eigenvalues(numerics.solve_linear(
+            game.pseudogradient_matrix, basis[0].reshape(n_players, n_players)))
+        real = (np.abs(mu.imag) <= 1e-6 * np.abs(mu)) & (np.abs(mu.real) * dm > 1.0)
+        ends = np.sort(np.append([-dm, dm], -1.0 / mu.real[real]))
+        mid, half = (ends[1:] + ends[:-1]) / 2.0, (ends[1:] - ends[:-1]) / 2.0
+        cheb = np.polynomial.chebyshev
+        t = cheb.chebpts1(2 * len(topology.victims[0]) + 1)
+        nodes = (mid + half * t[:, None]).reshape(-1, 1)
+        ev = _Evaluation(game, topology, nodes, refs, basis)
+        values = (ev.gaps[:, 0] * np.linalg.det(ev.pert.qbar) ** 2).reshape(len(t), -1)
+        coef = np.linalg.solve(cheb.chebvander(t, len(t) - 1), values)
+
+        def polish(d: float) -> float | None:
+            """Newton on ``gap det(Qbar)^2``, with ``det'/det = sum mu / (1 +
+            d mu)``, in the piece of ``d``: the root, or None short of 1e-6."""
+            k = min(max(int(np.searchsorted(ends, d)) - 1, 0), len(mid) - 1)
+            for _ in range(8):
+                try:
+                    e = at([d])
+                    gap = e.gaps[0]
+                    step = gap / (e.lam[0, 0] / e.rates[0]
+                                  + 2.0 * gap * np.sum(mu / (1.0 + d * mu)).real) if gap else 0.0
+                except numerics.SingularMatrixError:
+                    return None
+                if not ends[k] <= d - step <= ends[k + 1]:
+                    return None
+                d -= step
+                if abs(step) <= 1e-15 * (1.0 + abs(d)):
+                    break
+            return d if abs(step) <= 1e-6 * (1.0 + abs(d)) else None
+
+        estimates = []
+        for j in np.flatnonzero(np.isfinite(coef).all(axis=0)):
+            z = cheb.chebroots(cheb.chebtrim(coef[:, j], 1e-14 * np.max(np.abs(coef[:, j]))))
+            estimates += list(mid[j] + half[j] * z.real[np.abs(z.imag) <= 1e-3])
+        ranked: list[AttainabilityResult] = []
+        for d in sorted(estimates, key=abs):
+            root = polish(d) if abs(d) <= dm else None
+            if root is None or any(abs(root - r.delta_star[0]) <= 1e-9 * (1.0 + abs(root))
+                                   for r in ranked):
+                continue
+            ranked.append(assess(np.array([root])))
+            if ranked[-1].attainable:
+                return ranked[-1]
+        if not ranked:
+            best = np.argmin(np.where(np.isnan(ev.field[:, 0]), np.inf, np.abs(ev.field[:, 0])))
+            return assess(nodes[best], message="no real root of the matching "
+                          "field in the search region")
         return replace(ranked[0], message="no root qualifies: " + "; ".join(
             f"delta={r.delta_star[0]:.12g} ({r.message})" for r in ranked
         ))

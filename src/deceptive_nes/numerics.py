@@ -3,8 +3,9 @@
 Dense linear algebra is ``numpy.linalg`` behind one contract: a matrix whose
 partial-pivot elimination meets a pivot below ``1e-13 * ||a||_inf`` is
 singular (:class:`SingularMatrixError`, or NaN rows in :func:`solve_stack`),
-and ``numpy.linalg`` failures surface as :class:`ConvergenceError`.  Root
-finding, Newton's method and RK4 are written out here.
+and ``numpy.linalg`` failures surface as :class:`ConvergenceError`.  Damped
+Newton and RK4 are written out here; one-deceiver roots come from
+``numpy.polynomial.chebyshev`` in :mod:`deceptive_nes.deception`.
 """
 
 from __future__ import annotations
@@ -133,62 +134,8 @@ def spectral_abscissa(a: np.ndarray) -> float | np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# root finding
+# Newton's method
 # ---------------------------------------------------------------------------
-
-def find_root_scalar(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    *,
-    xtol_rel: float = 1e-12,
-    max_iter: int = 200,
-) -> float:
-    """Root of ``f`` on a bracketing interval ``[lo, hi]``.
-
-    Illinois false position, with a bisection step whenever the last three
-    steps failed to halve the bracket: smooth roots take a handful of
-    evaluations, and a bracket around a pole (or where ``f`` returns NaN)
-    still halves at least every third step.  Stops once the bracket width
-    falls below ``xtol_rel * (1 + |root|)``.
-    """
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0.0:
-        raise ValueError(
-            f"interval [{lo}, {hi}] does not bracket a root "
-            f"(f(lo)={flo:.3e}, f(hi)={fhi:.3e})"
-        )
-    kept = 0                  # -1 / +1: the end that survived the last step
-    widths = [np.inf] * 3     # bracket widths before the last three steps
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        width = hi - lo
-        tol = xtol_rel * (1.0 + abs(mid))
-        if width <= tol:
-            return mid
-        x = lo - flo * width / (fhi - flo)
-        if width > 0.5 * widths[0] or not lo <= x <= hi:
-            x = mid
-        # a step of at least tol / 4 lets a converged end close the bracket
-        x = min(max(x, lo + 0.25 * tol), hi - 0.25 * tol)
-        widths = widths[1:] + [width]
-        fx = f(x)
-        if fx == 0.0:
-            return x
-        if (fx > 0.0) == (fhi > 0.0):
-            hi, fhi = x, fx
-            flo *= 0.5 if kept == -1 else 1.0
-            kept = -1
-        else:
-            lo, flo = x, fx
-            fhi *= 0.5 if kept == 1 else 1.0
-            kept = 1
-    raise ConvergenceError(f"root search did not converge in {max_iter} steps")
-
 
 def newton_system(
     f: Callable[[np.ndarray], np.ndarray],

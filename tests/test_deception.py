@@ -340,14 +340,56 @@ def test_attainability_faithful_game_differs(game3, topology3):
 
 
 def test_attainability_unreachable_reference(game3_published):
-    # A profit target far beyond anything on the equilibrium path: the scan
-    # must come back empty-handed, not invent a root.
+    # A loss the deceiver never makes: its cost stays negative over the
+    # whole window, so the search must come back empty-handed, not invent
+    # a root.
     topo = DeceptionTopology(deceivers=(0,), victims=((2,),),
-                             cost_refs=(-1e9,))
+                             cost_refs=(1e9,))
     res = solve_attainability(game3_published, topo, gains=GAINS)
     assert not res.attainable
     assert res.message != ""
     assert res.residual > 0.0
+
+
+def test_attainability_finds_root_beside_a_pole(game3_published):
+    # A profit of 1e9 is reached next to the pole of the cost at the
+    # singular gain, inside the stability set; a coarse grid steps over it.
+    topo = DeceptionTopology(deceivers=(0,), victims=((2,),),
+                             cost_refs=(-1e9,))
+    res = solve_attainability(game3_published, topo, gains=GAINS)
+    assert res.attainable, res.message
+    assert abs(res.delta_star[0] - 5.630857164238223) < 1e-9, res.delta_star
+    assert 0.0 < SINGULAR_DELTA - res.delta_star[0] < 1e-3
+    assert res.in_stability
+
+
+def test_attainability_lists_a_tangential_root():
+    # With a zero profit target the deceiver's cost, -k (x_z - m_z)^2 at
+    # the quasi-equilibrium, only touches its reference where the
+    # deceiver's price meets its marginal cost: a double root of the
+    # matching field without a sign change.  It is found, and rejected
+    # because Lambda vanishes there.
+    r, m, sd = np.array([1.38, 1.56, 4.09]), np.array([4.6, 30.0, 36.4]), 38.4
+    q, b, _ = oracles.quadratic_blocks(r, m, sd)
+    qq, bb = oracles.pseudogradient_blocks(q, b)
+
+    def margin(d):
+        qbar, bbar = oracles.perturbed_blocks(q, b, qq, bb, (0,), ((2,),), [d])
+        return oracles.np_solve(qbar, -bbar)[0] - m[0]
+
+    lo, hi = 3.7, 3.85
+    assert margin(lo) < 0.0 < margin(hi)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if margin(mid) < 0.0 else (lo, mid)
+    topo = DeceptionTopology(deceivers=(0,), victims=((2,),), cost_refs=(0.0,))
+    res = solve_attainability(build_quadratic_game(OligopolyParams(r, m, sd)),
+                              topo, gains=np.ones(3))
+    assert not res.attainable
+    assert abs(res.delta_star[0] - lo) < 1e-6, (res.delta_star, lo)
+    assert res.residual <= 1e-8, res.residual
+    assert res.message.startswith("no root qualifies") and \
+        "sensitivity matrix not Hurwitz" in res.message, res.message
 
 
 def test_attainability_respects_search_window(game3_published, topology3):
@@ -418,24 +460,6 @@ def test_attainability_reports_every_rejected_root(game3_published):
     assert "delta=6.2580189" in res.message and "delta=8.7535166" in res.message, \
         res.message
     assert res.message.count("outside stability set") == 2, res.message
-
-
-def test_attainability_refines_the_nearest_bracket_first(game3_published,
-                                                        topology3, monkeypatch):
-    # The study's matching field changes sign twice; the root nearer to
-    # zero qualifies, so the farther bracket is never refined.
-    from deceptive_nes import numerics
-    refined = []
-    find_root = numerics.find_root_scalar
-
-    def counting(f, lo, hi, **kwargs):
-        refined.append((lo, hi))
-        return find_root(f, lo, hi, **kwargs)
-
-    monkeypatch.setattr(numerics, "find_root_scalar", counting)
-    res = solve_attainability(game3_published, topology3, gains=GAINS)
-    assert res.attainable and abs(res.delta_star[0] - DELTA_STAR) < 1e-9
-    assert len(refined) == 1, refined
 
 
 def test_attainability_newton_stops_at_exhausted_line_search(monkeypatch):
@@ -519,3 +543,58 @@ def test_attainability_one_deceiver_two_victims(params3, game3, planted):
         f"recovered {res.delta_star}, planted {planted}"
     )
     assert np.max(np.abs(res.u_star - h)) < 1e-6
+
+
+def test_attainability_finds_every_sign_change_of_a_dense_scan(monkeypatch):
+    # Seeded markets with one deceiver and 1-3 victims, the reference taken
+    # at a planted gain.  With every candidate rejected, the message lists
+    # all of them; each sign change of gap * det(Qbar)^2 on a dense
+    # oracle-route scan of the window must lie within 1e-6 of one.
+    import re
+    import deceptive_nes.deception as deception
+
+    monkeypatch.setattr(deception, "is_hurwitz", lambda m: False)
+    rng = np.random.default_rng(20251018)
+    grid = np.linspace(-10.0, 10.0, 20_001)
+    checked = 0
+    for _ in range(40):
+        r, m, sd = oracles.random_market(rng, 3, 6)
+        n = len(r)
+        z = int(rng.integers(n))
+        others = [j for j in range(n) if j != z]
+        vs = tuple(int(v) for v in rng.choice(
+            others, size=int(rng.integers(1, min(3, n - 1) + 1)), replace=False))
+        q, b, c = oracles.quadratic_blocks(r, m, sd)
+        qq, bb = oracles.pseudogradient_blocks(q, b)
+        q1, b1 = oracles.perturbed_blocks(q, b, qq, bb, (z,), (vs,), [1.0])
+        planted = rng.uniform(-8.0, 8.0)
+        h = oracles.np_solve(qq + planted * (q1 - qq), -(bb + planted * (b1 - bb)))
+        ref = float(oracles.quadratic_cost(q[z], b[z], c[z], h))
+
+        def poly(d):
+            qbar = qq + d[:, None, None] * (q1 - qq)
+            hs = np.linalg.solve(qbar, -(bb + d[:, None] * (b1 - bb))[..., None])[..., 0]
+            cost = 0.5 * np.einsum("mi,ij,mj->m", hs, q[z], hs) + hs @ b[z] + c[z]
+            return (cost - ref) * np.linalg.det(qbar) ** 2
+
+        vals = poly(grid)
+        cross = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
+        lo, hi, flo = grid[cross], grid[cross + 1], vals[cross]
+        for _ in range(40):
+            mid = 0.5 * (lo + hi)
+            fmid = poly(mid)
+            left = np.sign(fmid) == np.sign(flo)
+            lo, flo, hi = np.where(left, mid, lo), np.where(left, fmid, flo), \
+                np.where(left, hi, mid)
+        topo = DeceptionTopology(deceivers=(z,), victims=(vs,), cost_refs=(ref,))
+        res = solve_attainability(build_quadratic_game(OligopolyParams(r, m, sd)),
+                                  topo, gains=np.ones(n))
+        found = np.array([float(d) for d in re.findall(r"delta=(\S+) \(", res.message)])
+        assert found.size, res.message
+        for root in 0.5 * (lo + hi):
+            assert np.min(np.abs(found - root)) <= 1e-6 * (1.0 + abs(root)), (
+                f"R={r}, m={m}, Sd={sd}, z={z}, victims={vs}: sign change at "
+                f"{root} not among {found}")
+            checked += 1
+    print(f"\n  {checked} sign changes checked")
+    assert checked >= 100, checked

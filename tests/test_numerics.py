@@ -171,50 +171,6 @@ def test_spectral_abscissa_known():
     assert abs(numerics.spectral_abscissa(a) - (-1.0)) < 1e-13
 
 
-# ── scalar root finding ──────────────────────────────────────────────────────
-
-def test_bisection_finds_cos_root():
-    root = numerics.find_root_scalar(math.cos, 0.0, 3.0)
-    assert abs(root - math.pi / 2.0) < 1e-10
-
-
-def test_bisection_rejects_unbracketed():
-    with pytest.raises(ValueError):
-        numerics.find_root_scalar(lambda x: 1.0 + x * x, -1.0, 1.0)
-
-
-def test_bisection_accepts_endpoint_root():
-    root = numerics.find_root_scalar(lambda x: x, 0.0, 1.0)
-    assert root == 0.0
-
-
-@pytest.mark.parametrize("power", [1, 3])
-def test_root_search_converges_on_pole_bracket(power):
-    # A sign change across a pole, not a root: the search must still close
-    # the bracket within its budget, with at least one halving per three
-    # evaluations (about 120 here).
-    calls = []
-
-    def f(x):
-        calls.append(x)
-        return 1.0 / (x - 0.3) ** power
-
-    x = numerics.find_root_scalar(f, 0.0, 1.0)
-    assert abs(x - 0.3) < 1e-10
-    assert len(calls) <= 2 + 3 * math.ceil(math.log2(1e12)), len(calls)
-
-
-def test_root_search_is_fast_on_smooth_roots():
-    calls = []
-
-    def f(x):
-        calls.append(x)
-        return math.cos(x)
-
-    assert abs(numerics.find_root_scalar(f, 0.0, 3.0) - math.pi / 2.0) < 1e-10
-    assert len(calls) <= 12, f"{len(calls)} evaluations"
-
-
 # ── Newton ──────────────────────────────────────────────────────────────────
 
 def test_newton_solves_nonlinear_system():

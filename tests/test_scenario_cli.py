@@ -301,6 +301,60 @@ def test_cli_numerical_failure_exits_3(tmp_path, scen_path):
     assert doc["error"] == "SingularMatrixError"
 
 
+@pytest.mark.parametrize("cost_ref, cause", [
+    (-300.0, "no root qualifies"),
+    (1e9, "no real root"),
+])
+def test_cli_deceptive_game_without_attainable_delta_exits_3(
+        tmp_path, scen_path, cost_ref, cause):
+    # Without --delta the command needs an attainable gain; a failed search
+    # is a numerical failure, not a game built at its closest approach.
+    with open(scen_path) as fh:
+        doc = json.load(fh)
+    doc["deception"]["deceivers"][0]["cost_ref"] = cost_ref
+    scen = tmp_path / "unattainable.json"
+    scen.write_text(json.dumps(doc))
+    out = tmp_path / "dg"
+    assert main(["deceptive-game", "--scenario", str(scen), "--out", str(out)]) == 3
+    assert not (out / "summary.json").exists()
+    with open(out / "error.json") as fh:
+        err = json.load(fh)
+    assert err["kind"] == "numerical" and cause in err["message"], err
+
+
+@pytest.mark.parametrize("argv", [
+    ["deceptive-game", "--delta", "nan"],
+    ["stability", "--delta", "inf"],
+    ["sweep", "--delta-grid", "0:inf:1"],
+    ["sweep", "--delta-grid", "0:1:nan"],
+    ["stability", "--delta-grid", "0:1e308:1e-308"],
+    ["sweep", "--delta-grid", "0:100000:1"],
+])
+def test_cli_non_finite_or_oversized_gain_flags_exit_2(tmp_path, scen_path, argv):
+    out = tmp_path / "flags"
+    assert main([argv[0], "--scenario", scen_path, "--out", str(out)]
+                + argv[1:]) == 2
+    with open(out / "error.json") as fh:
+        assert json.load(fh)["kind"] == "validation"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_overflowing_result_exits_3(tmp_path, scen_path):
+    # Legal but enormous demand overflows the costs; summary.json must not
+    # carry NaN or Infinity under exit 0.
+    with open(scen_path) as fh:
+        doc = json.load(fh)
+    doc["market"]["total_demand"] = 1e300
+    scen = tmp_path / "huge.json"
+    scen.write_text(json.dumps(doc))
+    out = tmp_path / "nash"
+    assert main(["nash", "--scenario", str(scen), "--out", str(out)]) == 3
+    assert not (out / "summary.json").exists()
+    with open(out / "error.json") as fh:
+        err = json.load(fh)
+    assert err["kind"] == "numerical" and "non-finite" in err["message"], err
+
+
 def test_cli_flag_misuse_exits_2(tmp_path, scen_path, nominal_path):
     out = tmp_path / "w"
     assert main(["sweep", "--scenario", scen_path, "--out", str(out)]) == 2
