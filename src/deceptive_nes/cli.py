@@ -321,8 +321,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_gain_values(argv: list[str]) -> list[str]:
+    """``--delta -inf`` as ``--delta=-inf``: argparse reads a value that
+    starts with ``-`` and is not a plain number, such as ``-inf`` or the grid
+    ``-1:1:0.5``, as an option.  A flag is a gain flag also when abbreviated
+    (``--del``, ``--delta-g``), as argparse accepts it."""
+    out: list[str] = []
+    for arg in argv:
+        if out and len(out[-1]) > 2 and "--delta-grid".startswith(out[-1]) \
+                and arg.startswith("-") and not arg.startswith("--"):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_attach_gain_values(list(argv)))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 

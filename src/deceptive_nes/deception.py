@@ -339,7 +339,8 @@ def solve_attainability(
     tangential roots included, comes from the roots of one polynomial,
     polished by Newton; they are assessed nearest to ``delta = 0`` first
     and the first qualifying one is returned.  Without a real root the result is the
-    interpolation node with the smallest ``|field|``.  For several
+    closest approach: the window end or stationary point of the gap with the
+    smallest ``|gap|``.  For several
     deceivers a damped Newton iteration starts from ``delta = 0``.  A
     failed search returns ``attainable=False`` together with the closest
     approach rather than an arbitrary root.
@@ -411,8 +412,9 @@ def solve_attainability(
         t = cheb.chebpts1(2 * len(topology.victims[0]) + 1)
         nodes = (mid + half * t[:, None]).reshape(-1, 1)
         ev = _Evaluation(game, topology, nodes, refs, basis)
-        values = (ev.gaps[:, 0] * np.linalg.det(ev.pert.qbar) ** 2).reshape(len(t), -1)
-        coef = np.linalg.solve(cheb.chebvander(t, len(t) - 1), values)
+        det = np.linalg.det(ev.pert.qbar).reshape(len(t), -1)
+        vander = cheb.chebvander(t, len(t) - 1)
+        coef = np.linalg.solve(vander, ev.gaps[:, 0].reshape(len(t), -1) * det ** 2)
 
         def polish(d: float) -> float | None:
             """Newton on ``gap det(Qbar)^2``, with ``det'/det = sum mu / (1 +
@@ -447,8 +449,19 @@ def solve_attainability(
             if ranked[-1].attainable:
                 return ranked[-1]
         if not ranked:
-            best = np.argmin(np.where(np.isnan(ev.field[:, 0]), np.inf, np.abs(ev.field[:, 0])))
-            return assess(nodes[best], message="no real root of the matching "
+            # The closest approach: |gap| is least at a window end or where
+            # gap' = (F' D - 2 F D') / D^3 vanishes, F = gap D^2, D = det Qbar.
+            dcoef = np.linalg.solve(vander, det)[:len(topology.victims[0]) + 1]
+            candidates = [-dm, dm]
+            for j in np.flatnonzero(np.isfinite(coef).all(axis=0)):
+                z = cheb.chebroots(cheb.chebsub(
+                    cheb.chebmul(cheb.chebder(coef[:, j]), dcoef[:, j]),
+                    2.0 * cheb.chebmul(coef[:, j], cheb.chebder(dcoef[:, j]))))
+                z = z.real[(np.abs(z.imag) <= 1e-3) & (np.abs(z.real) <= 1.0)]
+                candidates += list(mid[j] + half[j] * z)
+            gaps = np.abs([field([d])[0] for d in candidates])
+            best = candidates[int(np.argmin(np.where(np.isnan(gaps), np.inf, gaps)))]
+            return assess(np.array([best]), message="no real root of the matching "
                           "field in the search region")
         return replace(ranked[0], message="no root qualifies: " + "; ".join(
             f"delta={r.delta_star[0]:.12g} ({r.message})" for r in ranked

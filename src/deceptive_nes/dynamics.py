@@ -462,13 +462,60 @@ class Trajectory:
 # simulation driver
 # ---------------------------------------------------------------------------
 
-#: Above this many players ``simulate("full")`` steps the numpy field of
-#: :func:`_vector_field` instead of the generated kernel, whose source and
-#: compile time grow with the square of the player count.  Measured per step
-#: on 2 cores (Python 3.11, numpy 2.4), generated against numpy: 126 / 196 µs
-#: at N = 20, 216-274 / 282-290 µs at 30, 351 / 307 µs at 34, 550 / 339 µs
-#: at 40.
+#: Above this many players :func:`simulate` steps the full model with the
+#: numpy field of :func:`_vector_field` instead of the generated kernel, whose
+#: source and compile time grow with the square of the player count.
+#: Measured per step on 2 cores (Python 3.11, numpy 2.4), generated against
+#: numpy: 126 / 196 µs at N = 20, 216-274 / 282-290 µs at 30, 351 / 307 µs at
+#: 34, 550 / 339 µs at 40.
 MAX_GENERATED_PLAYERS = 30
+
+#: The same bound for the averaged model, against its numpy polynomial
+#: field: the unrolled price rows ``-(K/w) Q0 u`` cost N**2 float operations
+#: in Python.  Measured per step as above (two deceivers, one shared victim),
+#: generated against numpy: 5.4 / 13.7 µs at N = 6, 13.4 / 16.6 at 12, 16.8
+#: / 16.8 at 14, 20.5 / 18.3 at 16, 29.7 / 21.3 at 20; the kernel also costs
+#: 0.5-0.9 ms more to set up.  The reduced model with one deceiver has no
+#: bound: its stage reads 3|V| + 2 numbers whatever the player count (1.5
+#: against 1670 µs per step at N = 30, 2.5 against 10600 at 60).
+MAX_GENERATED_AVERAGED_PLAYERS = 13
+
+
+def _rk4_run(state, records, axis, clock=(), tones=((), (), (), ())) -> str:
+    """Source of ``run``, the RK4 loop of every generated kernel.
+
+    ``run(*state, t0, dt, n_steps, stride, ts, *buffers)`` takes ``n_steps``
+    classical RK4 steps of the generated ``stage`` from the floats named in
+    ``state``.  Every ``stride``-th step it checks the state finite, raising
+    :class:`DivergenceError` on the ``axis`` axis, appends the time to ``ts``
+    and, for each ``(buffer, names)`` of ``records``, those floats to that
+    buffer.  The ``clock`` lines open every step, and ``tones[r]`` are the
+    arguments stage ``r + 1`` takes after the state: the full model's
+    sinusoids.
+    """
+    def stage_call(r, step):
+        """RK4 stage ``r``, at the state plus ``step`` times stage ``r - 1``."""
+        at = state if r == 1 else [f"{v} + {step} * f{r - 1}{v}" for v in state]
+        return (f"        {''.join(f'f{r}{v}, ' for v in state)}= stage("
+                f"{', '.join([*at, *tones[r - 1]])})")
+
+    buffers = [buffer for buffer, _ in records]
+    run = [f"def run({', '.join([*state, 't0', 'dt', 'n_steps', 'stride', 'ts', *buffers])}):",
+           "    half = 0.5 * dt",
+           "    sixth = dt / 6.0",
+           "    for step in range(n_steps):"]
+    run += [f"        {line}" for line in clock]
+    run += [stage_call(1, None), stage_call(2, "half"),
+            stage_call(3, "half"), stage_call(4, "dt")]
+    run += [f"        {v} = {v} + sixth * (f1{v} + 2.0 * (f2{v} + f3{v}) + f4{v})"
+            for v in state]
+    run += ["        if (step + 1) % stride == 0:",
+            "            tr = t0 + (step + 1) * dt",
+            f"            if not ({' and '.join(f'isfinite({v})' for v in state)}):",
+            f'                raise DivergenceError(tr, "{axis}")',
+            "            ts.append(tr)"]
+    run += [f"            {buffer}.extend([{', '.join(names)}])" for buffer, names in records]
+    return "\n".join(run) + "\n"
 
 
 def _full_kernel(game, topology, tuning, freeze_delta) -> tuple[str, str, dict]:
@@ -484,7 +531,7 @@ def _full_kernel(game, topology, tuning, freeze_delta) -> tuple[str, str, dict]:
     """
     n, z = game.n_players, topology.deceivers
     players, decs = range(n), range(len(z))
-    names = {"sin": math.sin, "isfinite": math.isfinite, "DivergenceError": DivergenceError}
+    names = {"sin": math.sin}
     for i in players:
         amp = names[f"a{i}"] = float(tuning.amplitude[i])
         names[f"w{i}"] = tuning.omega * float(tuning.omega_ratio[i])
@@ -514,38 +561,175 @@ def _full_kernel(game, topology, tuning, freeze_delta) -> tuple[str, str, dict]:
         [*(f"m{i} * j{i} * s{i}, " for i in players),
          *(f"g{k} * (j{zk} - r{k}), " for k, zk in enumerate(z))]))
 
-    def stage_call(r, tones, step):
-        """RK4 stage ``r``, at the state plus ``step`` times stage ``r - 1``."""
-        at = state if r == 1 else [f"{v} + {step} * f{r - 1}{v}" for v in state]
-        return (f"        {''.join(f'f{r}{v}, ' for v in state)}= stage("
-                f"{', '.join(at + [f'{tones}{i}' for i in players])})")
+    clock = ["t = t0 + step * dt", "tm = t + half", "te = t + dt"]
+    clock += [f"{s}{i} = sin(w{i} * {t})"
+              for s, t in (("s", "t"), ("h", "tm"), ("e", "te")) for i in players]
+    tones = [[f"{s}{i}" for i in players] for s in "shhe"]
+    run = _rk4_run(state, [("us", u), ("ds", d)], "t", clock, tones)
+    return "\n".join(stage) + "\n", run, names
 
-    run = [f"def run({', '.join(state)}, t0, dt, n_steps, stride, ts, us, ds):",
-           "    half = 0.5 * dt",
-           "    sixth = dt / 6.0",
-           "    for step in range(n_steps):",
-           "        t = t0 + step * dt",
-           "        tm = t + half",
-           "        te = t + dt"]
-    run += [f"        {s}{i} = sin(w{i} * {t})"
-            for s, t in (("s", "t"), ("h", "tm"), ("e", "te")) for i in players]
-    run += [stage_call(1, "s", None), stage_call(2, "h", "half"),
-            stage_call(3, "h", "half"), stage_call(4, "e", "dt")]
-    run += [f"        {v} = {v} + sixth * (f1{v} + 2.0 * (f2{v} + f3{v}) + f4{v})"
-            for v in state]
-    run += ["        if (step + 1) % stride == 0:",
-            "            tr = t0 + (step + 1) * dt",
-            f"            if not ({' and '.join(f'isfinite({v})' for v in state)}):",
-            '                raise DivergenceError(tr, "t")',
-            "            ts.append(tr)",
-            f"            us.extend([{', '.join(u)}])",
-            f"            ds.extend([{', '.join(d)}])"]
-    return "\n".join(stage) + "\n", "\n".join(run) + "\n", names
+
+def _averaged_kernel(game, topology, tuning, freeze_delta) -> tuple[str, str, dict]:
+    """Source of the averaged model's RK4 ``stage`` and ``run`` for this
+    market, and the namespace of numbers they read.
+
+    The stage is the polynomial ``c + (A + T y) y`` of
+    :func:`_polynomial_field`, unrolled over its structural nonzeros: row
+    ``i`` is ``c_i + sum_j (A_ij + sum_l S_ijl y_l) y_j`` with ``S_ijl =
+    T_ijl + T_ilj`` (``T_ijj`` for ``l = j``).  ``q[i]`` lives in row and
+    column ``i`` only, so ``P_k`` holds one entry ``(i, i)`` per victim row
+    ``i``.  Price row ``i`` reads every ``u`` and, where ``i`` is a victim of
+    deceiver ``k``, ``delta_k`` and ``delta_k u_i``; gain row ``k`` reads
+    every ``y``, ``u_{z_k}`` times every ``u`` (``q[z_k] / 2``), and
+    ``delta_k`` times the gains of the deceivers whose victims overlap its
+    own (``quad``).  Every number is a bound name, so the source depends
+    only on the player count, the deceivers and their victims.
+    """
+    n, z, victims = game.n_players, topology.deceivers, topology.victims
+    c, a, t = _polynomial_field("averaged", game, topology, tuning, None, freeze_delta)
+    y = [f"u{i}" for i in range(n)] + [f"d{k}" for k in range(len(z))]
+    # terms[i][j]: the indices l of the products y_j y_l in row i
+    terms = [dict.fromkeys(range(n), ()) for _ in range(n)]
+    terms += [dict.fromkeys(range(len(y)), ()) for _ in z]
+    for k, vs in enumerate(victims):
+        for i in vs:
+            terms[i][i] += (n + k,)
+            terms[i][n + k] = ()
+        terms[n + k][z[k]] = tuple(range(n))
+        terms[n + k][n + k] = tuple(n + l for l, ws in enumerate(victims) if set(vs) & set(ws))
+
+    names, rows = {}, []
+    for i, row in enumerate(terms):
+        names[f"c{i}"] = float(c[i])
+        parts = [f"c{i}"]
+        for j, ls in row.items():
+            names[f"a{i}_{j}"] = float(a[i, j])
+            for l in ls:
+                names[f"t{i}_{j}_{l}"] = float(t[i, j, l] + t[i, l, j] if l != j else t[i, j, j])
+            coef = " + ".join([f"a{i}_{j}", *(f"t{i}_{j}_{l} * {y[l]}" for l in ls)])
+            parts.append(f"({coef}) * {y[j]}" if ls else f"{coef} * {y[j]}")
+        rows.append(" + ".join(parts))
+    stage = f"def stage({', '.join(y)}):\n    return {''.join(f'{r}, ' for r in rows)}\n"
+    return stage, _rk4_run(y, [("us", y[:n]), ("ds", y[n:])], "tau"), names
+
+
+def _reduced_kernel(game, topology, tuning, delta, freeze_delta) -> tuple[str, str, dict]:
+    """Source of the reduced model's RK4 ``stage`` and ``run`` for one
+    deceiver, and the namespace of numbers they read.
+
+    The field is ``rate gap(d)`` with ``gap = F / D**2``.  By Cramer's rule
+    ``D = det Qbar(d)`` has degree <= |V| and ``F = gap D**2``, whose roots
+    :func:`~deceptive_nes.deception.solve_attainability` takes, degree <=
+    2|V|.  Both are interpolated in ``x = (d - o) / r``, ``r = 1 + |o|``, at
+    2|V| + 2 roots of unity, off the real axis and so off every real pole,
+    where the monomial basis is orthogonal; the stage evaluates them by
+    Horner's rule on the disc ``|x| <= 1``.  A stage outside the disc takes
+    the gated numpy route and centres the disc on its gain, so the run keeps
+    its accuracy however far the gain travels.  The source depends only on
+    |V|.
+    """
+    v = len(topology.victims[0])
+    z, ref = topology.deceivers[0], topology.cost_refs[0]
+    rate = 0.0 if freeze_delta else topology.eps_rates[0] / tuning.omega
+    q0, b0 = game.pseudogradient_matrix, game.pseudogradient_offset
+    big_p, p = _pseudogradient_basis(game, topology)
+    big_p = big_p.reshape(game.n_players, game.n_players)
+    rows = [math.hypot(*row) for row in q0.tolist()]
+    p_rows = [math.hypot(*row) for row in big_p.tolist()]
+    norm_q0 = max(sum(map(abs, row)) for row in q0.tolist())
+    norm_p = max(sum(map(abs, row)) for row in big_p.tolist())
+    circle = np.exp(1j * np.pi * (2.0 * np.arange(2 * v + 2) + 1.0) / (2 * v + 2))
+    # the nodes are roots of unity, so the Vandermonde matrix V has V^H V = (2|V| + 2) I
+    fit = np.vander(circle, increasing=True).conj().T / circle.size
+
+    def centre(o):
+        """Bind the coefficients of ``F`` and ``D`` on the disc around ``o``,
+        and the singularity screen over it."""
+        r = 1.0 + abs(o)
+        d = o + r * circle
+        qbar = q0 + d[:, None, None] * big_p
+        det = np.linalg.det(qbar)
+        h = numerics._linalg(np.linalg.solve, qbar, -(b0 + d[:, None] * p[0])[..., None])[..., 0]
+        gap = 0.5 * np.einsum("mi,ij,mj->m", h, game.q[z], h) + h @ game.b[z] + game.c[z] - ref
+        with np.errstate(over="ignore", invalid="ignore"):   # screened below
+            f, e = (fit @ np.column_stack([gap * det * det, det])).real.T
+        # Screen.  Partial pivoting keeps every pivot at or above 1 /
+        # ||Qbar^-1||: the k-th pivot is the largest entry in the first
+        # column of a Schur complement whose inverse is a block of Qbar^-1
+        # with permuted columns (norms ||.||_inf).  So the gate, which raises
+        # on a pivot below 1e-13 ||Qbar||, fails only where ||Qbar^-1|| > 1 /
+        # (1e-13 ||Qbar||), that is where |det Qbar| < 1e-13 ||Qbar|| ||adj
+        # Qbar||.  Every (n-1)-minor without row i is at most prod_{l != i}
+        # rho_l (Hadamard), rho_l the 2-norm of row l, so ||adj Qbar|| <=
+        # prod_l rho_l sum_l 1 / rho_l.  With ||Qbar|| <= ||Q0|| + |d| ||P||
+        # and rho_l <= ||row l of Q0|| + |d| ||row l of P||, the bound grows
+        # with |d|, so its value at |d| = |o| + r covers the disc.  The
+        # screen doubles it for the rounding of the gate and adds 1e-13
+        # sum_k |e_k| for the rounding of D.
+        a = abs(o) + r
+        rho = [row + a * p_row for row, p_row in zip(rows, p_rows)]
+        e, f = e[:v + 1].tolist(), f[:2 * v + 1].tolist()
+        screen = 2e-13 * (norm_q0 + a * norm_p) * math.prod(rho) * sum(1.0 / x for x in rho) \
+            + 1e-13 * sum(map(abs, e))
+        if not all(map(math.isfinite, [screen, *e, *f])):
+            screen = math.inf   # D or F overflows: every stage takes the gated solve
+        names.update(o=o, ir=1.0 / r, screen=screen)
+        names.update({f"f{k}": c for k, c in enumerate(f)})
+        names.update({f"e{k}": c for k, c in enumerate(e)})
+
+    def exact(d):
+        """The field by the gated solve, which raises SingularMatrixError
+        where ``Qbar(d)`` fails the pivot gate."""
+        return rate * (float(game.costs(deceptive_equilibrium(game, topology, [d]))[z]) - ref)
+
+    def recentre(d):
+        """The field outside the disc, which moves to be centred on ``d``."""
+        if not math.isfinite(d):
+            return exact(d)
+        centre(d)
+        return names["stage"](d)[0]
+
+    names = {"rate": rate, "exact": exact, "recentre": recentre}
+    centre(float(delta[0]))
+    # where |D| falls under the screen the stage takes the gated route, and
+    # the gate decides
+    stage = ["def stage(d0):",
+             "    x = (d0 - o) * ir",
+             "    if not -1.0 <= x <= 1.0:",
+             "        return recentre(d0),",
+             f"    den = e{v}"]
+    stage += [f"    den = den * x + e{k}" for k in range(v - 1, -1, -1)]
+    stage += ["    if not abs(den) > screen:",
+              "        return exact(d0),",
+              f"    num = f{2 * v}"]
+    stage += [f"    num = num * x + f{k}" for k in range(2 * v - 1, -1, -1)]
+    stage.append("    return rate * (num / den / den),")
+    return "\n".join(stage) + "\n", _rk4_run(["d0"], [("ds", ["d0"])], "tau_star"), names
 
 
 @functools.lru_cache(maxsize=16)
 def _compiled(source: str):
-    return compile(source, "<full-model kernel>", "exec")
+    return compile(source, "<generated RK4 kernel>", "exec")
+
+
+def _run_kernel(kernel, groups, t0, dt, n_steps, stride) -> tuple[np.ndarray, ...]:
+    """Run a generated kernel ``(stage, run, namespace)`` from the state
+    ``groups`` (one float vector per record buffer) at ``t0``.
+
+    ``stage`` and ``run`` are compiled separately, which keeps the
+    compiler's peak memory down, and the code of recent market structures is
+    kept compiled.  Recorded samples go straight into flat float buffers, 8
+    bytes a number.  Returns the times and, per group, one row per sample.
+    """
+    *sources, names = kernel
+    names.update(isfinite=math.isfinite, DivergenceError=DivergenceError)
+    for source in sources:
+        exec(_compiled(source), names)
+    state = [[float(v) for v in group] for group in groups]
+    ts, buffers = array("d", [t0]), [array("d", group) for group in state]
+    names["run"](*(v for group in state for v in group), t0, dt, n_steps, stride, ts, *buffers)
+    return (np.frombuffer(ts), *(np.frombuffer(buffer).reshape(len(ts), len(group))
+                                 for buffer, group in zip(buffers, state)))
 
 
 def _integrate_full(
@@ -563,27 +747,12 @@ def _integrate_full(
 
     This is the hot path (millions of steps at realistic frequencies), so a
     step is plain float arithmetic with every player and victim unrolled.
-    ``stage`` and ``run`` are compiled separately, which keeps the
-    compiler's peak memory down, and the code of recent market structures
-    is kept compiled.  Recorded samples are checked finite and go straight
-    into flat float buffers.  :func:`simulate` runs it up to
-    :data:`MAX_GENERATED_PLAYERS` players; the test-suite pins it, and the
-    numpy route above that bound, against the generic :func:`rhs` +
-    :func:`numerics.rk4_step` route.
+    :func:`simulate` runs it up to :data:`MAX_GENERATED_PLAYERS` players;
+    the test-suite pins it, and the numpy route above that bound, against
+    the generic :func:`rhs` + :func:`numerics.rk4_step` route.
     """
-    *sources, names = _full_kernel(game, topology, tuning, freeze_delta)
-    for source in sources:
-        exec(_compiled(source), names)
-    u = [float(v) for v in initial.u]
-    d = [float(v) for v in initial.delta]
-    # samples go straight into flat float buffers: 8 bytes a number
-    ts, us, ds = array("d", [initial.t]), array("d", u), array("d", d)
-    names["run"](*u, *d, initial.t, dt, n_steps, stride, ts, us, ds)
-    return (
-        np.frombuffer(ts),
-        np.frombuffer(us).reshape(len(ts), game.n_players),
-        np.frombuffer(ds).reshape(len(ts), topology.n_deceivers),
-    )
+    kernel = _full_kernel(game, topology, tuning, freeze_delta)
+    return _run_kernel(kernel, (initial.u, initial.delta), initial.t, dt, n_steps, stride)
 
 
 def _positive_finite(name: str, value: float, axis: str) -> float:
@@ -682,12 +851,23 @@ def simulate(
         )
     n_steps = stride * max(1, math.ceil(blocks - 1e-9))
 
-    if model == "full" and game.n_players <= MAX_GENERATED_PLAYERS:
+    y0 = _pack(model, initial.u, initial.delta)
+    if not np.isfinite(y0).all():   # before any route builds a field from it
+        raise DivergenceError(initial.t, axis)
+    n = game.n_players
+    if model == "full" and n <= MAX_GENERATED_PLAYERS:
         times, u_mat, d_mat = _integrate_full(
             game, topology, tuning, initial, step, n_steps, stride, freeze_delta
         )
+    elif model == "averaged" and n <= MAX_GENERATED_AVERAGED_PLAYERS and topology.n_deceivers:
+        kernel = _averaged_kernel(game, topology, tuning, freeze_delta)
+        times, u_mat, d_mat = _run_kernel(
+            kernel, (initial.u, initial.delta), initial.t, step, n_steps, stride)
+    elif model == "reduced" and topology.n_deceivers == 1:
+        # the stage reads |V| + 1 and 2|V| + 1 coefficients, whatever n
+        kernel = _reduced_kernel(game, topology, tuning, initial.delta, freeze_delta)
+        times, d_mat = _run_kernel(kernel, (initial.delta,), initial.t, step, n_steps, stride)
     else:
-        y0 = _pack(model, initial.u, initial.delta)
         c, a, tensor = (None, None, None) if model in ("full", "reduced") else \
             _polynomial_field(model, game, topology, tuning, initial.delta, freeze_delta)
         if tensor is not None and not tensor.any():
@@ -705,14 +885,15 @@ def simulate(
             u_mat, d_mat = states[:, :game.n_players], states[:, game.n_players:]
         elif model == "reduced":
             d_mat = states
-            pert = perturbed_pseudogradient(game, topology, d_mat)
-            u_mat = numerics.solve_stack(pert.qbar, -pert.bbar)
-            singular = np.flatnonzero(np.isnan(u_mat).any(axis=1))
-            if singular.size:  # raise the first singular sample's error
-                deceptive_equilibrium(game, topology, d_mat[singular[0]])
         else:
             u_mat = states
             d_mat = np.tile(initial.delta, (len(times), 1))
+    if model == "reduced":
+        pert = perturbed_pseudogradient(game, topology, d_mat)
+        u_mat = numerics.solve_stack(pert.qbar, -pert.bbar)
+        singular = np.flatnonzero(np.isnan(u_mat).any(axis=1))
+        if singular.size:  # raise the first singular sample's error
+            deceptive_equilibrium(game, topology, d_mat[singular[0]])
 
     x = _played_prices(u_mat, tuning, topology, d_mat, times) if model == "full" \
         else u_mat.copy()

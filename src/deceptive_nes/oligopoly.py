@@ -160,26 +160,35 @@ class QuadraticGame:
 
 
 def build_quadratic_game(params: OligopolyParams) -> QuadraticGame:
-    """Exact quadratic coefficients of the oligopoly cost functions."""
+    """Exact quadratic coefficients of the oligopoly cost functions.
+
+    Raises ``ValueError`` naming the market parameters when a coefficient
+    overflows a float (legal but extreme numbers, such as a resistance of
+    5e-324 whose reciprocal is infinite).
+    """
     n = params.n_players
     r = params.resistance
     m = params.marginal_cost
     sd = params.total_demand
-    agg = derive_aggregates(params)
-    rp = agg.r_parallel
-
     q = np.zeros((n, n, n))
     b = np.zeros((n, n))
     c = np.zeros(n)
-    for i in range(n):
-        q[i, i, i] = 2.0 * rp / (r[i] * agg.r_others[i])
-        for j in range(n):
-            if j == i:
-                continue
-            q[i, i, j] = q[i, j, i] = -rp / (r[i] * r[j])
-            b[i, j] = m[i] * rp / (r[i] * r[j])
-        b[i, i] = -m[i] * rp / (r[i] * agg.r_others[i]) - sd * rp / r[i]
-        c[i] = rp * sd * m[i] / r[i]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        agg = derive_aggregates(params)
+        rp = agg.r_parallel
+        for i in range(n):
+            q[i, i, i] = 2.0 * rp / (r[i] * agg.r_others[i])
+            for j in range(n):
+                if j == i:
+                    continue
+                q[i, i, j] = q[i, j, i] = -rp / (r[i] * r[j])
+                b[i, j] = m[i] * rp / (r[i] * r[j])
+            b[i, i] = -m[i] * rp / (r[i] * agg.r_others[i]) - sd * rp / r[i]
+            c[i] = rp * sd * m[i] / r[i]
+    if not (np.all(np.isfinite(q)) and np.all(np.isfinite(b)) and np.all(np.isfinite(c))):
+        raise ValueError(
+            f"the market's cost coefficients overflow a float: resistance "
+            f"{r.tolist()}, marginal_cost {m.tolist()}, total_demand {sd:g}")
     return QuadraticGame(q=q, b=b, c=c)
 
 

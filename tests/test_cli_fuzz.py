@@ -51,16 +51,22 @@ def deceiver(draw):
 DECEIVERS = st.lists(deceiver(), min_size=1, max_size=2,
                      unique_by=lambda d: d["player"])
 
+def flag(name):
+    """A gain flag with its value attached (``--delta=-inf``) or apart
+    (``--delta -inf``); both forms must read a leading ``-`` as a value."""
+    return lambda v: st.sampled_from([[f"{name}={v}"], [name, v]])
+
+
 DELTA = (st.sampled_from(["2.486", "-3.5", "6.1", "5.631716138867322"])
          | st.sampled_from(["0", "1e300", "nan", "inf", "-inf"])
-         ).map(lambda v: [f"--delta={v}"])
+         ).flatmap(flag("--delta"))
 GRID = (st.sampled_from(["0:7:0.5", "-10:10:0.01", "5.631716138867322:10:0.5", "2:2:1"])
         | st.builds(lambda lo, hi, step: f"{lo}:{hi}:{step}",
                     st.sampled_from(["0", "1e300", "-1e308", "nan", "-inf"]),
                     st.sampled_from(["7", "1e308", "inf"]),
                     st.sampled_from(["1e-9", "0", "-1", "inf"]))
         | st.sampled_from(["oops", "1:2", "1:2:3:4"])
-        ).map(lambda v: [f"--delta-grid={v}"])
+        ).flatmap(flag("--delta-grid"))
 # The gain flags each command reads, and now and then one it refuses.
 FLAGS = {
     "nash": st.just([]),
@@ -104,7 +110,6 @@ def test_cli_ends_in_a_result_or_a_classified_failure(doc, invocation):
         scenario = Path(tmp) / "scenario.json"
         scenario.write_text(json.dumps(doc))
         out = Path(tmp) / "out"
-        # --flag=value, so that a value starting with "-" stays a value
         argv = [command, f"--scenario={scenario}", f"--out={out}", *flags]
         with contextlib.redirect_stderr(io.StringIO()):
             code = main(argv)

@@ -351,6 +351,27 @@ def test_attainability_unreachable_reference(game3_published):
     assert res.residual > 0.0
 
 
+def test_attainability_closest_approach_is_least_gap_over_the_window(game3_published):
+    # Without a real root the result is where |gap| is least over the
+    # window: a stationary point of the gap or a window end.  A dense scan
+    # on the oracle route puts the least |gap| at 1e9 - max J_1, with J_1
+    # within 1e-6 of zero, far below the 185 a coarse interpolation node
+    # is off by.
+    topo = DeceptionTopology(deceivers=(0,), victims=((2,),), cost_refs=(1e9,))
+    res = solve_attainability(game3_published, topo, gains=GAINS)
+    assert "no real root" in res.message and not res.attainable
+    q, b = game3_published.q, game3_published.b
+    qq, bb = oracles.pseudogradient_blocks(q, b)
+    best = -np.inf
+    for d in np.linspace(-10.0, 10.0, 20001):
+        qbar, bbar = oracles.perturbed_blocks(q, b, qq, bb, (0,), ((2,),), [d])
+        h = oracles.np_solve(qbar, -bbar)
+        best = max(best, oracles.quadratic_cost(q[0], b[0], game3_published.c[0], h))
+    assert -1e-6 < best < 0.0, best
+    assert res.residual <= 1e9 - best + 1e-6, (res.residual, best)
+    assert abs(res.delta_star[0] - 6.675) < 5e-3, res.delta_star
+
+
 def test_attainability_finds_root_beside_a_pole(game3_published):
     # A profit of 1e9 is reached next to the pole of the cost at the
     # singular gain, inside the stability set; a coarse grid steps over it.

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import math
 import tokenize
 import tracemalloc
@@ -20,17 +21,19 @@ from deceptive_nes import (
     SimState,
     averaged_residual,
     build_quadratic_game,
+    bundled_scenario_path,
     common_period,
     common_period_factor,
     deceptive_equilibrium,
     default_initial,
     dither_vector,
+    lambda_matrix,
     perturbed_pseudogradient,
     rhs,
     simulate,
     solve_attainability,
 )
-from deceptive_nes import dynamics, numerics
+from deceptive_nes import cli, dynamics, numerics
 from deceptive_nes.dynamics import (
     MAX_SAMPLES, MAX_STEPS, MODEL_KINDS, _residual_polynomial,
 )
@@ -549,6 +552,226 @@ def test_simulate_matches_generic_rk4_on_rhs(game3_published, topology3,
     )
 
 
+# ── generated kernels of the dither-free models ─────────────────────────────
+
+SINGULAR_DELTA = 5.631716138867322   # -1/mu: Qbar(delta) of the study is singular
+
+
+def _kernel_namespace(kernel):
+    """Compile a generated ``(stage, run, names)`` as simulate() does."""
+    *sources, names = kernel
+    for source in sources:
+        exec(source, names)
+    return names
+
+
+def _reduced_case(rng, n_victims, n_players=5, resistance_scale=1.0):
+    """A random market with one deceiver and ``n_victims`` victims, a cost
+    reference drawn from [-500, 0] and a tuning."""
+    r, m, sd = oracles.random_market(rng, n_min=n_players, n_max=n_players)
+    game = build_quadratic_game(OligopolyParams(np.asarray(r) * resistance_scale, m, sd))
+    z = int(rng.integers(n_players))
+    others = [j for j in range(n_players) if j != z]
+    victims = tuple(int(j) for j in rng.choice(others, size=n_victims, replace=False))
+    topo = DeceptionTopology((z,), (victims,), eps=1e-3,
+                             eps_rates=(rng.uniform(0.5, 2.0),),
+                             cost_refs=(rng.uniform(-500.0, 0.0),))
+    tuning = NESTuning(amplitude=rng.uniform(0.01, 0.1, size=n_players),
+                       gain=rng.uniform(0.005, 0.02, size=n_players), omega=1.0,
+                       omega_ratio=tuple(range(3, 3 + n_players)))
+    return game, topo, tuning
+
+
+def test_dither_free_kernel_sources_depend_only_on_market_structure():
+    # As for the full model: two markets alike in players, deceivers and
+    # victims, unlike in every number, share the averaged and the reduced
+    # kernel's source text, and it carries no number of the market.
+    game, topo, tuning, rng = _rich_cases(1)[0]
+    k = topo.n_deceivers
+    r, m, sd = oracles.random_market(rng, game.n_players, game.n_players)
+    other = build_quadratic_game(OligopolyParams(r, m, sd))
+    retuned = NESTuning(amplitude=rng.uniform(0.01, 0.1, size=game.n_players),
+                        gain=tuning.gain * 1.5, omega=2.0,
+                        omega_ratio=tuning.omega_ratio[::-1])
+    retopo = DeceptionTopology(topo.deceivers, topo.victims, eps=0.3,
+                               eps_rates=rng.uniform(0.5, 2.0, size=k),
+                               cost_refs=rng.uniform(-9.0, 9.0, size=k))
+    single = DeceptionTopology(topo.deceivers[:1], topo.victims[:1], cost_refs=(-5.0,))
+    resingle = DeceptionTopology(topo.deceivers[:1], topo.victims[:1], eps_rates=(3.0,),
+                                 cost_refs=(3.0,))
+    pairs = [(dynamics._averaged_kernel(game, topo, tuning, False),
+              dynamics._averaged_kernel(other, retopo, retuned, False)),
+             (dynamics._reduced_kernel(game, single, tuning, [0.0], False),
+              dynamics._reduced_kernel(other, resingle, retuned, [1.5], False))]
+    for (*source, names), (*same, other_names) in pairs:
+        assert same == source
+        floats = [key for key, value in names.items() if isinstance(value, float)]
+        # only a structural zero is the same number in both markets
+        assert all(names[key] != other_names[key] or names[key] == 0.0 for key in floats)
+        numbers = {tok.string for text in source
+                   for tok in tokenize.generate_tokens(io.StringIO(text).readline)
+                   if tok.type == tokenize.NUMBER}
+        assert numbers <= {"0", "1", "0.5", "1.0", "2.0", "6.0"}, numbers
+
+
+@pytest.mark.parametrize("freeze", [False, True])
+def test_averaged_kernel_matches_generic_rk4_on_rhs(freeze):
+    # Several deceivers, overlapping victim sets and a deceiver that is
+    # another's victim, against numerics.rk4_step on the reference rhs.
+    rng = np.random.default_rng(29)
+    structures = [(topo.deceivers, topo.victims, game) for game, topo, _, _ in _rich_cases()]
+    r, m, sd = oracles.random_market(rng, n_min=4, n_max=4)
+    structures.append(((1, 3, 2), ((0,), (0, 2), (0, 3)),
+                       build_quadratic_game(OligopolyParams(r, m, sd))))
+    for deceivers, victims, game in structures:
+        n, k = game.n_players, len(deceivers)
+        topo = DeceptionTopology(deceivers, victims, eps=1e-3,
+                                 eps_rates=rng.uniform(0.5, 2.0, size=k),
+                                 cost_refs=rng.uniform(-500.0, 0.0, size=k))
+        tuning = NESTuning(amplitude=rng.uniform(0.01, 0.1, size=n),
+                           gain=rng.uniform(0.005, 0.02, size=n), omega=0.7,
+                           omega_ratio=tuple(range(3, 3 + n)))
+        init = SimState(t=0.0, u=game.nash_equilibrium() + rng.uniform(-1.0, 1.0, size=n),
+                        delta=rng.uniform(-1.0, 1.0, size=k))
+        dt, n_steps = 0.5, 20
+        traj = simulate("averaged", game, topo, tuning, initial=init,
+                        horizon=dt * n_steps / tuning.omega, stride=n_steps, dt=dt,
+                        freeze_delta=freeze)
+
+        def f(t, y):
+            dy = rhs("averaged", game, topo, tuning, SimState(t=t, u=y[:n], delta=y[n:]))
+            return np.concatenate([dy[:n], 0.0 * dy[n:] if freeze else dy[n:]])
+
+        y = np.concatenate([init.u, init.delta])
+        for i in range(n_steps):
+            y = numerics.rk4_step(f, i * dt, y, dt)
+        got = np.concatenate([traj.u[-1], traj.delta[-1]])
+        assert np.max(np.abs(got - y)) < 1e-13 * (1 + np.max(np.abs(y))), (
+            f"{deceivers} {victims}: {got - y}")
+        assert np.any(traj.delta[-1] != init.delta) != freeze
+
+
+@pytest.mark.parametrize("n_victims", [1, 2, 3, 4])
+def test_reduced_kernel_matches_generic_rk4_on_rhs(n_victims):
+    rng = np.random.default_rng(31 + n_victims)
+    cases = [_reduced_case(rng, n_victims) for _ in range(5)]
+    # 30 players with resistances 1e-7 of the usual: det Qbar(d)**2
+    # overflows, so every stage must take the gated solve
+    cases.append(_reduced_case(rng, n_victims, n_players=30, resistance_scale=1e-7))
+    for game, topo, tuning in cases:
+        n = game.n_players
+        init = SimState(t=0.0, u=np.zeros(n), delta=rng.uniform(-1.0, 1.0, size=1))
+
+        def f(t, d):
+            return rhs("reduced", game, topo, tuning, SimState(t=t, u=np.zeros(n), delta=d))
+
+        # Steps short against the field's scale and its rate of change, so
+        # the gain travels at most 0.5 and no stage lands next to a pole: a
+        # run that jumps across poles is chaotic, and there any rounding
+        # difference grows without bound.
+        rate = abs(float(lambda_matrix(game, topo, init.delta)[0, 0])) / tuning.omega
+        dt, n_steps = min(0.02 / rate, 0.02 / abs(f(0.0, init.delta)[0])), 25
+        traj = simulate("reduced", game, topo, tuning, initial=init,
+                        horizon=dt * n_steps / (topo.eps * tuning.omega),
+                        stride=n_steps, dt=dt)
+        y = init.delta
+        for i in range(n_steps):
+            y = numerics.rk4_step(f, i * dt, y, dt)
+        assert abs(traj.delta[-1, 0] - y[0]) < 1e-13 * (1 + abs(y[0])), (
+            f"victims {topo.victims[0]}: {traj.delta[-1, 0]} vs {y[0]}")
+        assert abs(y[0] - init.delta[0]) > 1e-3   # the gain moved
+
+
+def test_reduced_kernel_screen_covers_every_singular_gate(game3_published, topology3,
+                                                          tuning3):
+    # Near the pole the stage must raise wherever the gated solve does; a
+    # kernel centred on the pole evaluates them by the polynomials, not by
+    # re-centring.
+    names = _kernel_namespace(dynamics._reduced_kernel(
+        game3_published, topology3, tuning3, [SINGULAR_DELTA], False))
+    gated = 0
+    for scale in 10.0 ** -np.arange(6.0, 17.0, 0.25):
+        for d in (SINGULAR_DELTA - scale, SINGULAR_DELTA + scale):
+            try:
+                deceptive_equilibrium(game3_published, topology3, [d])
+            except numerics.SingularMatrixError:
+                gated += 1
+                with pytest.raises(numerics.SingularMatrixError):
+                    names["stage"](d)
+            else:
+                names["stage"](d)
+    assert gated >= 10
+
+
+@pytest.mark.filterwarnings("ignore:perturbed pseudogradient has condition")
+def test_reduced_run_started_at_a_pole_raises_singular(game3_published, topology3,
+                                                       tuning3, tmp_path):
+    init = SimState(t=0.0, u=np.zeros(3), delta=np.array([SINGULAR_DELTA]))
+    with pytest.raises(numerics.SingularMatrixError):
+        simulate("reduced", game3_published, topology3, tuning3.scaled(0.1),
+                 initial=init, horizon=10.0, dt=1e-3)
+    doc = json.loads(bundled_scenario_path("three_firm_deception").read_text())
+    doc["initial"] = {"delta": [SINGULAR_DELTA]}
+    scen = tmp_path / "pole.json"
+    scen.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--scenario", str(scen), "--out", str(out),
+                     "--model", "reduced"]) == 3
+    err = json.loads((out / "error.json").read_text())
+    assert err["kind"] == "numerical" and err["error"] == "SingularMatrixError", err
+
+
+def test_simulate_takes_the_generated_kernel_where_it_applies(game3_published, topology3,
+                                                             tuning3, monkeypatch):
+    # Generated kernels: the full model up to MAX_GENERATED_PLAYERS, the
+    # averaged model with deceivers up to MAX_GENERATED_AVERAGED_PLAYERS and
+    # the reduced model with one deceiver at any size.  Affine fields take
+    # integrate_affine; the rest the numpy field.
+    routes = []
+
+    def spy(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            routes.append(name)
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in ("_full_kernel", "_averaged_kernel", "_reduced_kernel"):
+        spy(dynamics, name)
+    for name in ("integrate_fixed", "integrate_affine"):
+        spy(numerics, name)
+    rng = np.random.default_rng(37)
+
+    def market(n):
+        r, m, sd = oracles.random_market(rng, n_min=n, n_max=n)
+        return (build_quadratic_game(OligopolyParams(r, m, sd)),
+                DeceptionTopology((0,), ((2, n - 1),), eps=1e-4),
+                NESTuning(amplitude=np.full(n, 0.05), gain=np.full(n, 0.01), omega=1.0,
+                          omega_ratio=tuple(range(3, 3 + n))))
+
+    tun = tuning3.scaled(0.1)
+    two = DeceptionTopology((0, 1), ((2,), (0,)), eps=1e-4)
+    bare = DeceptionTopology((), ())
+    top = market(dynamics.MAX_GENERATED_AVERAGED_PLAYERS)
+    above = market(dynamics.MAX_GENERATED_AVERAGED_PLAYERS + 1)
+    big = market(dynamics.MAX_GENERATED_PLAYERS + 1)
+    cases = [("full", game3_published, topology3, tun, "_full_kernel"),
+             ("averaged", game3_published, topology3, tun, "_averaged_kernel"),
+             ("averaged", game3_published, bare, tun, "integrate_affine"),
+             ("reduced", game3_published, topology3, tun, "_reduced_kernel"),
+             ("reduced", game3_published, two, tun, "integrate_fixed"),
+             ("boundary", game3_published, topology3, tun, "integrate_affine"),
+             ("averaged", *top, "_averaged_kernel"),
+             ("averaged", *above, "integrate_fixed"),
+             ("full", *big, "integrate_fixed"),
+             ("reduced", *big, "_reduced_kernel")]
+    for model, game, topo, tuning, route in cases:
+        routes.clear()
+        simulate(model, game, topo, tuning, horizon=1e-3, dt=1e-4, stride=5)
+        assert routes == [route], (model, game.n_players, topo.deceivers, routes)
+
+
 @pytest.mark.parametrize("model", MODEL_KINDS)
 def test_simulate_refuses_runs_above_the_step_cap(game3_published, topology3,
                                                   tuning3, model):
@@ -662,6 +885,16 @@ def test_full_model_divergence_is_reported(game3_published, topology3,
     with pytest.raises(DivergenceError):
         simulate("full", game3_published, topology3, hot, horizon=2.0,
                  stride=8)
+    # A state that starts non-finite diverges at its first time on every
+    # route: generated kernels, numpy fields and affine maps alike.
+    two = DeceptionTopology((0, 1), ((2,), (0,)), eps=1e-4)
+    for model in MODEL_KINDS:
+        for topo in (topology3, two):
+            init = SimState(t=1.5, u=np.full(3, np.nan), delta=np.full(topo.n_deceivers, -np.inf))
+            with pytest.raises(DivergenceError) as err:
+                simulate(model, game3_published, topo, tuning3.scaled(0.1), initial=init,
+                         horizon=1e-3, dt=1e-4, stride=5)
+            assert err.value.time == 1.5, (model, topo.deceivers)
 
 
 def test_steady_state_window_is_count_based(game3_published, topology3,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -150,6 +151,17 @@ def test_quadratic_blocks_match_oracle():
         assert np.max(np.abs(game.q - q)) < 1e-13
         assert np.max(np.abs(game.b - b)) < 1e-10
         assert np.max(np.abs(game.c - c)) < 1e-10
+
+
+@pytest.mark.parametrize("resistance", [(5e-324, 0.36, 0.8), (1e-200, 1e-200, 1.0)])
+def test_quadratic_game_refuses_coefficients_that_overflow(resistance):
+    # legal parameters whose coefficients are not floats: the error names
+    # the market's numbers, and numpy warns about nothing on the way
+    params = OligopolyParams(np.array(resistance), np.array([20.0, 29.0, 30.0]), 100.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"overflow a float: resistance \["):
+            build_quadratic_game(params)
 
 
 def test_costs_vectorized_matches_per_player(game3):

@@ -355,6 +355,43 @@ def test_cli_overflowing_result_exits_3(tmp_path, scen_path):
     assert err["kind"] == "numerical" and "non-finite" in err["message"], err
 
 
+def test_cli_gain_values_may_start_with_a_minus(tmp_path, scen_path):
+    # argparse reads "-1:1:0.5" and "-inf" as options unless they are
+    # attached to their flag; the space-separated forms must work too, with
+    # the flag written out or abbreviated ("--del" is ambiguous between the
+    # two gain flags, so "--delta" has no abbreviation).
+    for flag in ("--delta-grid", "--delta-g", "--delta-"):
+        out = tmp_path / f"grid{flag}"
+        assert main(["sweep", "--scenario", scen_path, "--out", str(out),
+                     flag, "-1:1:0.5"]) == 0
+        with open(out / "sweep.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [float(r["delta"]) for r in rows] == [-1.0, -0.5, 0.0, 0.5, 1.0]
+    out = tmp_path / "inf"
+    assert main(["stability", "--scenario", scen_path, "--out", str(out),
+                 "--delta", "-inf"]) == 2
+    with open(out / "error.json") as fh:
+        err = json.load(fh)
+    assert err["kind"] == "validation" and "must be finite" in err["message"], err
+
+
+@pytest.mark.parametrize("command", ["nash", "attain", "simulate"])
+def test_cli_overflowing_market_exits_2(tmp_path, scen_path, command):
+    # A legal resistance whose reciprocal overflows: the game cannot be
+    # built, and the error names the input instead of a later symptom.
+    with open(scen_path) as fh:
+        doc = json.load(fh)
+    doc["market"]["resistance"][0] = 5e-324
+    scen = tmp_path / "tiny_resistance.json"
+    scen.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main([command, "--scenario", str(scen), "--out", str(out)]) == 2
+    with open(out / "error.json") as fh:
+        err = json.load(fh)
+    assert err["kind"] == "validation" and err["error"] == "ValueError", err
+    assert "resistance [5e-324, 0.36, 0.8]" in err["message"], err["message"]
+
+
 def test_cli_flag_misuse_exits_2(tmp_path, scen_path, nominal_path):
     out = tmp_path / "w"
     assert main(["sweep", "--scenario", scen_path, "--out", str(out)]) == 2
