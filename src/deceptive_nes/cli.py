@@ -11,6 +11,7 @@ a machine-readable ``error.json`` in the output directory.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import traceback
@@ -113,14 +114,6 @@ def _single_deceiver_delta(scenario: Scenario, value: float | None) -> np.ndarra
     return np.array([value])
 
 
-def _attainability(scenario: Scenario) -> AttainabilityResult:
-    return solve_attainability(
-        scenario.game(),
-        scenario.topology,
-        gains=scenario.tuning.gain,
-    )
-
-
 def _attain_payload(res: AttainabilityResult, game) -> dict:
     costs = game.costs(res.u_star)
     return {
@@ -179,7 +172,7 @@ def _cmd_attain(scenario: Scenario, out_dir: Path, args) -> None:
     if scenario.topology.n_deceivers == 0:
         raise CommandError("attainability analysis needs a deception block")
     game = scenario.game()
-    res = _attainability(scenario)
+    res = solve_attainability(game, scenario.topology, gains=scenario.tuning.gain)
     _write_json(out_dir, "summary.json", _attain_payload(res, game))
 
 
@@ -224,7 +217,7 @@ def _cmd_deceptive_game(scenario: Scenario, out_dir: Path, args) -> None:
     if args.delta is not None:
         delta = _single_deceiver_delta(scenario, args.delta)
     else:
-        res = _attainability(scenario)
+        res = solve_attainability(game, topology, gains=scenario.tuning.gain)
         if not res.attainable:
             raise numerics.ConvergenceError(f"no attainable delta: {res.message}")
         delta = res.delta_star
@@ -291,7 +284,11 @@ _HANDLERS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared, so
+    callers must not change it: building it costs about 15 times what
+    parsing a command line does."""
     parser = argparse.ArgumentParser(
         prog="deceptive-nes",
         description="Oligopoly pricing games under deceptive equilibrium seeking",

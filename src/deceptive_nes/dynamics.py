@@ -452,10 +452,9 @@ class Trajectory:
             [self.times, self.u, self.delta, self.x, self.costs, self.profits]
         )
         line = ",".join(["%.12g"] * len(cols)) + "\n"
+        text = ",".join(cols) + "\n" + line * len(rows) % tuple(rows.ravel().tolist())
         with open(path, "w", newline="") as fh:
-            fh.write(",".join(cols) + "\n")
-            for row in rows.tolist():
-                fh.write(line % tuple(row))
+            fh.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -480,35 +479,32 @@ MAX_GENERATED_PLAYERS = 30
 #: against 1670 µs per step at N = 30, 2.5 against 10600 at 60).
 MAX_GENERATED_AVERAGED_PLAYERS = 13
 
+#: The same bound for the affine fields, ``boundary`` and ``averaged``
+#: without deceivers, against ``numerics.integrate_affine``: the kernel's
+#: step is N**2 multiply-adds in Python, numpy's one matrix-vector product.
+#: Measured per step as above, generated against numpy: 0.31 / 1.92 µs at
+#: N = 3, 0.87 / 1.61 at 6, 1.16 / 1.51 at 7, 1.60 / 1.59 at 8, 2.33 / 1.62
+#: at 10; the kernel also costs 25-90 µs more to set up.
+MAX_GENERATED_AFFINE_PLAYERS = 7
 
-def _rk4_run(state, records, axis, clock=(), tones=((), (), (), ())) -> str:
-    """Source of ``run``, the RK4 loop of every generated kernel.
 
-    ``run(*state, t0, dt, n_steps, stride, ts, *buffers)`` takes ``n_steps``
-    classical RK4 steps of the generated ``stage`` from the floats named in
-    ``state``.  Every ``stride``-th step it checks the state finite, raising
+def _run_loop(state, records, axis, body) -> str:
+    """Source of ``run``, the loop of every generated kernel.
+
+    ``run(*state, t0, dt, n_steps, stride, ts, *buffers)`` runs the ``body``
+    lines ``n_steps`` times; they advance the floats named in ``state`` by one
+    step and may read ``step``, ``half = dt / 2`` and ``sixth = dt / 6``.
+    Every ``stride``-th step it checks the state finite, raising
     :class:`DivergenceError` on the ``axis`` axis, appends the time to ``ts``
     and, for each ``(buffer, names)`` of ``records``, those floats to that
-    buffer.  The ``clock`` lines open every step, and ``tones[r]`` are the
-    arguments stage ``r + 1`` takes after the state: the full model's
-    sinusoids.
+    buffer.
     """
-    def stage_call(r, step):
-        """RK4 stage ``r``, at the state plus ``step`` times stage ``r - 1``."""
-        at = state if r == 1 else [f"{v} + {step} * f{r - 1}{v}" for v in state]
-        return (f"        {''.join(f'f{r}{v}, ' for v in state)}= stage("
-                f"{', '.join([*at, *tones[r - 1]])})")
-
     buffers = [buffer for buffer, _ in records]
     run = [f"def run({', '.join([*state, 't0', 'dt', 'n_steps', 'stride', 'ts', *buffers])}):",
            "    half = 0.5 * dt",
            "    sixth = dt / 6.0",
            "    for step in range(n_steps):"]
-    run += [f"        {line}" for line in clock]
-    run += [stage_call(1, None), stage_call(2, "half"),
-            stage_call(3, "half"), stage_call(4, "dt")]
-    run += [f"        {v} = {v} + sixth * (f1{v} + 2.0 * (f2{v} + f3{v}) + f4{v})"
-            for v in state]
+    run += [f"        {line}" for line in body]
     run += ["        if (step + 1) % stride == 0:",
             "            tr = t0 + (step + 1) * dt",
             f"            if not ({' and '.join(f'isfinite({v})' for v in state)}):",
@@ -516,6 +512,22 @@ def _rk4_run(state, records, axis, clock=(), tones=((), (), (), ())) -> str:
             "            ts.append(tr)"]
     run += [f"            {buffer}.extend([{', '.join(names)}])" for buffer, names in records]
     return "\n".join(run) + "\n"
+
+
+def _rk4_body(state, clock=(), tones=((), (), (), ())) -> list[str]:
+    """The lines of one classical RK4 step of the generated ``stage`` from
+    the floats named in ``state``, for :func:`_run_loop`.  The ``clock``
+    lines open the step, and ``tones[r]`` are the arguments stage ``r + 1``
+    takes after the state: the full model's sinusoids.
+    """
+    def stage_call(r, step):
+        """RK4 stage ``r``, at the state plus ``step`` times stage ``r - 1``."""
+        at = state if r == 1 else [f"{v} + {step} * f{r - 1}{v}" for v in state]
+        return f"{''.join(f'f{r}{v}, ' for v in state)}= stage({', '.join([*at, *tones[r - 1]])})"
+
+    return [*clock, stage_call(1, None), stage_call(2, "half"), stage_call(3, "half"),
+            stage_call(4, "dt"),
+            *(f"{v} = {v} + sixth * (f1{v} + 2.0 * (f2{v} + f3{v}) + f4{v})" for v in state)]
 
 
 def _full_kernel(game, topology, tuning, freeze_delta) -> tuple[str, str, dict]:
@@ -565,7 +577,7 @@ def _full_kernel(game, topology, tuning, freeze_delta) -> tuple[str, str, dict]:
     clock += [f"{s}{i} = sin(w{i} * {t})"
               for s, t in (("s", "t"), ("h", "tm"), ("e", "te")) for i in players]
     tones = [[f"{s}{i}" for i in players] for s in "shhe"]
-    run = _rk4_run(state, [("us", u), ("ds", d)], "t", clock, tones)
+    run = _run_loop(state, [("us", u), ("ds", d)], "t", _rk4_body(state, clock, tones))
     return "\n".join(stage) + "\n", run, names
 
 
@@ -610,7 +622,7 @@ def _averaged_kernel(game, topology, tuning, freeze_delta) -> tuple[str, str, di
             parts.append(f"({coef}) * {y[j]}" if ls else f"{coef} * {y[j]}")
         rows.append(" + ".join(parts))
     stage = f"def stage({', '.join(y)}):\n    return {''.join(f'{r}, ' for r in rows)}\n"
-    return stage, _rk4_run(y, [("us", y[:n]), ("ds", y[n:])], "tau"), names
+    return stage, _run_loop(y, [("us", y[:n]), ("ds", y[n:])], "tau", _rk4_body(y)), names
 
 
 def _reduced_kernel(game, topology, tuning, delta, freeze_delta) -> tuple[str, str, dict]:
@@ -704,7 +716,27 @@ def _reduced_kernel(game, topology, tuning, delta, freeze_delta) -> tuple[str, s
               f"    num = f{2 * v}"]
     stage += [f"    num = num * x + f{k}" for k in range(2 * v - 1, -1, -1)]
     stage.append("    return rate * (num / den / den),")
-    return "\n".join(stage) + "\n", _rk4_run(["d0"], [("ds", ["d0"])], "tau_star"), names
+    run = _run_loop(["d0"], [("ds", ["d0"])], "tau_star", _rk4_body(["d0"]))
+    return "\n".join(stage) + "\n", run, names
+
+
+def _affine_kernel(a, c, dt, axis) -> tuple[str, dict]:
+    """Source of the ``run`` loop that steps the affine field ``a @ y + c``
+    by its exact RK4 map ``y <- R y + s`` (:func:`numerics.affine_rk4_map`),
+    and the namespace of numbers it reads.
+
+    Row ``i`` is ``(R_i0 y_0 + R_i1 y_1 + ...) + s_i``, summed left to
+    right, every entry a bound name, so the source depends only on the size
+    of ``y``.
+    """
+    r, s = numerics.affine_rk4_map(a, c, dt)
+    y = [f"y{i}" for i in range(len(s))]
+    names = {f"r{i}_{j}": v for i, row in enumerate(r.tolist()) for j, v in enumerate(row)}
+    names.update({f"s{i}": v for i, v in enumerate(s.tolist())})
+    rows = [f"({' + '.join(f'r{i}_{j} * {v}' for j, v in enumerate(y))}) + s{i}"
+            for i in range(len(y))]
+    body = [f"{''.join(f'{v}, ' for v in y)}= {''.join(f'{row}, ' for row in rows)}"]
+    return _run_loop(y, [("ys", y)], axis, body), names
 
 
 @functools.lru_cache(maxsize=16)
@@ -870,8 +902,11 @@ def simulate(
     else:
         c, a, tensor = (None, None, None) if model in ("full", "reduced") else \
             _polynomial_field(model, game, topology, tuning, initial.delta, freeze_delta)
-        if tensor is not None and not tensor.any():
-            # an affine field: each RK4 step is exactly one affine map
+        affine = tensor is not None and not tensor.any()   # each RK4 step one affine map
+        if affine and n <= MAX_GENERATED_AFFINE_PLAYERS:
+            times, states = _run_kernel(
+                _affine_kernel(a, c, step, axis), (y0,), initial.t, step, n_steps, stride)
+        elif affine:
             times, states = numerics.integrate_affine(
                 a, c, initial.t, y0, step, n_steps, record_every=stride)
         else:

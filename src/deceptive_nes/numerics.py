@@ -223,18 +223,20 @@ def integrate_affine(
     a: np.ndarray, c: np.ndarray, t0: float, y0: np.ndarray, dt: float, n_steps: int,
     *, record_every: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`integrate_fixed` of the field ``f(t, y) = a @ y + c``.
+    """:func:`integrate_fixed` of the field ``f(t, y) = a @ y + c``, each
+    step one matrix-vector product by :func:`affine_rk4_map`."""
+    r, s = affine_rk4_map(a, c, dt)
+    return _record(lambda t, y: r @ y + s, t0, y0, dt, n_steps, record_every)
 
-    One RK4 step of an affine field is exactly the affine map ``y <- R y +
-    s`` with ``R = sum_{j<=4} (h a)^j / j!`` and ``s = h sum_{j<=3} (h
-    a)^j / (j+1)! c``, so each step is one matrix-vector product.
-    """
+
+def affine_rk4_map(a: np.ndarray, c: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """``(R, s)`` with one RK4 step of the field ``a @ y + c`` exactly the
+    affine map ``y <- R y + s``: ``R = sum_{j<=4} (h a)^j / j!`` and ``s = h
+    sum_{j<=3} (h a)^j / (j+1)! c``."""
     ha = dt * np.asarray(a, dtype=float)
     eye = np.eye(len(ha))
     series = eye + ha @ (eye + ha @ (eye + ha / 4.0) / 3.0) / 2.0   # sum_{j<=3} (h a)^j / (j+1)!
-    r = eye + ha @ series
-    s = dt * series @ np.asarray(c, dtype=float)
-    return _record(lambda t, y: r @ y + s, t0, y0, dt, n_steps, record_every)
+    return eye + ha @ series, dt * series @ np.asarray(c, dtype=float)
 
 
 def _record(step, t0, y0, dt, n_steps, record_every):

@@ -585,7 +585,8 @@ def _reduced_case(rng, n_victims, n_players=5, resistance_scale=1.0):
 def test_dither_free_kernel_sources_depend_only_on_market_structure():
     # As for the full model: two markets alike in players, deceivers and
     # victims, unlike in every number, share the averaged and the reduced
-    # kernel's source text, and it carries no number of the market.
+    # kernel's source text, and it carries no number of the market; two
+    # affine fields of one size share the affine kernel's.
     game, topo, tuning, rng = _rich_cases(1)[0]
     k = topo.n_deceivers
     r, m, sd = oracles.random_market(rng, game.n_players, game.n_players)
@@ -602,7 +603,9 @@ def test_dither_free_kernel_sources_depend_only_on_market_structure():
     pairs = [(dynamics._averaged_kernel(game, topo, tuning, False),
               dynamics._averaged_kernel(other, retopo, retuned, False)),
              (dynamics._reduced_kernel(game, single, tuning, [0.0], False),
-              dynamics._reduced_kernel(other, resingle, retuned, [1.5], False))]
+              dynamics._reduced_kernel(other, resingle, retuned, [1.5], False)),
+             (dynamics._affine_kernel(*_stable_affine_field(rng, 4), 0.01, "tau"),
+              dynamics._affine_kernel(*_stable_affine_field(rng, 4), 0.03, "tau"))]
     for (*source, names), (*same, other_names) in pairs:
         assert same == source
         floats = [key for key, value in names.items() if isinstance(value, float)]
@@ -724,9 +727,11 @@ def test_reduced_run_started_at_a_pole_raises_singular(game3_published, topology
 def test_simulate_takes_the_generated_kernel_where_it_applies(game3_published, topology3,
                                                              tuning3, monkeypatch):
     # Generated kernels: the full model up to MAX_GENERATED_PLAYERS, the
-    # averaged model with deceivers up to MAX_GENERATED_AVERAGED_PLAYERS and
-    # the reduced model with one deceiver at any size.  Affine fields take
-    # integrate_affine; the rest the numpy field.
+    # averaged model with deceivers up to MAX_GENERATED_AVERAGED_PLAYERS,
+    # the reduced model with one deceiver at any size and the affine fields
+    # (boundary, averaged without deceivers) up to
+    # MAX_GENERATED_AFFINE_PLAYERS, above it integrate_affine; the rest the
+    # numpy field.
     routes = []
 
     def spy(module, name):
@@ -737,7 +742,7 @@ def test_simulate_takes_the_generated_kernel_where_it_applies(game3_published, t
             return inner(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapper)
 
-    for name in ("_full_kernel", "_averaged_kernel", "_reduced_kernel"):
+    for name in ("_full_kernel", "_averaged_kernel", "_reduced_kernel", "_affine_kernel"):
         spy(dynamics, name)
     for name in ("integrate_fixed", "integrate_affine"):
         spy(numerics, name)
@@ -756,12 +761,17 @@ def test_simulate_takes_the_generated_kernel_where_it_applies(game3_published, t
     top = market(dynamics.MAX_GENERATED_AVERAGED_PLAYERS)
     above = market(dynamics.MAX_GENERATED_AVERAGED_PLAYERS + 1)
     big = market(dynamics.MAX_GENERATED_PLAYERS + 1)
+    affine_top = market(dynamics.MAX_GENERATED_AFFINE_PLAYERS)
+    affine_above = market(dynamics.MAX_GENERATED_AFFINE_PLAYERS + 1)
     cases = [("full", game3_published, topology3, tun, "_full_kernel"),
              ("averaged", game3_published, topology3, tun, "_averaged_kernel"),
-             ("averaged", game3_published, bare, tun, "integrate_affine"),
+             ("averaged", game3_published, bare, tun, "_affine_kernel"),
              ("reduced", game3_published, topology3, tun, "_reduced_kernel"),
              ("reduced", game3_published, two, tun, "integrate_fixed"),
-             ("boundary", game3_published, topology3, tun, "integrate_affine"),
+             ("boundary", game3_published, topology3, tun, "_affine_kernel"),
+             ("boundary", *affine_top, "_affine_kernel"),
+             ("boundary", *affine_above, "integrate_affine"),
+             ("averaged", affine_above[0], bare, affine_above[2], "integrate_affine"),
              ("averaged", *top, "_averaged_kernel"),
              ("averaged", *above, "integrate_fixed"),
              ("full", *big, "integrate_fixed"),
@@ -770,6 +780,51 @@ def test_simulate_takes_the_generated_kernel_where_it_applies(game3_published, t
         routes.clear()
         simulate(model, game, topo, tuning, horizon=1e-3, dt=1e-4, stride=5)
         assert routes == [route], (model, game.n_players, topo.deceivers, routes)
+
+
+def _stable_affine_field(rng, m):
+    """``(a, c)`` of a random affine field ``a @ y + c`` whose symmetric
+    part is negative definite, so every solution decays."""
+    b, w = rng.standard_normal((m, m)), rng.standard_normal((m, m))
+    return -(b @ b.T / m + 0.1 * np.eye(m)) + (w - w.T) / 2.0, rng.standard_normal(m)
+
+
+def test_affine_kernel_matches_rk4_and_integrate_affine():
+    # The generated affine map against numerics.rk4_step on the field and
+    # against the numpy map of integrate_affine, every recorded row.
+    rng = np.random.default_rng(41)
+    for m in range(1, dynamics.MAX_GENERATED_AFFINE_PLAYERS + 1):
+        for stride in (1, 5, 7):
+            a, c = _stable_affine_field(rng, m)
+            y0, t0 = rng.uniform(-5.0, 5.0, size=m), rng.uniform(-1.0, 1.0)
+            dt, n_steps = 0.2 / np.linalg.norm(a, np.inf), 6 * stride
+            times, states = dynamics._run_kernel(
+                dynamics._affine_kernel(a, c, dt, "t"), (y0,), t0, dt, n_steps, stride)
+            ref_times, ref = numerics.integrate_affine(a, c, t0, y0, dt, n_steps,
+                                                       record_every=stride)
+            assert np.array_equal(times, ref_times)
+            scale = np.max(np.abs(ref), axis=1, keepdims=True)
+            assert np.all(np.abs(states - ref) <= 1e-12 * scale), (m, stride)
+            y = y0
+            for i in range(n_steps):
+                y = numerics.rk4_step(lambda t, v: a @ v + c, t0 + i * dt, y, dt)
+            assert np.max(np.abs(states[-1] - y)) <= 1e-12 * np.max(np.abs(y)), (m, stride)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in matmul")
+def test_affine_kernel_diverges_when_integrate_affine_does(game3_published, topology3,
+                                                          tuning3, monkeypatch):
+    # delta = 7 lies outside the stability set: the frozen-gain boundary
+    # layer grows until it overflows, at the same recorded time on both routes.
+    init = SimState(t=0.0, u=np.array([1.0, 1.0, 1.0]), delta=np.array([7.0]))
+    times = []
+    for bound in (dynamics.MAX_GENERATED_AFFINE_PLAYERS, 0):
+        monkeypatch.setattr(dynamics, "MAX_GENERATED_AFFINE_PLAYERS", bound)
+        with pytest.raises(DivergenceError) as err:
+            simulate("boundary", game3_published, topology3, tuning3, initial=init,
+                     horizon=1e5, stride=16)
+        times.append((err.value.time, err.value.axis))
+    assert times[0] == times[1] and times[0][1] == "t"
 
 
 @pytest.mark.parametrize("model", MODEL_KINDS)
@@ -935,3 +990,22 @@ def test_write_csv_round_trip(tmp_path, game3_published, topology3, tuning3):
         t = traj.times[idx]
         mu = dither_vector(tun, topology3, traj.delta[idx], t)
         assert np.max(np.abs(traj.x[idx] - (traj.u[idx] + mu))) < 1e-12
+
+
+def test_write_csv_matches_per_cell_formatting(tmp_path):
+    # The CSV is formatted in one call; each cell must read as
+    # format(v, ".12g") would write it, signed zero and extremes included.
+    cells = [-0.0, 0.0, 1e-300, -1e-300, 1e300, 3.0, -7.0, 2.0 ** 60, 1e15, 1.0 / 3.0,
+             123456789012.5, -2.5e-7, 5e-324, -1e300]
+    meta = dynamics.TrajectoryMeta(model="boundary", time_axis="t", to_physical=1.0,
+                                   dt=0.1, stride=1, common_period=1.0, deceivers=(1,))
+    for n_rows in (1, 5):
+        v = np.array([np.roll(cells, -k) for k in range(n_rows)])
+        traj = dynamics.Trajectory(times=v[:, 0], u=v[:, 1:4], delta=v[:, 4:5],
+                                   x=v[:, 5:8], costs=v[:, 8:11], profits=v[:, 11:14],
+                                   meta=meta)
+        path = tmp_path / f"rows{n_rows}.csv"
+        traj.write_csv(path)
+        lines = ["t,u_1,u_2,u_3,delta_2,x_1,x_2,x_3,J_1,J_2,J_3,P_1,P_2,P_3"]
+        lines += [",".join(format(x, ".12g") for x in row) for row in v.tolist()]
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()

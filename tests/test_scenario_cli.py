@@ -15,6 +15,7 @@ import pytest
 from deceptive_nes import (
     ScenarioError,
     bundled_scenario_path,
+    cli,
     load_scenario,
     scenario_from_dict,
     write_scenario,
@@ -515,6 +516,42 @@ def test_cli_rejects_flags_the_command_ignores(tmp_path, scen_path, argv):
         assert json.load(fh)["kind"] == "validation"
     assert not (out / "summary.json").exists()
 
+
+
+def test_cli_parser_is_built_once_and_leaks_no_state(tmp_path, scen_path):
+    # main() reuses one parser per process: every command must write the
+    # same bytes as after a fresh parser, whatever the commands before it
+    # set, a usage error (SystemExit 2) included.
+    with open(scen_path) as fh:
+        doc = json.load(fh)
+    doc["sim"]["model"] = "averaged"   # a cheap model for `simulate` without --model
+    scen = tmp_path / "averaged.json"
+    scen.write_text(json.dumps(doc))
+    sequence = [["simulate", "--model", "reduced"], ["simulate"],
+                ["stability", "--delta", "2.1"], ["stability", "--delta-grid", "0:6:0.5"],
+                ["simulate", "--model", "bogus"], ["stability", "--delta", "1.5"]]
+
+    def run(argv, out):
+        try:
+            return main([argv[0], "--scenario", str(scen), "--out", str(out), *argv[1:]])
+        except SystemExit as exc:
+            return exc.code
+
+    cli.build_parser.cache_clear()
+    shared = [run(argv, tmp_path / "shared" / str(i)) for i, argv in enumerate(sequence)]
+    assert cli.build_parser.cache_info().misses == 1
+    fresh = []
+    for i, argv in enumerate(sequence):
+        cli.build_parser.cache_clear()
+        fresh.append(run(argv, tmp_path / "fresh" / str(i)))
+    assert shared == fresh == [0, 0, 0, 0, 2, 0]
+    for i in range(len(sequence)):
+        a, b = tmp_path / "shared" / str(i), tmp_path / "fresh" / str(i)
+        files = sorted(p.name for p in a.glob("*"))
+        assert files == sorted(p.name for p in b.glob("*")), sequence[i]
+        assert files or i == 4, sequence[i]
+        for name in files:
+            assert (a / name).read_bytes() == (b / name).read_bytes(), (sequence[i], name)
 
 def test_console_script_entry_point(tmp_path, scen_path):
     out = tmp_path / "console"
