@@ -48,9 +48,15 @@ def is_hurwitz(m: np.ndarray) -> bool | np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.size == 0:
         return True
-    scale = np.max(np.sum(np.abs(m), axis=-1), axis=-1)
-    verdict = numerics.spectral_abscissa(m) < -HURWITZ_RTOL * (1.0 + scale)
+    verdict = hurwitz_verdict(m, numerics.spectral_abscissa(m))
     return verdict if m.ndim > 2 else bool(verdict)
+
+
+def hurwitz_verdict(m: np.ndarray, abscissa: float | np.ndarray) -> np.bool_ | np.ndarray:
+    """:func:`is_hurwitz` of ``m`` (one matrix or a stack) from its spectral
+    abscissa, for a caller that already has it."""
+    scale = np.max(np.sum(np.abs(m), axis=-1), axis=-1)
+    return abscissa < -HURWITZ_RTOL * (1.0 + scale)
 
 
 @dataclass(frozen=True)

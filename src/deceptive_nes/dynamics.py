@@ -488,141 +488,178 @@ MAX_GENERATED_AVERAGED_PLAYERS = 13
 MAX_GENERATED_AFFINE_PLAYERS = 7
 
 
-def _run_loop(state, records, axis, body) -> str:
+def _run_loop(state, records, axis, body, prologue=(), params=()) -> str:
     """Source of ``run``, the loop of every generated kernel.
 
-    ``run(*state, t0, dt, n_steps, stride, ts, *buffers)`` runs the ``body``
-    lines ``n_steps`` times; they advance the floats named in ``state`` by one
-    step and may read ``step``, ``half = dt / 2`` and ``sixth = dt / 6``.
-    Every ``stride``-th step it checks the state finite, raising
-    :class:`DivergenceError` on the ``axis`` axis, appends the time to ``ts``
-    and, for each ``(buffer, names)`` of ``records``, those floats to that
-    buffer.
+    ``run(*state, t0, dt, n_steps, stride, ts, *buffers, *params)`` runs the
+    ``prologue`` lines, then ``n_steps // stride`` blocks of ``stride``
+    ``body`` lines (a part-block would record nothing).  They advance the
+    floats named in ``state`` by one step and may read ``step``, the steps
+    taken once this one ends, ``half = dt / 2`` and ``sixth = dt / 6``.
+    After each block it checks the state finite, raising
+    :class:`DivergenceError` on the ``axis`` axis, appends the time to
+    ``ts`` and, for each ``(buffer, names)`` of ``records``, those floats to
+    that buffer.  ``params`` default to the namespace's values: locals.
     """
     buffers = [buffer for buffer, _ in records]
-    run = [f"def run({', '.join([*state, 't0', 'dt', 'n_steps', 'stride', 'ts', *buffers])}):",
+    args = [*state, "t0", "dt", "n_steps", "stride", "ts", *buffers, *(f"{p}={p}" for p in params)]
+    run = [f"def run({', '.join(args)}):",
            "    half = 0.5 * dt",
            "    sixth = dt / 6.0",
-           "    for step in range(n_steps):"]
-    run += [f"        {line}" for line in body]
-    run += ["        if (step + 1) % stride == 0:",
-            "            tr = t0 + (step + 1) * dt",
-            f"            if not ({' and '.join(f'isfinite({v})' for v in state)}):",
-            f'                raise DivergenceError(tr, "{axis}")',
-            "            ts.append(tr)"]
-    run += [f"            {buffer}.extend([{', '.join(names)}])" for buffer, names in records]
+           *(f"    {line}" for line in prologue),
+           "    for last in range(stride, n_steps + 1, stride):",
+           "        for step in range(last - stride + 1, last + 1):"]
+    run += [f"            {line}" for line in body]
+    run += ["        tr = t0 + last * dt",
+            f"        if not ({' and '.join(f'isfinite({v})' for v in state)}):",
+            f'            raise DivergenceError(tr, "{axis}")',
+            "        ts.append(tr)"]
+    run += [f"        {buffer}.extend([{', '.join(names)}])" for buffer, names in records]
     return "\n".join(run) + "\n"
 
 
-def _rk4_body(state, clock=(), tones=((), (), (), ())) -> list[str]:
-    """The lines of one classical RK4 step of the generated ``stage`` from
-    the floats named in ``state``, for :func:`_run_loop`.  The ``clock``
-    lines open the step, and ``tones[r]`` are the arguments stage ``r + 1``
-    takes after the state: the full model's sinusoids.
+def _rk4_body(state, stage) -> list[str]:
+    """The lines of one classical RK4 step of the floats named in ``state``,
+    for :func:`_run_loop`.  ``stage(r, at, out)`` gives the lines that set
+    the floats named in ``out`` to the derivative of RK4 stage ``r`` at the
+    point whose components are the expressions ``at``.
     """
-    def stage_call(r, step):
-        """RK4 stage ``r``, at the state plus ``step`` times stage ``r - 1``."""
-        at = state if r == 1 else [f"{v} + {step} * f{r - 1}{v}" for v in state]
-        return f"{''.join(f'f{r}{v}, ' for v in state)}= stage({', '.join([*at, *tones[r - 1]])})"
+    body = []
+    for r, step in enumerate((None, "half", "half", "dt"), 1):
+        at = state if step is None else [f"{v} + {step} * f{r - 1}{v}" for v in state]
+        body += stage(r, at, [f"f{r}{v}" for v in state])
+    return body + [f"{v} = {v} + sixth * (f1{v} + 2.0 * (f2{v} + f3{v}) + f4{v})" for v in state]
 
-    return [*clock, stage_call(1, None), stage_call(2, "half"), stage_call(3, "half"),
-            stage_call(4, "dt"),
-            *(f"{v} = {v} + sixth * (f1{v} + 2.0 * (f2{v} + f3{v}) + f4{v})" for v in state)]
+
+def _stage_calls(tones=((),) * 4, clock=()):
+    """The ``stage`` of :func:`_rk4_body` for a kernel with a compiled
+    ``stage``: stage ``r`` calls it with ``tones[r - 1]`` after the point,
+    and the ``clock`` lines open stage 2."""
+    # the trailing comma keeps a one-component derivative a tuple
+    return lambda r, at, out: [*(clock if r == 2 else ()), "".join(f"{o}, " for o in out)
+                               + f"= stage({', '.join([*at, *tones[r - 1]])})"]
 
 
 def _full_kernel(game, topology, tuning, freeze_delta) -> tuple[str, str, dict]:
     """Source of the full model's RK4 ``stage`` and ``run`` loop for this
-    market, and the namespace of numbers they read.
-
-    Every player and victim is unrolled and the state travels as separate
-    floats.  Every number is a name bound in the namespace, never a literal,
-    so the source depends only on the player count, the deceivers and their
-    victims.  Sums are flat left-to-right chains from ``0.0``, in the order
-    ``x = (u + a o s) + (delta . G)(a o s)`` and ``J_i = x_i (sum_j Q_ij x_j
-    - Q_ii x_i / 2) + sum_j b_ij x_j + c_i``.
+    market (:func:`_full_source`), and the namespace of numbers they read.
     """
-    n, z = game.n_players, topology.deceivers
-    players, decs = range(n), range(len(z))
+    n = game.n_players
+    q, b = game.pseudogradient_matrix.tolist(), game.b.tolist()
     names = {"sin": math.sin}
-    for i in players:
+    for i in range(n):
         amp = names[f"a{i}"] = float(tuning.amplitude[i])
         names[f"w{i}"] = tuning.omega * float(tuning.omega_ratio[i])
         names[f"m{i}"] = -(2.0 * float(tuning.gain[i]) / amp)
         names[f"c{i}"] = float(game.c[i])
-        for j in players:
-            names[f"q{i}_{j}"] = float(game.pseudogradient_matrix[i, j])
-            names[f"b{i}_{j}"] = float(game.b[i, j])
-    for k in decs:
+        names[f"hq{i}"] = 0.5 * q[i][i]
+        names.update({f"q{i}_{j}": v for j, v in enumerate(q[i])})
+        names.update({f"b{i}_{j}": v for j, v in enumerate(b[i])})
+    for k in range(topology.n_deceivers):
         names[f"g{k}"] = 0.0 if freeze_delta else topology.eps * topology.eps_rates[k]
         names[f"r{k}"] = topology.cost_refs[k]
+    return (*_full_source(n, topology.deceivers, topology.victims), names)
 
-    def chain(terms):
-        return " + ".join(["0.0", *terms])
 
-    u, d = [f"u{i}" for i in players], [f"d{k}" for k in decs]
+@functools.lru_cache(maxsize=16)
+def _full_source(n, deceivers, victims) -> tuple[str, str]:
+    """Source of the full model's ``stage`` and ``run`` for ``n`` players
+    and these deceivers and victims, built once per structure.
+
+    Every player and victim is unrolled and the state travels as separate
+    floats.  Every number is a bound name, never a literal.  Sums are flat
+    left-to-right chains, in the order ``x = (u + a o s) + (delta . G)(a o
+    s)`` and ``J_i = x_i (sum_j Q_ij x_j - Q_ii x_i / 2) + sum_j b_ij x_j +
+    c_i``.  The tones at the end of a step, at ``t0 + step * dt``, are those
+    at the start of the next, so a step takes ``2 n`` sines.
+    """
+    players = range(n)
+    u, d = [f"u{i}" for i in players], [f"d{k}" for k in range(len(deceivers))]
     state = u + d
     stage = [f"def stage({', '.join(state + [f's{i}' for i in players])}):"]
     stage += [f"    x{i} = u{i} + a{i} * s{i}" for i in players]
-    stage += [f"    x{zk} = x{zk} + d{k} * ({chain(f'a{l} * s{l}' for l in vs)})"
-              for k, (zk, vs) in enumerate(zip(z, topology.victims))]
-    stage += [f"    j{i} = x{i} * ({chain(f'q{i}_{j} * x{j}' for j in players)}"
-              f" - 0.5 * q{i}_{i} * x{i}) + ({chain(f'b{i}_{j} * x{j}' for j in players)})"
+    stage += [f"    x{zk} = x{zk} + d{k} * ({' + '.join(f'a{l} * s{l}' for l in vs)})"
+              for k, (zk, vs) in enumerate(zip(deceivers, victims))]
+    stage += [f"    j{i} = x{i} * ({' + '.join(f'q{i}_{j} * x{j}' for j in players)}"
+              f" - hq{i} * x{i}) + ({' + '.join(f'b{i}_{j} * x{j}' for j in players)})"
               f" + c{i}" for i in players]
-    # the trailing comma keeps a one-component derivative a tuple
     stage.append("    return " + "".join(
         [*(f"m{i} * j{i} * s{i}, " for i in players),
-         *(f"g{k} * (j{zk} - r{k}), " for k, zk in enumerate(z))]))
+         *(f"g{k} * (j{zk} - r{k}), " for k, zk in enumerate(deceivers))]))
 
-    clock = ["t = t0 + step * dt", "tm = t + half", "te = t + dt"]
-    clock += [f"{s}{i} = sin(w{i} * {t})"
-              for s, t in (("s", "t"), ("h", "tm"), ("e", "te")) for i in players]
-    tones = [[f"{s}{i}" for i in players] for s in "shhe"]
-    run = _run_loop(state, [("us", u), ("ds", d)], "t", _rk4_body(state, clock, tones))
-    return "\n".join(stage) + "\n", run, names
+    clock = ["tm = te + half", "te = t0 + step * dt"]
+    clock += [f"{s}{i} = sin(w{i} * {t})" for s, t in (("h", "tm"), ("e", "te")) for i in players]
+    tones = [[f"{s}{i}" for i in players] for s in "ehhe"]
+    prologue = ["te = t0", *(f"e{i} = sin(w{i} * t0)" for i in players)]
+    body = _rk4_body(state, _stage_calls(tones, clock))
+    run = _run_loop(state, [("us", u), ("ds", d)], "t", body, prologue,
+                    ["sin", "stage", *(f"w{i}" for i in players)])
+    return "\n".join(stage) + "\n", run
 
 
-def _averaged_kernel(game, topology, tuning, freeze_delta) -> tuple[str, str, dict]:
-    """Source of the averaged model's RK4 ``stage`` and ``run`` for this
-    market, and the namespace of numbers they read.
-
-    The stage is the polynomial ``c + (A + T y) y`` of
-    :func:`_polynomial_field`, unrolled over its structural nonzeros: row
-    ``i`` is ``c_i + sum_j (A_ij + sum_l S_ijl y_l) y_j`` with ``S_ijl =
-    T_ijl + T_ilj`` (``T_ijj`` for ``l = j``).  ``q[i]`` lives in row and
-    column ``i`` only, so ``P_k`` holds one entry ``(i, i)`` per victim row
-    ``i``.  Price row ``i`` reads every ``u`` and, where ``i`` is a victim of
-    deceiver ``k``, ``delta_k`` and ``delta_k u_i``; gain row ``k`` reads
-    every ``y``, ``u_{z_k}`` times every ``u`` (``q[z_k] / 2``), and
-    ``delta_k`` times the gains of the deceivers whose victims overlap its
-    own (``quad``).  Every number is a bound name, so the source depends
-    only on the player count, the deceivers and their victims.
-    """
-    n, z, victims = game.n_players, topology.deceivers, topology.victims
+def _averaged_kernel(game, topology, tuning, freeze_delta) -> tuple[str, dict]:
+    """Source of the averaged model's RK4 ``run`` for this market
+    (:func:`_averaged_source`), and the namespace of numbers it reads."""
     c, a, t = _polynomial_field("averaged", game, topology, tuning, None, freeze_delta)
-    y = [f"u{i}" for i in range(n)] + [f"d{k}" for k in range(len(z))]
-    # terms[i][j]: the indices l of the products y_j y_l in row i
+    run, terms = _averaged_source(game.n_players, topology.deceivers, topology.victims)
+    names = {}
+    for i, row in enumerate(terms):
+        names[f"c{i}"] = float(c[i])
+        for j, ls in row:
+            names[f"a{i}_{j}"] = float(a[i, j])
+            for l in ls:
+                names[f"t{i}_{j}_{l}"] = float(t[i, j, l] + t[i, l, j] if l != j else t[i, j, j])
+    return run, names
+
+
+@functools.lru_cache(maxsize=16)
+def _averaged_source(n, deceivers, victims) -> tuple[str, tuple]:
+    """Source of the averaged model's ``run`` for ``n`` players and these
+    deceivers and victims, and its terms, built once per structure.
+
+    The field is the polynomial ``c + (A + T y) y`` of
+    :func:`_polynomial_field`, unrolled over its structural nonzeros into
+    the loop: row ``i`` is ``c_i + sum_j (A_ij + sum_l S_ijl y_l) y_j`` with
+    ``S_ijl = T_ijl + T_ilj`` (``T_ijj`` for ``l = j``), and ``terms[i]``
+    holds the pairs ``(j, ls)`` of its products ``y_j y_l``.  ``q[i]``
+    lives in row and column ``i`` only, so ``P_k`` holds one entry ``(i,
+    i)`` per victim row ``i``.  Price row ``i`` reads every ``u`` and, where
+    ``i`` is a victim of deceiver ``k``, ``delta_k`` and ``delta_k u_i``;
+    gain row ``k`` reads every ``y``, ``u_{z_k}`` times every ``u`` (``q[z_k]
+    / 2``), and ``delta_k`` times the gains of the deceivers whose victims
+    overlap its own (``quad``).  Every number is a parameter of ``run``
+    bound to the namespace's value, so the source depends only on the
+    structure and the loop reads the numbers as locals.
+    """
+    y = [f"u{i}" for i in range(n)] + [f"d{k}" for k in range(len(deceivers))]
     terms = [dict.fromkeys(range(n), ()) for _ in range(n)]
-    terms += [dict.fromkeys(range(len(y)), ()) for _ in z]
+    terms += [dict.fromkeys(range(len(y)), ()) for _ in deceivers]
     for k, vs in enumerate(victims):
         for i in vs:
             terms[i][i] += (n + k,)
             terms[i][n + k] = ()
-        terms[n + k][z[k]] = tuple(range(n))
+        terms[n + k][deceivers[k]] = tuple(range(n))
         terms[n + k][n + k] = tuple(n + l for l, ws in enumerate(victims) if set(vs) & set(ws))
-
-    names, rows = {}, []
+    terms = tuple(tuple(row.items()) for row in terms)
+    params = []
     for i, row in enumerate(terms):
-        names[f"c{i}"] = float(c[i])
-        parts = [f"c{i}"]
-        for j, ls in row.items():
-            names[f"a{i}_{j}"] = float(a[i, j])
-            for l in ls:
-                names[f"t{i}_{j}_{l}"] = float(t[i, j, l] + t[i, l, j] if l != j else t[i, j, j])
-            coef = " + ".join([f"a{i}_{j}", *(f"t{i}_{j}_{l} * {y[l]}" for l in ls)])
-            parts.append(f"({coef}) * {y[j]}" if ls else f"{coef} * {y[j]}")
-        rows.append(" + ".join(parts))
-    stage = f"def stage({', '.join(y)}):\n    return {''.join(f'{r}, ' for r in rows)}\n"
-    return stage, _run_loop(y, [("us", y[:n]), ("ds", y[n:])], "tau", _rk4_body(y)), names
+        params.append(f"c{i}")
+        for j, ls in row:
+            params += [f"a{i}_{j}", *(f"t{i}_{j}_{l}" for l in ls)]
+
+    def rows(at):
+        """The rows at the point whose components are named ``at``."""
+        return [" + ".join([f"c{i}", *(
+            f"({' + '.join([f'a{i}_{j}', *(f't{i}_{j}_{l} * {at[l]}' for l in ls)])}) * {at[j]}"
+            if ls else f"a{i}_{j} * {at[j]}" for j, ls in row)]) for i, row in enumerate(terms)]
+
+    def step(r, at, out):
+        point = y if r == 1 else [f"p{v}" for v in y]
+        bind = [] if r == 1 else [f"{p} = {a}" for p, a in zip(point, at)]
+        return bind + [f"{o} = {row}" for o, row in zip(out, rows(point))]
+
+    run = _run_loop(y, [("us", y[:n]), ("ds", y[n:])], "tau", _rk4_body(y, step), (), params)
+    return run, terms
 
 
 def _reduced_kernel(game, topology, tuning, delta, freeze_delta) -> tuple[str, str, dict]:
@@ -638,7 +675,7 @@ def _reduced_kernel(game, topology, tuning, delta, freeze_delta) -> tuple[str, s
     Horner's rule on the disc ``|x| <= 1``.  A stage outside the disc takes
     the gated numpy route and centres the disc on its gain, so the run keeps
     its accuracy however far the gain travels.  The source depends only on
-    |V|.
+    |V| and is built once per |V| (:func:`_reduced_source`).
     """
     v = len(topology.victims[0])
     z, ref = topology.deceivers[0], topology.cost_refs[0]
@@ -703,6 +740,13 @@ def _reduced_kernel(game, topology, tuning, delta, freeze_delta) -> tuple[str, s
 
     names = {"rate": rate, "exact": exact, "recentre": recentre}
     centre(float(delta[0]))
+    return (*_reduced_source(v), names)
+
+
+@functools.lru_cache(maxsize=16)
+def _reduced_source(v) -> tuple[str, str]:
+    """Source of the reduced model's ``stage`` and ``run`` for a deceiver
+    with ``v`` victims."""
     # where |D| falls under the screen the stage takes the gated route, and
     # the gate decides
     stage = ["def stage(d0):",
@@ -716,8 +760,9 @@ def _reduced_kernel(game, topology, tuning, delta, freeze_delta) -> tuple[str, s
               f"    num = f{2 * v}"]
     stage += [f"    num = num * x + f{k}" for k in range(2 * v - 1, -1, -1)]
     stage.append("    return rate * (num / den / den),")
-    run = _run_loop(["d0"], [("ds", ["d0"])], "tau_star", _rk4_body(["d0"]))
-    return "\n".join(stage) + "\n", run, names
+    run = _run_loop(["d0"], [("ds", ["d0"])], "tau_star", _rk4_body(["d0"], _stage_calls()),
+                    params=["stage"])
+    return "\n".join(stage) + "\n", run
 
 
 def _affine_kernel(a, c, dt, axis) -> tuple[str, dict]:
@@ -726,17 +771,25 @@ def _affine_kernel(a, c, dt, axis) -> tuple[str, dict]:
     and the namespace of numbers it reads.
 
     Row ``i`` is ``(R_i0 y_0 + R_i1 y_1 + ...) + s_i``, summed left to
-    right, every entry a bound name, so the source depends only on the size
-    of ``y``.
+    right, every entry a parameter of ``run`` bound to the namespace's
+    value, so the source depends only on the size of ``y`` and the axis, and
+    is built once per pair (:func:`_affine_source`).
     """
     r, s = numerics.affine_rk4_map(a, c, dt)
-    y = [f"y{i}" for i in range(len(s))]
     names = {f"r{i}_{j}": v for i, row in enumerate(r.tolist()) for j, v in enumerate(row)}
     names.update({f"s{i}": v for i, v in enumerate(s.tolist())})
+    return _affine_source(len(s), axis), names
+
+
+@functools.lru_cache(maxsize=16)
+def _affine_source(m, axis) -> str:
+    """Source of the affine ``run`` for ``m`` floats on the ``axis`` axis."""
+    y = [f"y{i}" for i in range(m)]
     rows = [f"({' + '.join(f'r{i}_{j} * {v}' for j, v in enumerate(y))}) + s{i}"
-            for i in range(len(y))]
+            for i in range(m)]
     body = [f"{''.join(f'{v}, ' for v in y)}= {''.join(f'{row}, ' for row in rows)}"]
-    return _run_loop(y, [("ys", y)], axis, body), names
+    params = [f"r{i}_{j}" for i in range(m) for j in range(m)] + [f"s{i}" for i in range(m)]
+    return _run_loop(y, [("ys", y)], axis, body, params=params)
 
 
 @functools.lru_cache(maxsize=16)
@@ -745,8 +798,10 @@ def _compiled(source: str):
 
 
 def _run_kernel(kernel, groups, t0, dt, n_steps, stride) -> tuple[np.ndarray, ...]:
-    """Run a generated kernel ``(stage, run, namespace)`` from the state
-    ``groups`` (one float vector per record buffer) at ``t0``.
+    """Run a generated kernel, its sources (``stage`` and ``run``, or ``run``
+    alone) and the namespace they read, from the state ``groups`` (one float
+    vector per record buffer) at ``t0`` for ``n_steps // stride`` blocks of
+    ``stride`` steps.
 
     ``stage`` and ``run`` are compiled separately, which keeps the
     compiler's peak memory down, and the code of recent market structures is

@@ -215,6 +215,8 @@ def integrate_fixed(
     ``record_every``-th state (the initial state is always recorded).
 
     Returns ``(times, states)`` with ``states[k]`` the state at ``times[k]``.
+    A state that overflows is recorded as it is, without a floating-point
+    warning; the caller checks the record.
     """
     return _record(lambda t, y: rk4_step(f, t, y, dt), t0, y0, dt, n_steps, record_every)
 
@@ -248,10 +250,11 @@ def _record(step, t0, y0, dt, n_steps, record_every):
     states = np.empty((n_rec,) + y.shape)
     times[0], states[0] = t0, y
     t, row = t0, 1
-    for k in range(1, n_steps + 1):
-        y = step(t, y)
-        t = t0 + k * dt
-        if k % record_every == 0 or k == n_steps:
-            times[row], states[row] = t, y
-            row += 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, n_steps + 1):
+            y = step(t, y)
+            t = t0 + k * dt
+            if k % record_every == 0 or k == n_steps:
+                times[row], states[row] = t, y
+                row += 1
     return times, states

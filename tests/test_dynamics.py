@@ -8,6 +8,7 @@ import json
 import math
 import tokenize
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -28,6 +29,7 @@ from deceptive_nes import (
     default_initial,
     dither_vector,
     lambda_matrix,
+    load_scenario,
     perturbed_pseudogradient,
     rhs,
     simulate,
@@ -510,6 +512,67 @@ def test_full_kernel_source_depends_only_on_market_structure():
     assert numbers <= {"0", "1", "0.0", "0.5", "2.0", "6.0"}, numbers
 
 
+def test_full_kernel_long_run_matches_generic_rk4_on_rhs():
+    # Thousands of steps of the bundled study at its freq-scale: the kernel
+    # carries each step's end tones into the next, so every recorded row is
+    # checked against rhs + numerics.rk4_step, and every recorded time is
+    # exactly t0 + k * stride * dt.  5003 is no multiple of the stride: a
+    # direct caller gets the 714 whole blocks, and the 5 steps left record
+    # nothing.
+    scenario = load_scenario(bundled_scenario_path("three_firm_deception"))
+    game, topo = scenario.game(), scenario.topology
+    tuning = scenario.tuning.scaled(scenario.sim.freq_scale)
+    t0, stride, n_steps = 0.25, 7, 5003
+    dt = 2.0 * math.pi / (float(max(tuning.frequencies())) * 32)
+    init = SimState(t=t0, u=game.nash_equilibrium() + 0.3, delta=np.array([1.0]))
+    times, u, d = dynamics._integrate_full(game, topo, tuning, init, dt, n_steps, stride,
+                                           False)
+    assert times.size == 1 + n_steps // stride
+    assert times.tolist() == [t0 + k * stride * dt for k in range(times.size)]
+
+    def f(t, y):
+        return rhs("full", game, topo, tuning, SimState(t=t, u=y[:3], delta=y[3:]))
+
+    y = np.concatenate([init.u, init.delta])
+    ref = [y]
+    for i in range(n_steps - n_steps % stride):
+        y = numerics.rk4_step(f, t0 + i * dt, y, dt)
+        if (i + 1) % stride == 0:
+            ref.append(y)
+    ref = np.array(ref)
+    got = np.column_stack([u, d])
+    scale = np.max(np.abs(ref), axis=1, keepdims=True)
+    assert np.all(np.abs(got - ref) <= 1e-12 * scale), np.max(np.abs(got - ref) / scale)
+    assert abs(d[-1, 0] - d[0, 0]) > 1e-3   # the gain moved
+
+
+def test_kernel_sources_are_built_once_per_structure():
+    # Every kernel hands two markets of one structure the very same source
+    # objects, and a market of another structure other ones.
+    game, topo, tuning, rng = _rich_cases(1)[0]
+    r, m, sd = oracles.random_market(rng, game.n_players, game.n_players)
+    other = build_quadratic_game(OligopolyParams(r, m, sd))
+    k = max(range(topo.n_deceivers), key=lambda k: len(topo.victims[k]))
+    single = DeceptionTopology(topo.deceivers[k:k + 1], topo.victims[k:k + 1])
+    a, c = _stable_affine_field(rng, 4)
+    builds = [   # (kernel, a topology, one of another structure)
+        (lambda g, t: dynamics._full_kernel(g, t, tuning, False), topo, single),
+        (lambda g, t: dynamics._averaged_kernel(g, t, tuning, False), topo, single),
+        (lambda g, t: dynamics._reduced_kernel(g, t, tuning, [0.0], False), single,
+         DeceptionTopology((0,), ((1,),))),   # one victim against several
+    ]
+    for build, same, changed in builds:
+        *source, _ = build(game, same)
+        *again, _ = build(other, same)
+        *elsewise, _ = build(game, changed)
+        assert all(x is y for x, y in zip(source, again))
+        assert source != elsewise
+    run, _ = dynamics._affine_kernel(a, c, 0.01, "t")
+    assert dynamics._affine_kernel(-a, 2.0 * c, 0.02, "t")[0] is run
+    assert dynamics._affine_kernel(a, c, 0.01, "tau")[0] != run
+    assert dynamics._affine_kernel(a[:3, :3], c[:3], 0.01, "t")[0] != run
+
+
 @pytest.mark.parametrize("model", ["averaged", "reduced", "boundary",
                                    "averaged-nominal"])
 def test_simulate_matches_generic_rk4_on_rhs(game3_published, topology3,
@@ -811,20 +874,40 @@ def test_affine_kernel_matches_rk4_and_integrate_affine():
             assert np.max(np.abs(states[-1] - y)) <= 1e-12 * np.max(np.abs(y)), (m, stride)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in matmul")
 def test_affine_kernel_diverges_when_integrate_affine_does(game3_published, topology3,
                                                           tuning3, monkeypatch):
     # delta = 7 lies outside the stability set: the frozen-gain boundary
-    # layer grows until it overflows, at the same recorded time on both routes.
+    # layer grows until it overflows, at the same recorded time on both
+    # routes, and neither warns: DivergenceError alone reports it.
     init = SimState(t=0.0, u=np.array([1.0, 1.0, 1.0]), delta=np.array([7.0]))
     times = []
     for bound in (dynamics.MAX_GENERATED_AFFINE_PLAYERS, 0):
         monkeypatch.setattr(dynamics, "MAX_GENERATED_AFFINE_PLAYERS", bound)
-        with pytest.raises(DivergenceError) as err:
-            simulate("boundary", game3_published, topology3, tuning3, initial=init,
-                     horizon=1e5, stride=16)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError) as err:
+                simulate("boundary", game3_published, topology3, tuning3, initial=init,
+                         horizon=1e5, stride=16)
         times.append((err.value.time, err.value.axis))
     assert times[0] == times[1] and times[0][1] == "t"
+
+
+def test_numpy_fields_diverge_without_a_warning():
+    # Above their kernels' bounds the full and averaged models step numpy
+    # fields through integrate_fixed; gains far too hot overflow them, and
+    # DivergenceError alone reports it, as on the generated kernels.
+    rng = np.random.default_rng(43)
+    for model, n in (("averaged", dynamics.MAX_GENERATED_AVERAGED_PLAYERS + 1),
+                     ("full", dynamics.MAX_GENERATED_PLAYERS + 1)):
+        r, m, sd = oracles.random_market(rng, n_min=n, n_max=n)
+        game = build_quadratic_game(OligopolyParams(r, m, sd))
+        tuning = NESTuning(amplitude=np.full(n, 0.05), gain=np.full(n, 1e4), omega=1.0,
+                           omega_ratio=tuple(range(3, 3 + n)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError):
+                simulate(model, game, DeceptionTopology((0,), ((2, n - 1),)), tuning,
+                         horizon=50.0, dt=1.0, stride=1)
 
 
 @pytest.mark.parametrize("model", MODEL_KINDS)

@@ -16,7 +16,9 @@ from deceptive_nes import (
     ScenarioError,
     bundled_scenario_path,
     cli,
+    is_hurwitz,
     load_scenario,
+    perturbed_pseudogradient,
     scenario_from_dict,
     write_scenario,
 )
@@ -205,6 +207,23 @@ def test_cli_stability_grid(tmp_path, scen_path):
     assert flags[:6] == ["true"] * 6 and flags[6:] == ["false"] * 2
     abscissas = [float(r["spectral_abscissa"]) for r in rows]
     assert abscissas == sorted(abscissas), "abscissa must rise with delta"
+
+
+def test_cli_stability_grid_verdicts_match_is_hurwitz(tmp_path, scen_path):
+    # A grid across the stability boundary near 5.6317: every in_delta the
+    # grid derives from its spectral abscissas is is_hurwitz at that point.
+    out = tmp_path / "edge"
+    spec = "5.6312:5.6322:0.00001"
+    assert main(["stability", "--scenario", scen_path, "--out", str(out),
+                 "--delta-grid", spec]) == 0
+    with open(out / "sweep.csv", newline="") as fh:
+        flags = [r["in_delta"] for r in csv.DictReader(fh)]
+    scenario = load_scenario(scen_path)
+    game, topo, gains = scenario.game(), scenario.topology, scenario.tuning.gain
+    expected = [str(is_hurwitz(-(gains[:, None] * perturbed_pseudogradient(
+        game, topo, [d]).qbar))).lower() for d in cli._parse_grid(spec)]
+    assert flags == expected
+    assert "true" in flags and "false" in flags
 
 
 def test_cli_sweep_handles_singular_point(tmp_path, scen_path):
