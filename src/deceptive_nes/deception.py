@@ -11,8 +11,8 @@ victim ``l`` of deceiver ``z_k``.  The played prices are
 for learned actions ``u`` and probing tones ``a o s``.  On the slow
 timescale this perturbs the game's pseudogradient: victim rows of the
 pseudogradient matrix pick up delta-dependent terms while everything else is
-untouched, ``Qbar(d) = Q0 + sum_k d_k P_k`` and ``Bbar(d) = B0 + sum_k d_k
-p_k``.  This module computes that perturbed pair, the resulting
+untouched, ``Qbar(d) = Q0 + diag(d . pi)`` and ``Bbar(d) = B0 + d . p``.
+This module computes that perturbed pair, the resulting
 quasi-equilibrium ``h(d) = -Qbar(d)^{-1} Bbar(d)``, membership in the
 stability-preserving gain set, and roots of the deceivers' cost-matching
 conditions (attainability).
@@ -155,17 +155,43 @@ class PerturbedPseudogradient:
 def _pseudogradient_basis(
     game: QuadraticGame, topology: DeceptionTopology
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``(P, p)`` with ``Qbar(d) = Q0 + (d @ P).reshape(n, n)`` and
-    ``Bbar(d) = B0 + d @ p``.
-
-    ``P[k]`` is the flattened ``(n, n)`` matrix whose victim rows ``j`` are
-    row ``z_k`` of ``q[j]``, and ``p[k, j] = b[j, z_k]``: the victim sees the
-    deceiver's injection of its own tone as its own price moving.
+    """``(pi, p)``, two ``(n_deceivers, n)`` arrays with ``Qbar(d) = Q0 +
+    diag(d @ pi)`` and ``Bbar(d) = B0 + d @ p``: ``pi[k, j] = Q0[j, z_k]``
+    and ``p[k, j] = b[j, z_k]`` for every victim ``j`` of deceiver ``k``.
+    ``q[j]`` lives in row and column ``j``, so its row ``z_k`` meets victim
+    row ``j`` of ``Qbar`` on the diagonal only.
     """
     g = topology.injection(game.n_players)
-    n, n_dec = game.n_players, topology.n_deceivers
-    big_p = np.einsum("kij,jim->kjm", g, game.q).reshape(n_dec, n * n)
-    return big_p, np.einsum("kij,ji->kj", g, game.b)
+    return (np.einsum("kij,ji->kj", g, game.pseudogradient_matrix),
+            np.einsum("kij,ji->kj", g, game.b))
+
+
+def _matching_polynomials(game, topology, basis, ref, centre, radius):
+    """Coefficients ``(f, e)``, one row per disc, of ``F = gap D**2`` and
+    ``D = det Qbar(d)`` for one deceiver with ``basis`` (from
+    :func:`_pseudogradient_basis`), in the monomials of ``x = (d - centre)
+    / radius``, where ``gap = J_z(h(d)) - ref``.
+
+    ``d`` enters |V| entries of ``diag(Qbar)``, so by Cramer's rule ``D``
+    has degree <= |V| and ``F`` <= 2|V|.  Both are interpolated at 2|V| + 2
+    roots of unity, off the real axis and so off every real pole, where the
+    monomial basis is orthogonal.  Overflow gives infinite or NaN
+    coefficients, without a warning.
+    """
+    v, z = len(topology.victims[0]), topology.deceivers[0]
+    pi, p = basis
+    circle = np.exp(1j * np.pi * (2.0 * np.arange(2 * v + 2) + 1.0) / (2 * v + 2))
+    d = (np.reshape(centre, (-1, 1)) + np.reshape(radius, (-1, 1)) * circle).reshape(-1, 1)
+    qbar = game.pseudogradient_matrix + (d @ pi)[..., None] * np.eye(game.n_players)
+    det = np.linalg.det(qbar)
+    rhs = -(game.pseudogradient_offset + d @ p)[..., None]
+    h = numerics._linalg(np.linalg.solve, qbar, rhs)[..., 0]
+    gap = 0.5 * np.einsum("mi,ij,mj->m", h, game.q[z], h) + h @ game.b[z] + game.c[z] - ref
+    # the nodes are roots of unity, so the Vandermonde matrix V has V^H V = (2|V| + 2) I
+    fit = np.vander(circle, increasing=True).conj().T / circle.size
+    with np.errstate(over="ignore", invalid="ignore"):
+        coef = (fit @ np.stack([gap * det * det, det], -1).reshape(-1, circle.size, 2)).real
+    return coef[:, :2 * v + 1, 0], coef[:, :v + 1, 1]
 
 
 class _Evaluation:
@@ -182,10 +208,9 @@ class _Evaluation:
         self.refs = np.asarray(topology.cost_refs if refs is None else refs, dtype=float)
         self.rates = np.asarray(topology.eps_rates, dtype=float)
         self.basis = _pseudogradient_basis(game, topology) if basis is None else basis
-        big_p, p = self.basis
-        n = game.n_players
+        pi, p = self.basis
         self.pert = PerturbedPseudogradient(
-            qbar=game.pseudogradient_matrix + (d @ big_p).reshape(d.shape[:-1] + (n, n)),
+            qbar=game.pseudogradient_matrix + (d @ pi)[..., None] * np.eye(game.n_players),
             bbar=game.pseudogradient_offset + d @ p,
             delta=d,
         )
@@ -208,12 +233,10 @@ class _Evaluation:
     def lam(self) -> np.ndarray:
         """``Lambda[j, k] = rate_k grad J_{z_k}(h) . dh/ddelta_j``, where
         differentiating ``Qbar h + Bbar = 0`` gives ``Qbar dh/ddelta_k =
-        -(P_k h + p_k)``: one solve with a right-hand side per deceiver."""
-        big_p, p = self.basis
-        n, z = self.game.n_players, list(self.topology.deceivers)
-        dh = numerics.solve_linear(
-            self.pert.qbar, -(big_p.reshape(-1, n, n) @ self.h + p).T
-        )
+        -(pi_k o h + p_k)``: one solve with a right-hand side per deceiver."""
+        pi, p = self.basis
+        z = list(self.topology.deceivers)
+        dh = numerics.solve_linear(self.pert.qbar, -(pi * self.h + p).T)
         grad = self.game.q[z] @ self.h + self.game.b[z]
         return self.rates * (grad @ dh).T
 
@@ -311,6 +334,10 @@ class AttainabilitySearch:
     delta_max: float = 10.0
     max_newton_iter: int = 200
 
+    def __post_init__(self):
+        if not (0.0 < self.delta_max < np.inf and self.max_newton_iter >= 1):
+            raise ValueError(f"need 0 < delta_max < inf and max_newton_iter >= 1, got {self}")
+
 
 @dataclass(frozen=True)
 class AttainabilityResult:
@@ -401,26 +428,19 @@ def solve_attainability(
         return assess(np.zeros(0), message="no deceivers")
 
     if n == 1:
-        # d enters only the |V| victim rows of Qbar = Q0 + d P, so gap(d)
-        # det Qbar(d)^2 is a polynomial of degree <= 2|V| (Cramer's rule).
-        # It is interpolated at Chebyshev points on each piece between the
-        # poles -1/mu (mu: real eigenvalues of Q0^-1 P), where one window-wide
-        # interpolant turns root pairs flanking a pole complex.  Near-real
-        # roots of every piece's interpolant (Boyd, SIAM J. Numer. Anal.
-        # 40(5), 2002) are polished in the piece that holds them.
-        dm, n_players = search.delta_max, game.n_players
+        # The matching polynomials of each piece between the poles -1/mu
+        # (mu: real eigenvalues of Q0^-1 diag(pi)), where one window-wide disc
+        # turns root pairs flanking a pole complex.  Near-real roots of F are
+        # polished in the piece that holds them.
+        dm = search.delta_max
         mu = numerics.eigenvalues(numerics.solve_linear(
-            game.pseudogradient_matrix, basis[0].reshape(n_players, n_players)))
+            game.pseudogradient_matrix, np.diag(basis[0][0])))
         real = (np.abs(mu.imag) <= 1e-6 * np.abs(mu)) & (np.abs(mu.real) * dm > 1.0)
         ends = np.sort(np.append([-dm, dm], -1.0 / mu.real[real]))
         mid, half = (ends[1:] + ends[:-1]) / 2.0, (ends[1:] - ends[:-1]) / 2.0
-        cheb = np.polynomial.chebyshev
-        t = cheb.chebpts1(2 * len(topology.victims[0]) + 1)
-        nodes = (mid + half * t[:, None]).reshape(-1, 1)
-        ev = _Evaluation(game, topology, nodes, refs, basis)
-        det = np.linalg.det(ev.pert.qbar).reshape(len(t), -1)
-        vander = cheb.chebvander(t, len(t) - 1)
-        coef = np.linalg.solve(vander, ev.gaps[:, 0].reshape(len(t), -1) * det ** 2)
+        f, e = _matching_polynomials(game, topology, basis, refs[0], mid, half)
+        finite = np.flatnonzero(np.isfinite(f).all(axis=1) & np.isfinite(e).all(axis=1))
+        poly = np.polynomial.polynomial
 
         def polish(d: float) -> float | None:
             """Newton on ``gap det(Qbar)^2``, with ``det'/det = sum mu / (1 +
@@ -428,9 +448,9 @@ def solve_attainability(
             k = min(max(int(np.searchsorted(ends, d)) - 1, 0), len(mid) - 1)
             for _ in range(8):
                 try:
-                    e = at([d])
-                    gap = e.gaps[0]
-                    step = gap / (e.lam[0, 0] / e.rates[0]
+                    ev = at([d])
+                    gap = ev.gaps[0]
+                    step = gap / (ev.lam[0, 0] / ev.rates[0]
                                   + 2.0 * gap * np.sum(mu / (1.0 + d * mu)).real) if gap else 0.0
                 except numerics.SingularMatrixError:
                     return None
@@ -442,8 +462,8 @@ def solve_attainability(
             return d if abs(step) <= 1e-6 * (1.0 + abs(d)) else None
 
         estimates = []
-        for j in np.flatnonzero(np.isfinite(coef).all(axis=0)):
-            z = cheb.chebroots(cheb.chebtrim(coef[:, j], 1e-14 * np.max(np.abs(coef[:, j]))))
+        for j in finite:
+            z = poly.polyroots(poly.polytrim(f[j], 1e-14 * np.max(np.abs(f[j]))))
             estimates += list(mid[j] + half[j] * z.real[np.abs(z.imag) <= 1e-3])
         ranked: list[AttainabilityResult] = []
         for d in sorted(estimates, key=abs):
@@ -456,13 +476,11 @@ def solve_attainability(
                 return ranked[-1]
         if not ranked:
             # The closest approach: |gap| is least at a window end or where
-            # gap' = (F' D - 2 F D') / D^3 vanishes, F = gap D^2, D = det Qbar.
-            dcoef = np.linalg.solve(vander, det)[:len(topology.victims[0]) + 1]
+            # gap' = (F' D - 2 F D') / D^3 vanishes.
             candidates = [-dm, dm]
-            for j in np.flatnonzero(np.isfinite(coef).all(axis=0)):
-                z = cheb.chebroots(cheb.chebsub(
-                    cheb.chebmul(cheb.chebder(coef[:, j]), dcoef[:, j]),
-                    2.0 * cheb.chebmul(coef[:, j], cheb.chebder(dcoef[:, j]))))
+            for j in finite:
+                z = poly.polyroots(poly.polysub(poly.polymul(poly.polyder(f[j]), e[j]),
+                                                2.0 * poly.polymul(f[j], poly.polyder(e[j]))))
                 z = z.real[(np.abs(z.imag) <= 1e-3) & (np.abs(z.real) <= 1.0)]
                 candidates += list(mid[j] + half[j] * z)
             gaps = np.abs([field([d])[0] for d in candidates])

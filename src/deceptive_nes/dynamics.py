@@ -39,10 +39,9 @@ import numpy as np
 from . import numerics
 from .deception import (
     DeceptionTopology,
+    _Evaluation,
+    _matching_polynomials,
     _pseudogradient_basis,
-    deceptive_equilibrium,
-    lambda_matrix,
-    perturbed_pseudogradient,
 )
 from .oligopoly import QuadraticGame
 
@@ -273,26 +272,25 @@ def _polynomial_field(model, game, topology, tuning, delta, freeze_delta):
     ``c + (A + T @ y) @ y``.
 
     The averaged field is quadratic in ``y = (u, delta)``: ``T`` carries
-    ``delta_k P_k u`` in the price rows and the cost Hessian and residual
+    ``delta_k pi_k o u`` in the price rows and the cost Hessian and residual
     cross terms in the gain rows.  The boundary field is ``-K Qbar(delta)
     y``, so its ``c`` and ``T`` are zero.
     """
-    n, n_dec = game.n_players, topology.n_deceivers
-    q0, b0 = game.pseudogradient_matrix, game.pseudogradient_offset
-    big_p, p = _pseudogradient_basis(game, topology)
+    n = game.n_players
     if model == "boundary":
-        qbar = q0 + (np.asarray(delta, dtype=float) @ big_p).reshape(n, n)
+        qbar = _Evaluation(game, topology, delta).pert.qbar
         return np.zeros(n), -(tuning.gain[:, None] * qbar), np.zeros((n, n, n))
-    z, m = list(topology.deceivers), n + n_dec
+    pi, p = _pseudogradient_basis(game, topology)
+    z, m, idx = list(topology.deceivers), n + topology.n_deceivers, np.arange(n)
     k_w = (tuning.gain / tuning.omega)[:, None]
     g = (0.0 if freeze_delta else topology.eps / tuning.omega) \
         * np.asarray(topology.eps_rates, dtype=float)[:, None]
     const, lin, quad = _residual_polynomial(game, topology, tuning)
     c, a, t = np.zeros(m), np.zeros((m, m)), np.zeros((m, m, m))
-    c[:n] = -k_w[:, 0] * b0
-    a[:n, :n] = -k_w * q0
+    c[:n] = -k_w[:, 0] * game.pseudogradient_offset
+    a[:n, :n] = -k_w * game.pseudogradient_matrix
     a[:n, n:] = -k_w * p.T
-    t[:n, :n, n:] = -k_w[:, :, None] * big_p.reshape(n_dec, n, n).transpose(1, 2, 0)
+    t[idx, idx, n:] = -k_w * pi.T
     c[n:] = g[:, 0] * (game.c[z] - np.asarray(topology.cost_refs, dtype=float) + const)
     a[n:, :n] = g * game.b[z]
     a[n:, n:] = g * lin
@@ -337,13 +335,11 @@ def _vector_field(
                 drift * costs * np.sin(w * t), d_gain * (costs[z] - refs),
             ])
     elif model == "reduced":
-        q0, b0 = game.pseudogradient_matrix, game.pseudogradient_offset
-        big_p, p = _pseudogradient_basis(game, topology)
+        basis = _pseudogradient_basis(game, topology)
         d_gain = rates / tuning.omega
 
         def f(t, d):
-            h = numerics.solve_linear(q0 + (d @ big_p).reshape(n, n), -(b0 + d @ p))
-            return d_gain * (game.costs(h)[z] - refs)
+            return d_gain * _Evaluation(game, topology, d, refs, basis).gaps
     else:
         c, a, tensor = _polynomial_field(model, game, topology, tuning, delta, freeze_delta)
 
@@ -621,15 +617,14 @@ def _averaged_source(n, deceivers, victims) -> tuple[str, tuple]:
     :func:`_polynomial_field`, unrolled over its structural nonzeros into
     the loop: row ``i`` is ``c_i + sum_j (A_ij + sum_l S_ijl y_l) y_j`` with
     ``S_ijl = T_ijl + T_ilj`` (``T_ijj`` for ``l = j``), and ``terms[i]``
-    holds the pairs ``(j, ls)`` of its products ``y_j y_l``.  ``q[i]``
-    lives in row and column ``i`` only, so ``P_k`` holds one entry ``(i,
-    i)`` per victim row ``i``.  Price row ``i`` reads every ``u`` and, where
-    ``i`` is a victim of deceiver ``k``, ``delta_k`` and ``delta_k u_i``;
-    gain row ``k`` reads every ``y``, ``u_{z_k}`` times every ``u`` (``q[z_k]
-    / 2``), and ``delta_k`` times the gains of the deceivers whose victims
-    overlap its own (``quad``).  Every number is a parameter of ``run``
-    bound to the namespace's value, so the source depends only on the
-    structure and the loop reads the numbers as locals.
+    holds the pairs ``(j, ls)`` of its products ``y_j y_l``.  Price row
+    ``i`` reads every ``u`` and, where ``i`` is a victim of deceiver ``k``,
+    ``delta_k`` and ``delta_k u_i``; gain row ``k`` reads every ``y``,
+    ``u_{z_k}`` times every ``u`` (``q[z_k] / 2``), and ``delta_k`` times
+    the gains of the deceivers whose victims overlap its own (``quad``).
+    Every number is a parameter of ``run`` bound to the namespace's value,
+    so the source depends only on the structure and the loop reads the
+    numbers as locals.
     """
     y = [f"u{i}" for i in range(n)] + [f"d{k}" for k in range(len(deceivers))]
     terms = [dict.fromkeys(range(n), ()) for _ in range(n)]
@@ -666,42 +661,29 @@ def _reduced_kernel(game, topology, tuning, delta, freeze_delta) -> tuple[str, s
     """Source of the reduced model's RK4 ``stage`` and ``run`` for one
     deceiver, and the namespace of numbers they read.
 
-    The field is ``rate gap(d)`` with ``gap = F / D**2``.  By Cramer's rule
-    ``D = det Qbar(d)`` has degree <= |V| and ``F = gap D**2``, whose roots
-    :func:`~deceptive_nes.deception.solve_attainability` takes, degree <=
-    2|V|.  Both are interpolated in ``x = (d - o) / r``, ``r = 1 + |o|``, at
-    2|V| + 2 roots of unity, off the real axis and so off every real pole,
-    where the monomial basis is orthogonal; the stage evaluates them by
-    Horner's rule on the disc ``|x| <= 1``.  A stage outside the disc takes
-    the gated numpy route and centres the disc on its gain, so the run keeps
-    its accuracy however far the gain travels.  The source depends only on
-    |V| and is built once per |V| (:func:`_reduced_source`).
+    The field is ``rate F / D**2`` with the matching polynomials ``(F, D)``
+    of :func:`~deceptive_nes.deception._matching_polynomials` on the disc of
+    radius ``r = 1 + |o|`` around ``o``, which the stage evaluates by
+    Horner's rule in ``x = (d - o) / r``.  A stage outside the disc takes
+    the gated numpy field of :func:`_vector_field` and centres the disc on
+    its gain, so the run keeps its accuracy however far the gain travels.
+    The source depends only on |V| and is built once per |V|
+    (:func:`_reduced_source`).
     """
     v = len(topology.victims[0])
-    z, ref = topology.deceivers[0], topology.cost_refs[0]
     rate = 0.0 if freeze_delta else topology.eps_rates[0] / tuning.omega
-    q0, b0 = game.pseudogradient_matrix, game.pseudogradient_offset
-    big_p, p = _pseudogradient_basis(game, topology)
-    big_p = big_p.reshape(game.n_players, game.n_players)
-    rows = [math.hypot(*row) for row in q0.tolist()]
-    p_rows = [math.hypot(*row) for row in big_p.tolist()]
-    norm_q0 = max(sum(map(abs, row)) for row in q0.tolist())
-    norm_p = max(sum(map(abs, row)) for row in big_p.tolist())
-    circle = np.exp(1j * np.pi * (2.0 * np.arange(2 * v + 2) + 1.0) / (2 * v + 2))
-    # the nodes are roots of unity, so the Vandermonde matrix V has V^H V = (2|V| + 2) I
-    fit = np.vander(circle, increasing=True).conj().T / circle.size
+    q0 = game.pseudogradient_matrix.tolist()
+    basis = _pseudogradient_basis(game, topology)
+    pi = [abs(x) for x in basis[0][0].tolist()]
+    rows = [math.hypot(*row) for row in q0]
+    norm_q0 = max(sum(map(abs, row)) for row in q0)
+    field = _vector_field("reduced", game, topology, tuning, delta, freeze_delta)
 
     def centre(o):
         """Bind the coefficients of ``F`` and ``D`` on the disc around ``o``,
         and the singularity screen over it."""
         r = 1.0 + abs(o)
-        d = o + r * circle
-        qbar = q0 + d[:, None, None] * big_p
-        det = np.linalg.det(qbar)
-        h = numerics._linalg(np.linalg.solve, qbar, -(b0 + d[:, None] * p[0])[..., None])[..., 0]
-        gap = 0.5 * np.einsum("mi,ij,mj->m", h, game.q[z], h) + h @ game.b[z] + game.c[z] - ref
-        with np.errstate(over="ignore", invalid="ignore"):   # screened below
-            f, e = (fit @ np.column_stack([gap * det * det, det])).real.T
+        f, e = _matching_polynomials(game, topology, basis, topology.cost_refs[0], o, r)
         # Screen.  Partial pivoting keeps every pivot at or above 1 /
         # ||Qbar^-1||: the k-th pivot is the largest entry in the first
         # column of a Schur complement whose inverse is a block of Qbar^-1
@@ -710,15 +692,15 @@ def _reduced_kernel(game, topology, tuning, delta, freeze_delta) -> tuple[str, s
         # (1e-13 ||Qbar||), that is where |det Qbar| < 1e-13 ||Qbar|| ||adj
         # Qbar||.  Every (n-1)-minor without row i is at most prod_{l != i}
         # rho_l (Hadamard), rho_l the 2-norm of row l, so ||adj Qbar|| <=
-        # prod_l rho_l sum_l 1 / rho_l.  With ||Qbar|| <= ||Q0|| + |d| ||P||
-        # and rho_l <= ||row l of Q0|| + |d| ||row l of P||, the bound grows
-        # with |d|, so its value at |d| = |o| + r covers the disc.  The
-        # screen doubles it for the rounding of the gate and adds 1e-13
-        # sum_k |e_k| for the rounding of D.
+        # prod_l rho_l sum_l 1 / rho_l.  With ||Qbar|| <= ||Q0|| + |d| max |pi|
+        # and rho_l <= ||row l of Q0|| + |d| |pi_l|, the bound grows with
+        # |d|, so its value at |d| = |o| + r covers the disc.  The screen
+        # doubles it for the rounding of the gate and adds 1e-13 sum_k |e_k|
+        # for the rounding of D.
         a = abs(o) + r
-        rho = [row + a * p_row for row, p_row in zip(rows, p_rows)]
-        e, f = e[:v + 1].tolist(), f[:2 * v + 1].tolist()
-        screen = 2e-13 * (norm_q0 + a * norm_p) * math.prod(rho) * sum(1.0 / x for x in rho) \
+        rho = [row + a * x for row, x in zip(rows, pi)]
+        e, f = e[0].tolist(), f[0].tolist()
+        screen = 2e-13 * (norm_q0 + a * max(pi)) * math.prod(rho) * sum(1.0 / x for x in rho) \
             + 1e-13 * sum(map(abs, e))
         if not all(map(math.isfinite, [screen, *e, *f])):
             screen = math.inf   # D or F overflows: every stage takes the gated solve
@@ -729,7 +711,7 @@ def _reduced_kernel(game, topology, tuning, delta, freeze_delta) -> tuple[str, s
     def exact(d):
         """The field by the gated solve, which raises SingularMatrixError
         where ``Qbar(d)`` fails the pivot gate."""
-        return rate * (float(game.costs(deceptive_equilibrium(game, topology, [d]))[z]) - ref)
+        return float(field(0.0, np.array([d]))[0])
 
     def recentre(d):
         """The field outside the disc, which moves to be centred on ``d``."""
@@ -913,11 +895,11 @@ def simulate(
         step = 2.0 * math.pi / (float(np.max(tuning.frequencies())) * oversampling)
     else:
         if model == "reduced":
-            lam = lambda_matrix(game, topology, initial.delta)
+            lam = _Evaluation(game, topology, initial.delta).lam
             rate = float(np.linalg.norm(lam, np.inf)) / omega
         else:
-            pert = perturbed_pseudogradient(game, topology, initial.delta)
-            rate = float(np.linalg.norm(tuning.gain[:, None] * pert.qbar, np.inf)) / scale
+            qbar = _Evaluation(game, topology, initial.delta).pert.qbar
+            rate = float(np.linalg.norm(tuning.gain[:, None] * qbar, np.inf)) / scale
         step = 0.2 / rate if rate > 0 else np.inf
         if model == "averaged":
             # keep an integer number of steps per common period so the
@@ -979,11 +961,10 @@ def simulate(
             u_mat = states
             d_mat = np.tile(initial.delta, (len(times), 1))
     if model == "reduced":
-        pert = perturbed_pseudogradient(game, topology, d_mat)
-        u_mat = numerics.solve_stack(pert.qbar, -pert.bbar)
+        u_mat = _Evaluation(game, topology, d_mat).h
         singular = np.flatnonzero(np.isnan(u_mat).any(axis=1))
         if singular.size:  # raise the first singular sample's error
-            deceptive_equilibrium(game, topology, d_mat[singular[0]])
+            _Evaluation(game, topology, d_mat[singular[0]]).h
 
     x = _played_prices(u_mat, tuning, topology, d_mat, times) if model == "full" \
         else u_mat.copy()

@@ -5,7 +5,7 @@ partial-pivot elimination meets a pivot below ``1e-13 * ||a||_inf`` is
 singular (:class:`SingularMatrixError`, or NaN rows in :func:`solve_stack`),
 and ``numpy.linalg`` failures surface as :class:`ConvergenceError`.  Damped
 Newton and RK4 are written out here; one-deceiver roots come from
-``numpy.polynomial.chebyshev`` in :mod:`deceptive_nes.deception`.
+``numpy.polynomial.polynomial`` in :mod:`deceptive_nes.deception`.
 """
 
 from __future__ import annotations

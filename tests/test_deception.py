@@ -321,6 +321,45 @@ def test_lambda_matrix_matches_oracle_differences():
 
 # ── attainability ────────────────────────────────────────────────────────────
 
+def _oracle_matching(q, b, c, z, vs, ref, d):
+    """``(gap det(Qbar)^2, det Qbar)`` at the real gain ``d`` on the oracle route."""
+    qq, bb = oracles.pseudogradient_blocks(q, b)
+    qbar, bbar = oracles.perturbed_blocks(q, b, qq, bb, (z,), (vs,), [d])
+    det = np.linalg.det(qbar)
+    h = oracles.np_solve(qbar, -bbar)
+    return (oracles.quadratic_cost(q[z], b[z], c[z], h) - ref) * det ** 2, det
+
+
+@pytest.mark.parametrize("case", ["study beside its pole", "one victim", "three victims"])
+def test_matching_polynomials_match_the_oracle_inside_the_disc(game3_published, case):
+    # F = gap det^2 and D = det Qbar from their coefficients, against the
+    # oracle route at real gains inside each disc (stacked discs in one
+    # call).  The study's disc reaches the pole, where D vanishes.
+    from deceptive_nes.deception import _matching_polynomials, _pseudogradient_basis
+
+    if case == "study beside its pole":
+        game, z, vs, ref = game3_published, 0, (2,), -1200.0
+        centre, radius = np.array([5.0, 0.0]), np.array([SINGULAR_DELTA - 5.0, 3.0])
+    else:
+        rng = np.random.default_rng(47 if case == "one victim" else 53)
+        r, m, sd = oracles.random_market(rng, 5, 5)
+        game = build_quadratic_game(OligopolyParams(r, m, sd))
+        z, vs, ref = 1, ((3,) if case == "one victim" else (0, 2, 4)), -300.0
+        centre, radius = np.array([-2.0, 4.0, 0.5]), np.array([3.0, 1.5, 8.0])
+    topo = DeceptionTopology(deceivers=(z,), victims=(vs,), cost_refs=(ref,))
+    f, e = _matching_polynomials(game, topo, _pseudogradient_basis(game, topo), ref, centre,
+                                 radius)
+    assert f.shape == (len(centre), 2 * len(vs) + 1) and e.shape == (len(centre), len(vs) + 1)
+    poly = np.polynomial.polynomial
+    for fj, ej, o, rad in zip(f, e, centre, radius):
+        for x in np.linspace(-1.0, 1.0, 41):
+            want_f, want_d = _oracle_matching(game.q, game.b, game.c, z, vs, ref, o + rad * x)
+            assert abs(poly.polyval(x, ej) - want_d) <= 1e-13 * np.sum(np.abs(ej)), (o, x)
+            assert abs(poly.polyval(x, fj) - want_f) <= 1e-13 * np.sum(np.abs(fj)), (o, x)
+    if case == "study beside its pole":
+        assert abs(poly.polyval(1.0, e[0])) <= 1e-13 * np.sum(np.abs(e[0]))
+
+
 def test_attainability_three_firm_frozen(game3_published, topology3):
     res = solve_attainability(game3_published, topology3, gains=GAINS)
     assert res.attainable
@@ -411,6 +450,15 @@ def test_attainability_lists_a_tangential_root():
     assert res.residual <= 1e-8, res.residual
     assert res.message.startswith("no root qualifies") and \
         "sensitivity matrix not Hurwitz" in res.message, res.message
+
+
+@pytest.mark.parametrize("field, value", [
+    ("delta_max", np.inf), ("delta_max", np.nan), ("delta_max", -3.0), ("delta_max", 0.0),
+    ("max_newton_iter", -5), ("max_newton_iter", 0),
+])
+def test_attainability_search_rejects_an_empty_or_unbounded_window(field, value):
+    with pytest.raises(ValueError, match=f"{field}={value}"):
+        AttainabilitySearch(**{field: value})
 
 
 def test_attainability_respects_search_window(game3_published, topology3):
@@ -566,25 +614,26 @@ def test_attainability_one_deceiver_two_victims(params3, game3, planted):
     assert np.max(np.abs(res.u_star - h)) < 1e-6
 
 
-def test_attainability_finds_every_sign_change_of_a_dense_scan(monkeypatch):
-    # Seeded markets with one deceiver and 1-3 victims, the reference taken
-    # at a planted gain.  With every candidate rejected, the message lists
-    # all of them; each sign change of gap * det(Qbar)^2 on a dense
-    # oracle-route scan of the window must lie within 1e-6 of one.
+def _check_every_sign_change_is_found(monkeypatch, seed, markets, max_victims, windows):
+    """Seeded markets with one deceiver and 1 to ``max_victims`` victims,
+    the reference taken at a planted gain.  With every candidate rejected,
+    the message lists all of them; each sign change of gap * det(Qbar)^2 on
+    a dense oracle-route scan of every window ``[-dm, dm]`` of ``windows``
+    (spacing 1e-3, or 20 001 points on a wider window) must lie within
+    1e-6 of one.  Returns the number of sign changes per window."""
     import re
     import deceptive_nes.deception as deception
 
     monkeypatch.setattr(deception, "is_hurwitz", lambda m: False)
-    rng = np.random.default_rng(20251018)
-    grid = np.linspace(-10.0, 10.0, 20_001)
-    checked = 0
-    for _ in range(40):
+    rng = np.random.default_rng(seed)
+    checked = dict.fromkeys(windows, 0)
+    for _ in range(markets):
         r, m, sd = oracles.random_market(rng, 3, 6)
         n = len(r)
         z = int(rng.integers(n))
         others = [j for j in range(n) if j != z]
         vs = tuple(int(v) for v in rng.choice(
-            others, size=int(rng.integers(1, min(3, n - 1) + 1)), replace=False))
+            others, size=int(rng.integers(1, min(max_victims, n - 1) + 1)), replace=False))
         q, b, c = oracles.quadratic_blocks(r, m, sd)
         qq, bb = oracles.pseudogradient_blocks(q, b)
         q1, b1 = oracles.perturbed_blocks(q, b, qq, bb, (z,), (vs,), [1.0])
@@ -598,24 +647,40 @@ def test_attainability_finds_every_sign_change_of_a_dense_scan(monkeypatch):
             cost = 0.5 * np.einsum("mi,ij,mj->m", hs, q[z], hs) + hs @ b[z] + c[z]
             return (cost - ref) * np.linalg.det(qbar) ** 2
 
-        vals = poly(grid)
-        cross = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
-        lo, hi, flo = grid[cross], grid[cross + 1], vals[cross]
-        for _ in range(40):
-            mid = 0.5 * (lo + hi)
-            fmid = poly(mid)
-            left = np.sign(fmid) == np.sign(flo)
-            lo, flo, hi = np.where(left, mid, lo), np.where(left, fmid, flo), \
-                np.where(left, hi, mid)
         topo = DeceptionTopology(deceivers=(z,), victims=(vs,), cost_refs=(ref,))
-        res = solve_attainability(build_quadratic_game(OligopolyParams(r, m, sd)),
-                                  topo, gains=np.ones(n))
-        found = np.array([float(d) for d in re.findall(r"delta=(\S+) \(", res.message)])
-        assert found.size, res.message
-        for root in 0.5 * (lo + hi):
-            assert np.min(np.abs(found - root)) <= 1e-6 * (1.0 + abs(root)), (
-                f"R={r}, m={m}, Sd={sd}, z={z}, victims={vs}: sign change at "
-                f"{root} not among {found}")
-            checked += 1
-    print(f"\n  {checked} sign changes checked")
-    assert checked >= 100, checked
+        game = build_quadratic_game(OligopolyParams(r, m, sd))
+        for dm in windows:
+            grid = np.linspace(-dm, dm, min(int(2000 * dm), 20_000) + 1)
+            vals = poly(grid)
+            cross = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
+            lo, hi, flo = grid[cross], grid[cross + 1], vals[cross]
+            for _ in range(40):
+                mid = 0.5 * (lo + hi)
+                fmid = poly(mid)
+                left = np.sign(fmid) == np.sign(flo)
+                lo, flo, hi = np.where(left, mid, lo), np.where(left, fmid, flo), \
+                    np.where(left, hi, mid)
+            res = solve_attainability(game, topo, gains=np.ones(n),
+                                      search=AttainabilitySearch(delta_max=dm))
+            found = np.array([float(d) for d in re.findall(r"delta=(\S+) \(", res.message)])
+            assert found.size or not (cross.size or abs(planted) <= dm), res.message
+            for root in 0.5 * (lo + hi):
+                assert np.min(np.abs(found - root)) <= 1e-6 * (1.0 + abs(root)), (
+                    f"R={r}, m={m}, Sd={sd}, z={z}, victims={vs}, window {dm}: sign "
+                    f"change at {root} not among {found}")
+                checked[dm] += 1
+    print(f"\n  sign changes checked per window: {checked}")
+    return checked
+
+
+def test_attainability_finds_every_sign_change_of_a_dense_scan(monkeypatch):
+    checked = _check_every_sign_change_is_found(monkeypatch, 20251018, 40, 3, (10.0, 2.0, 50.0))
+    assert checked[10.0] >= 100 and checked[2.0] >= 10 and checked[50.0] >= 70, checked
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed, markets, max_victims", [(20251019, 300, 3), (20251020, 200, 5)])
+def test_attainability_finds_every_sign_change_on_many_markets(monkeypatch, seed, markets,
+                                                               max_victims):
+    checked = _check_every_sign_change_is_found(monkeypatch, seed, markets, max_victims, (10.0,))
+    assert checked[10.0] >= 2 * markets, checked

@@ -769,7 +769,6 @@ def test_reduced_kernel_screen_covers_every_singular_gate(game3_published, topol
     assert gated >= 10
 
 
-@pytest.mark.filterwarnings("ignore:perturbed pseudogradient has condition")
 def test_reduced_run_started_at_a_pole_raises_singular(game3_published, topology3,
                                                        tuning3, tmp_path):
     init = SimState(t=0.0, u=np.zeros(3), delta=np.array([SINGULAR_DELTA]))
