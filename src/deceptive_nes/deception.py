@@ -444,8 +444,11 @@ def solve_attainability(
 
         def polish(d: float) -> float | None:
             """Newton on ``gap det(Qbar)^2``, with ``det'/det = sum mu / (1 +
-            d mu)``, in the piece of ``d``: the root, or None short of 1e-6."""
+            d mu)``, in the piece of ``d``: the root, or None short of 1e-6.
+            It stops at the rounding floor: a step below 1e-13 relative, or an
+            accepted one no shorter than the step before."""
             k = min(max(int(np.searchsorted(ends, d)) - 1, 0), len(mid) - 1)
+            last = np.inf
             for _ in range(8):
                 try:
                     ev = at([d])
@@ -457,8 +460,10 @@ def solve_attainability(
                 if not ends[k] <= d - step <= ends[k + 1]:
                     return None
                 d -= step
-                if abs(step) <= 1e-15 * (1.0 + abs(d)):
+                size = abs(step) / (1.0 + abs(d))
+                if size <= 1e-13 or last <= size <= 1e-6:
                     break
+                last = size
             return d if abs(step) <= 1e-6 * (1.0 + abs(d)) else None
 
         estimates = []

@@ -475,14 +475,6 @@ MAX_GENERATED_PLAYERS = 30
 #: against 1670 µs per step at N = 30, 2.5 against 10600 at 60).
 MAX_GENERATED_AVERAGED_PLAYERS = 13
 
-#: The same bound for the affine fields, ``boundary`` and ``averaged``
-#: without deceivers, against ``numerics.integrate_affine``: the kernel's
-#: step is N**2 multiply-adds in Python, numpy's one matrix-vector product.
-#: Measured per step as above, generated against numpy: 0.31 / 1.92 µs at
-#: N = 3, 0.87 / 1.61 at 6, 1.16 / 1.51 at 7, 1.60 / 1.59 at 8, 2.33 / 1.62
-#: at 10; the kernel also costs 25-90 µs more to set up.
-MAX_GENERATED_AFFINE_PLAYERS = 7
-
 
 def _run_loop(state, records, axis, body, prologue=(), params=()) -> str:
     """Source of ``run``, the loop of every generated kernel.
@@ -747,33 +739,6 @@ def _reduced_source(v) -> tuple[str, str]:
     return "\n".join(stage) + "\n", run
 
 
-def _affine_kernel(a, c, dt, axis) -> tuple[str, dict]:
-    """Source of the ``run`` loop that steps the affine field ``a @ y + c``
-    by its exact RK4 map ``y <- R y + s`` (:func:`numerics.affine_rk4_map`),
-    and the namespace of numbers it reads.
-
-    Row ``i`` is ``(R_i0 y_0 + R_i1 y_1 + ...) + s_i``, summed left to
-    right, every entry a parameter of ``run`` bound to the namespace's
-    value, so the source depends only on the size of ``y`` and the axis, and
-    is built once per pair (:func:`_affine_source`).
-    """
-    r, s = numerics.affine_rk4_map(a, c, dt)
-    names = {f"r{i}_{j}": v for i, row in enumerate(r.tolist()) for j, v in enumerate(row)}
-    names.update({f"s{i}": v for i, v in enumerate(s.tolist())})
-    return _affine_source(len(s), axis), names
-
-
-@functools.lru_cache(maxsize=16)
-def _affine_source(m, axis) -> str:
-    """Source of the affine ``run`` for ``m`` floats on the ``axis`` axis."""
-    y = [f"y{i}" for i in range(m)]
-    rows = [f"({' + '.join(f'r{i}_{j} * {v}' for j, v in enumerate(y))}) + s{i}"
-            for i in range(m)]
-    body = [f"{''.join(f'{v}, ' for v in y)}= {''.join(f'{row}, ' for row in rows)}"]
-    params = [f"r{i}_{j}" for i in range(m) for j in range(m)] + [f"s{i}" for i in range(m)]
-    return _run_loop(y, [("ys", y)], axis, body, params=params)
-
-
 @functools.lru_cache(maxsize=16)
 def _compiled(source: str):
     return compile(source, "<generated RK4 kernel>", "exec")
@@ -854,10 +819,15 @@ def simulate(
     steps per fastest probing period); dither-free models pick their step
     from their own rate bounds unless ``dt`` (native-axis units) is given.
     ``freeze_delta`` holds deceiver gains at their initial values while the
-    probing injections stay active.  Runs above :data:`MAX_STEPS` steps or
-    :data:`MAX_SAMPLES` recorded samples are refused with ``ValueError``, and
-    so are runs whose horizon, common probing period or step on the native
-    axis is zero or infinite (a float underflow or overflow).
+    probing injections stay active.  The affine fields, ``boundary`` and
+    ``averaged`` without deceivers, are stepped by
+    :func:`numerics.integrate_affine`, one matrix-vector product per recorded
+    sample, at every player count.  A start state or frozen gain that is not
+    finite raises :class:`DivergenceError` at ``initial.t``.  Runs above
+    :data:`MAX_STEPS` steps or :data:`MAX_SAMPLES` recorded samples are
+    refused with ``ValueError``, and so are runs whose horizon, common
+    probing period or step on the native axis is zero or infinite (a float
+    underflow or overflow).
     """
     if model not in MODEL_KINDS:
         raise ValueError(f"unknown model kind {model!r}")
@@ -889,6 +859,11 @@ def simulate(
         "t": period_tau / omega, "tau": period_tau, "tau_star": topology.eps * period_tau,
     }[axis], axis)
 
+    y0 = _pack(model, initial.u, initial.delta)
+    # before the step rule or any route builds a field from the state or
+    # the boundary model's frozen gain
+    if not (np.isfinite(y0).all() and np.isfinite(initial.delta).all()):
+        raise DivergenceError(initial.t, axis)
     if dt is not None:
         step = float(dt)
     elif model == "full":
@@ -920,9 +895,6 @@ def simulate(
         )
     n_steps = stride * max(1, math.ceil(blocks - 1e-9))
 
-    y0 = _pack(model, initial.u, initial.delta)
-    if not np.isfinite(y0).all():   # before any route builds a field from it
-        raise DivergenceError(initial.t, axis)
     n = game.n_players
     if model == "full" and n <= MAX_GENERATED_PLAYERS:
         times, u_mat, d_mat = _integrate_full(
@@ -937,13 +909,10 @@ def simulate(
         kernel = _reduced_kernel(game, topology, tuning, initial.delta, freeze_delta)
         times, d_mat = _run_kernel(kernel, (initial.delta,), initial.t, step, n_steps, stride)
     else:
-        c, a, tensor = (None, None, None) if model in ("full", "reduced") else \
-            _polynomial_field(model, game, topology, tuning, initial.delta, freeze_delta)
-        affine = tensor is not None and not tensor.any()   # each RK4 step one affine map
-        if affine and n <= MAX_GENERATED_AFFINE_PLAYERS:
-            times, states = _run_kernel(
-                _affine_kernel(a, c, step, axis), (y0,), initial.t, step, n_steps, stride)
-        elif affine:
+        if model == "boundary" or model == "averaged" and not topology.n_deceivers:
+            # the field c + A y is affine: each RK4 step is one affine map
+            c, a, _ = _polynomial_field(model, game, topology, tuning, initial.delta,
+                                        freeze_delta)
             times, states = numerics.integrate_affine(
                 a, c, initial.t, y0, step, n_steps, record_every=stride)
         else:

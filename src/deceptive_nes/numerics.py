@@ -218,7 +218,11 @@ def integrate_fixed(
     A state that overflows is recorded as it is, without a floating-point
     warning; the caller checks the record.
     """
-    return _record(lambda t, y: rk4_step(f, t, y, dt), t0, y0, dt, n_steps, record_every)
+    def advance(first, k, y):
+        for i in range(first, first + k):
+            y = rk4_step(f, t0 + i * dt, y, dt)
+        return y
+    return _record(advance, t0, y0, dt, n_steps, record_every)
 
 
 def integrate_affine(
@@ -226,9 +230,33 @@ def integrate_affine(
     *, record_every: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
     """:func:`integrate_fixed` of the field ``f(t, y) = a @ y + c``, each
-    step one matrix-vector product by :func:`affine_rk4_map`."""
+    recorded sample one matrix-vector product.
+
+    One RK4 step is the affine map ``y <- R y + s`` of :func:`affine_rk4_map`,
+    that is ``(y, 1) <- M (y, 1)`` with ``M = [[R, s], [0, 1]]``, so a block
+    of ``k`` steps is ``M^k``, whose top rows are ``R^k`` and ``sum_{j<k} R^j
+    s`` (``numpy.linalg.matrix_power``, O(log k) products).  A block takes
+    ``record_every`` steps, and a trailing part-block the steps left.  Where
+    ``M^k`` overflows, which an unstable field does over a long block, the
+    block is stepped one ``M`` at a time instead, so an exactly-zero state of
+    a field with ``c = 0`` stays zero rather than meeting ``inf * 0``.
+    """
     r, s = affine_rk4_map(a, c, dt)
-    return _record(lambda t, y: r @ y + s, t0, y0, dt, n_steps, record_every)
+    m = len(s)
+    step = np.eye(m + 1)
+    step[:m, :m], step[:m, m] = r, s
+    blocks = {}
+
+    def advance(first, k, y):
+        if k not in blocks:
+            power = np.linalg.matrix_power(step, k)
+            blocks[k] = (power, 1) if np.isfinite(power).all() else (step, k)
+        block, repeats = blocks[k]
+        for _ in range(repeats):
+            y = block @ y
+        return y
+    times, states = _record(advance, t0, np.append(y0, 1.0), dt, n_steps, record_every)
+    return times, states[:, :m]
 
 
 def affine_rk4_map(a: np.ndarray, c: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
@@ -241,20 +269,21 @@ def affine_rk4_map(a: np.ndarray, c: np.ndarray, dt: float) -> tuple[np.ndarray,
     return eye + ha @ series, dt * series @ np.asarray(c, dtype=float)
 
 
-def _record(step, t0, y0, dt, n_steps, record_every):
-    """Apply ``y <- step(t, y)`` ``n_steps`` times, keeping ``y0``, every
-    ``record_every``-th state and the last one in arrays allocated up front."""
-    n_rec = 1 + n_steps // record_every + (n_steps % record_every != 0)
+def _record(advance, t0, y0, dt, n_steps, record_every):
+    """Take ``y0`` through ``n_steps`` steps in blocks of ``record_every``
+    and a trailing part-block, keeping ``y0`` and each block's end state at
+    ``t0 + step * dt`` in arrays allocated up front.  ``advance(first, k,
+    y)`` takes ``y`` from step ``first`` through ``k`` steps, under
+    ``np.errstate`` that silences overflow."""
+    n_rec = 1 + -(-n_steps // record_every)
     y = np.array(y0, dtype=float, copy=True)
     times = np.empty(n_rec)
     states = np.empty((n_rec,) + y.shape)
     times[0], states[0] = t0, y
-    t, row = t0, 1
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, n_steps + 1):
-            y = step(t, y)
-            t = t0 + k * dt
-            if k % record_every == 0 or k == n_steps:
-                times[row], states[row] = t, y
-                row += 1
+        for row in range(1, n_rec):
+            first = (row - 1) * record_every
+            end = min(first + record_every, n_steps)
+            y = advance(first, end - first, y)
+            times[row], states[row] = t0 + end * dt, y
     return times, states

@@ -154,12 +154,6 @@ class Scenario:
         """Quadratic market game with any own-curvature overrides applied."""
         return market_game(self.params, self.own_curvature)
 
-    def effective_tuning(self) -> NESTuning:
-        """Tuning with the scenario's frequency scale folded into omega."""
-        if self.sim.freq_scale == 1.0:
-            return self.tuning
-        return self.tuning.scaled(self.sim.freq_scale)
-
     def initial_state(self, game: QuadraticGame | None = None) -> SimState:
         """Initial integrator state; defaults to the (possibly offset) Nash
         prices with zero deceiver gains."""

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import warnings
 
 import numpy as np
@@ -368,6 +369,27 @@ def test_attainability_three_firm_frozen(game3_published, topology3):
     assert np.max(np.abs(res.u_star - U_STAR)) < 1e-6
     assert abs(res.lambda_mat[0, 0] - LAMBDA_STAR) < 1e-2
     assert res.residual < 1e-6
+
+
+def test_attainability_polish_stops_at_the_rounding_floor(game3_published, topology3,
+                                                          monkeypatch):
+    # The polynomial root of the study is within rounding of delta*: one
+    # Newton step polishes it, and steps of rounding noise after it are not
+    # taken.  Lambda is computed at the estimate and at the polished root.
+    import deceptive_nes.deception as deception
+    lam = deception._Evaluation.lam.func
+    points = []
+
+    def counting(self):
+        points.append(float(self.pert.delta[0]))
+        return lam(self)
+
+    spy = functools.cached_property(counting)
+    spy.__set_name__(deception._Evaluation, "lam")
+    monkeypatch.setattr(deception._Evaluation, "lam", spy)
+    res = solve_attainability(game3_published, topology3, gains=GAINS)
+    assert res.attainable and abs(res.delta_star[0] - DELTA_STAR) < 1e-6
+    assert len(points) <= 2, points
 
 
 def test_attainability_faithful_game_differs(game3, topology3):

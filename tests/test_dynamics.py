@@ -554,7 +554,6 @@ def test_kernel_sources_are_built_once_per_structure():
     other = build_quadratic_game(OligopolyParams(r, m, sd))
     k = max(range(topo.n_deceivers), key=lambda k: len(topo.victims[k]))
     single = DeceptionTopology(topo.deceivers[k:k + 1], topo.victims[k:k + 1])
-    a, c = _stable_affine_field(rng, 4)
     builds = [   # (kernel, a topology, one of another structure)
         (lambda g, t: dynamics._full_kernel(g, t, tuning, False), topo, single),
         (lambda g, t: dynamics._averaged_kernel(g, t, tuning, False), topo, single),
@@ -567,10 +566,6 @@ def test_kernel_sources_are_built_once_per_structure():
         *elsewise, _ = build(game, changed)
         assert all(x is y for x, y in zip(source, again))
         assert source != elsewise
-    run, _ = dynamics._affine_kernel(a, c, 0.01, "t")
-    assert dynamics._affine_kernel(-a, 2.0 * c, 0.02, "t")[0] is run
-    assert dynamics._affine_kernel(a, c, 0.01, "tau")[0] != run
-    assert dynamics._affine_kernel(a[:3, :3], c[:3], 0.01, "t")[0] != run
 
 
 @pytest.mark.parametrize("model", ["averaged", "reduced", "boundary",
@@ -648,8 +643,7 @@ def _reduced_case(rng, n_victims, n_players=5, resistance_scale=1.0):
 def test_dither_free_kernel_sources_depend_only_on_market_structure():
     # As for the full model: two markets alike in players, deceivers and
     # victims, unlike in every number, share the averaged and the reduced
-    # kernel's source text, and it carries no number of the market; two
-    # affine fields of one size share the affine kernel's.
+    # kernel's source text, and it carries no number of the market.
     game, topo, tuning, rng = _rich_cases(1)[0]
     k = topo.n_deceivers
     r, m, sd = oracles.random_market(rng, game.n_players, game.n_players)
@@ -666,9 +660,7 @@ def test_dither_free_kernel_sources_depend_only_on_market_structure():
     pairs = [(dynamics._averaged_kernel(game, topo, tuning, False),
               dynamics._averaged_kernel(other, retopo, retuned, False)),
              (dynamics._reduced_kernel(game, single, tuning, [0.0], False),
-              dynamics._reduced_kernel(other, resingle, retuned, [1.5], False)),
-             (dynamics._affine_kernel(*_stable_affine_field(rng, 4), 0.01, "tau"),
-              dynamics._affine_kernel(*_stable_affine_field(rng, 4), 0.03, "tau"))]
+              dynamics._reduced_kernel(other, resingle, retuned, [1.5], False))]
     for (*source, names), (*same, other_names) in pairs:
         assert same == source
         floats = [key for key, value in names.items() if isinstance(value, float)]
@@ -789,11 +781,10 @@ def test_reduced_run_started_at_a_pole_raises_singular(game3_published, topology
 def test_simulate_takes_the_generated_kernel_where_it_applies(game3_published, topology3,
                                                              tuning3, monkeypatch):
     # Generated kernels: the full model up to MAX_GENERATED_PLAYERS, the
-    # averaged model with deceivers up to MAX_GENERATED_AVERAGED_PLAYERS,
-    # the reduced model with one deceiver at any size and the affine fields
-    # (boundary, averaged without deceivers) up to
-    # MAX_GENERATED_AFFINE_PLAYERS, above it integrate_affine; the rest the
-    # numpy field.
+    # averaged model with deceivers up to MAX_GENERATED_AVERAGED_PLAYERS and
+    # the reduced model with one deceiver at any size.  The affine fields
+    # (boundary, averaged without deceivers) take integrate_affine at every
+    # size; the rest the numpy field.
     routes = []
 
     def spy(module, name):
@@ -804,7 +795,7 @@ def test_simulate_takes_the_generated_kernel_where_it_applies(game3_published, t
             return inner(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapper)
 
-    for name in ("_full_kernel", "_averaged_kernel", "_reduced_kernel", "_affine_kernel"):
+    for name in ("_full_kernel", "_averaged_kernel", "_reduced_kernel"):
         spy(dynamics, name)
     for name in ("integrate_fixed", "integrate_affine"):
         spy(numerics, name)
@@ -823,21 +814,18 @@ def test_simulate_takes_the_generated_kernel_where_it_applies(game3_published, t
     top = market(dynamics.MAX_GENERATED_AVERAGED_PLAYERS)
     above = market(dynamics.MAX_GENERATED_AVERAGED_PLAYERS + 1)
     big = market(dynamics.MAX_GENERATED_PLAYERS + 1)
-    affine_top = market(dynamics.MAX_GENERATED_AFFINE_PLAYERS)
-    affine_above = market(dynamics.MAX_GENERATED_AFFINE_PLAYERS + 1)
     cases = [("full", game3_published, topology3, tun, "_full_kernel"),
              ("averaged", game3_published, topology3, tun, "_averaged_kernel"),
-             ("averaged", game3_published, bare, tun, "_affine_kernel"),
              ("reduced", game3_published, topology3, tun, "_reduced_kernel"),
              ("reduced", game3_published, two, tun, "integrate_fixed"),
-             ("boundary", game3_published, topology3, tun, "_affine_kernel"),
-             ("boundary", *affine_top, "_affine_kernel"),
-             ("boundary", *affine_above, "integrate_affine"),
-             ("averaged", affine_above[0], bare, affine_above[2], "integrate_affine"),
              ("averaged", *top, "_averaged_kernel"),
              ("averaged", *above, "integrate_fixed"),
              ("full", *big, "integrate_fixed"),
              ("reduced", *big, "_reduced_kernel")]
+    for game, topo, tuning in [(game3_published, topology3, tun), market(7), market(8),
+                               top, above, big]:
+        cases += [("boundary", game, topo, tuning, "integrate_affine"),
+                  ("averaged", game, bare, tuning, "integrate_affine")]
     for model, game, topo, tuning, route in cases:
         routes.clear()
         simulate(model, game, topo, tuning, horizon=1e-3, dt=1e-4, stride=5)
@@ -851,20 +839,23 @@ def _stable_affine_field(rng, m):
     return -(b @ b.T / m + 0.1 * np.eye(m)) + (w - w.T) / 2.0, rng.standard_normal(m)
 
 
-def test_affine_kernel_matches_rk4_and_integrate_affine():
-    # The generated affine map against numerics.rk4_step on the field and
-    # against the numpy map of integrate_affine, every recorded row.
+def test_integrate_affine_matches_rk4_at_every_size_and_stride():
+    # One matrix-vector product per recorded sample against numerics.rk4_step
+    # on the field, every recorded row, on sizes both sides of the player
+    # bound the generated affine kernel once had.  The 3 steps after 6
+    # blocks are a part-block at strides above 3, and the recorded times are
+    # integrate_fixed's bit for bit.
     rng = np.random.default_rng(41)
-    for m in range(1, dynamics.MAX_GENERATED_AFFINE_PLAYERS + 1):
-        for stride in (1, 5, 7):
+    for m in range(1, 11):
+        for stride in (1, 5, 7, 16):
             a, c = _stable_affine_field(rng, m)
             y0, t0 = rng.uniform(-5.0, 5.0, size=m), rng.uniform(-1.0, 1.0)
-            dt, n_steps = 0.2 / np.linalg.norm(a, np.inf), 6 * stride
-            times, states = dynamics._run_kernel(
-                dynamics._affine_kernel(a, c, dt, "t"), (y0,), t0, dt, n_steps, stride)
-            ref_times, ref = numerics.integrate_affine(a, c, t0, y0, dt, n_steps,
-                                                       record_every=stride)
-            assert np.array_equal(times, ref_times)
+            dt, n_steps = 0.2 / np.linalg.norm(a, np.inf), 6 * stride + 3
+            times, states = numerics.integrate_affine(a, c, t0, y0, dt, n_steps,
+                                                      record_every=stride)
+            ref_times, ref = numerics.integrate_fixed(lambda t, v: a @ v + c, t0, y0, dt,
+                                                      n_steps, record_every=stride)
+            assert np.array_equal(times, ref_times) and len(times) == 1 + -(-n_steps // stride)
             scale = np.max(np.abs(ref), axis=1, keepdims=True)
             assert np.all(np.abs(states - ref) <= 1e-12 * scale), (m, stride)
             y = y0
@@ -873,22 +864,48 @@ def test_affine_kernel_matches_rk4_and_integrate_affine():
             assert np.max(np.abs(states[-1] - y)) <= 1e-12 * np.max(np.abs(y)), (m, stride)
 
 
-def test_affine_kernel_diverges_when_integrate_affine_does(game3_published, topology3,
-                                                          tuning3, monkeypatch):
+@pytest.mark.parametrize("stride", [16, 16384])
+def test_affine_divergence_is_the_first_block_end_after_stepping_overflows(
+        game3_published, topology3, tuning3, stride):
     # delta = 7 lies outside the stability set: the frozen-gain boundary
-    # layer grows until it overflows, at the same recorded time on both
-    # routes, and neither warns: DivergenceError alone reports it.
+    # layer grows until it overflows.  Stepped one RK4 step at a time it
+    # first overflows within some block; the block map reports that block's
+    # end, without a warning: DivergenceError alone reports it.  At stride
+    # 16384 the block map R^k itself overflows, and the block is stepped.
     init = SimState(t=0.0, u=np.array([1.0, 1.0, 1.0]), delta=np.array([7.0]))
-    times = []
-    for bound in (dynamics.MAX_GENERATED_AFFINE_PLAYERS, 0):
-        monkeypatch.setattr(dynamics, "MAX_GENERATED_AFFINE_PLAYERS", bound)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(DivergenceError) as err:
-                simulate("boundary", game3_published, topology3, tuning3, initial=init,
-                         horizon=1e5, stride=16)
-        times.append((err.value.time, err.value.axis))
-    assert times[0] == times[1] and times[0][1] == "t"
+    a = -(tuning3.gain[:, None] * perturbed_pseudogradient(game3_published, topology3,
+                                                          init.delta).qbar)
+    dt = 0.2 / np.linalg.norm(a, np.inf)   # the step simulate() picks
+    y, overflow = init.u, 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while np.isfinite(y).all():
+            y, overflow = numerics.rk4_step(lambda t, v: a @ v, 0.0, y, dt), overflow + 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError) as err:
+            simulate("boundary", game3_published, topology3, tuning3, initial=init,
+                     horizon=1e5, stride=stride)
+    assert err.value.axis == "t"
+    assert err.value.time == math.ceil(overflow / stride) * stride * dt, (overflow, err.value)
+
+
+def test_affine_zero_state_stays_zero_where_the_block_map_overflows(game3_published,
+                                                                    topology3, tuning3):
+    # The boundary field has c = 0, so a zero deviation is an equilibrium
+    # even at the unstable delta = 7.  Over blocks of 16384 steps R^k
+    # overflows; stepping keeps the state exactly zero, and so must the
+    # block map, instead of recording inf * 0 = NaN.
+    init = SimState(t=0.0, u=np.zeros(3), delta=np.array([7.0]))
+    a = -(tuning3.gain[:, None] * perturbed_pseudogradient(game3_published, topology3,
+                                                          init.delta).qbar)
+    r, _ = numerics.affine_rk4_map(a, np.zeros(3), 0.2 / np.linalg.norm(a, np.inf))
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(np.linalg.matrix_power(r, 16384)).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = simulate("boundary", game3_published, topology3, tuning3, initial=init,
+                        horizon=3e4, stride=16384)
+    assert traj.times.size == 4 and not traj.u.any()
 
 
 def test_numpy_fields_diverge_without_a_warning():
@@ -1032,6 +1049,25 @@ def test_full_model_divergence_is_reported(game3_published, topology3,
                 simulate(model, game3_published, topo, tuning3.scaled(0.1), initial=init,
                          horizon=1e-3, dt=1e-4, stride=5)
             assert err.value.time == 1.5, (model, topo.deceivers)
+
+
+@pytest.mark.parametrize("model", MODEL_KINDS)
+@pytest.mark.parametrize("delta", [np.nan, np.inf, -np.inf])
+def test_non_finite_start_gain_diverges_before_the_step_rule(game3_published, topology3,
+                                                             tuning3, model, delta):
+    # The dither-free models size their step from Qbar(delta) at the start
+    # gain, which for the boundary model is its frozen gain and not part of
+    # the integrated state.  A gain that is not finite must stop the run at
+    # its first time, before the step rule or a field reads it, and without
+    # a floating-point warning.
+    init = SimState(t=1.5, u=game3_published.nash_equilibrium(), delta=np.array([delta]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError) as err:
+            simulate(model, game3_published, topology3, tuning3.scaled(0.1), initial=init,
+                     horizon=1.0, stride=8)
+    axis = {"full": "t", "averaged": "tau", "reduced": "tau_star", "boundary": "t"}[model]
+    assert (err.value.time, err.value.axis) == (1.5, axis)
 
 
 def test_steady_state_window_is_count_based(game3_published, topology3,
