@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
@@ -476,21 +477,19 @@ MAX_GENERATED_PLAYERS = 30
 MAX_GENERATED_AVERAGED_PLAYERS = 13
 
 
-def _run_loop(state, records, axis, body, prologue=(), params=()) -> str:
+def _run_loop(state, body, prologue=(), params=()) -> str:
     """Source of ``run``, the loop of every generated kernel.
 
-    ``run(*state, t0, dt, n_steps, stride, ts, *buffers, *params)`` runs the
+    ``run(*state, t0, dt, n_steps, stride, ts, ys, *params)`` runs the
     ``prologue`` lines, then ``n_steps // stride`` blocks of ``stride``
     ``body`` lines (a part-block would record nothing).  They advance the
     floats named in ``state`` by one step and may read ``step``, the steps
     taken once this one ends, ``half = dt / 2`` and ``sixth = dt / 6``.
-    After each block it checks the state finite, raising
-    :class:`DivergenceError` on the ``axis`` axis, appends the time to
-    ``ts`` and, for each ``(buffer, names)`` of ``records``, those floats to
-    that buffer.  ``params`` default to the namespace's values: locals.
+    After each block it appends the time to ``ts`` and the state to ``ys``,
+    and returns if the state is not finite.  ``params`` default to the
+    namespace's values: locals.
     """
-    buffers = [buffer for buffer, _ in records]
-    args = [*state, "t0", "dt", "n_steps", "stride", "ts", *buffers, *(f"{p}={p}" for p in params)]
+    args = [*state, "t0", "dt", "n_steps", "stride", "ts", "ys", *(f"{p}={p}" for p in params)]
     run = [f"def run({', '.join(args)}):",
            "    half = 0.5 * dt",
            "    sixth = dt / 6.0",
@@ -498,11 +497,10 @@ def _run_loop(state, records, axis, body, prologue=(), params=()) -> str:
            "    for last in range(stride, n_steps + 1, stride):",
            "        for step in range(last - stride + 1, last + 1):"]
     run += [f"            {line}" for line in body]
-    run += ["        tr = t0 + last * dt",
+    run += ["        ts.append(t0 + last * dt)",
+            f"        ys.extend([{', '.join(state)}])",
             f"        if not ({' and '.join(f'isfinite({v})' for v in state)}):",
-            f'            raise DivergenceError(tr, "{axis}")',
-            "        ts.append(tr)"]
-    run += [f"        {buffer}.extend([{', '.join(names)}])" for buffer, names in records]
+            "            return"]
     return "\n".join(run) + "\n"
 
 
@@ -580,8 +578,7 @@ def _full_source(n, deceivers, victims) -> tuple[str, str]:
     tones = [[f"{s}{i}" for i in players] for s in "ehhe"]
     prologue = ["te = t0", *(f"e{i} = sin(w{i} * t0)" for i in players)]
     body = _rk4_body(state, _stage_calls(tones, clock))
-    run = _run_loop(state, [("us", u), ("ds", d)], "t", body, prologue,
-                    ["sin", "stage", *(f"w{i}" for i in players)])
+    run = _run_loop(state, body, prologue, ["sin", "stage", *(f"w{i}" for i in players)])
     return "\n".join(stage) + "\n", run
 
 
@@ -645,7 +642,7 @@ def _averaged_source(n, deceivers, victims) -> tuple[str, tuple]:
         bind = [] if r == 1 else [f"{p} = {a}" for p, a in zip(point, at)]
         return bind + [f"{o} = {row}" for o, row in zip(out, rows(point))]
 
-    run = _run_loop(y, [("us", y[:n]), ("ds", y[n:])], "tau", _rk4_body(y, step), (), params)
+    run = _run_loop(y, _rk4_body(y, step), (), params)
     return run, terms
 
 
@@ -734,8 +731,7 @@ def _reduced_source(v) -> tuple[str, str]:
               f"    num = f{2 * v}"]
     stage += [f"    num = num * x + f{k}" for k in range(2 * v - 1, -1, -1)]
     stage.append("    return rate * (num / den / den),")
-    run = _run_loop(["d0"], [("ds", ["d0"])], "tau_star", _rk4_body(["d0"], _stage_calls()),
-                    params=["stage"])
+    run = _run_loop(["d0"], _rk4_body(["d0"], _stage_calls()), params=["stage"])
     return "\n".join(stage) + "\n", run
 
 
@@ -744,49 +740,34 @@ def _compiled(source: str):
     return compile(source, "<generated RK4 kernel>", "exec")
 
 
-def _run_kernel(kernel, groups, t0, dt, n_steps, stride) -> tuple[np.ndarray, ...]:
+def _run_kernel(kernel, y0, t0, dt, n_steps, stride) -> tuple[np.ndarray, np.ndarray]:
     """Run a generated kernel, its sources (``stage`` and ``run``, or ``run``
-    alone) and the namespace they read, from the state ``groups`` (one float
-    vector per record buffer) at ``t0`` for ``n_steps // stride`` blocks of
-    ``stride`` steps.
+    alone) and the namespace they read, from the packed state ``y0`` at
+    ``t0`` for ``n_steps // stride`` blocks of ``stride`` steps, or through
+    the first block whose end state is not finite.
 
     ``stage`` and ``run`` are compiled separately, which keeps the
     compiler's peak memory down, and the code of recent market structures is
-    kept compiled.  Recorded samples go straight into flat float buffers, 8
-    bytes a number.  Returns the times and, per group, one row per sample.
+    kept compiled.  Recorded samples go straight into one flat float buffer,
+    8 bytes a number.  Returns ``(times, states)``, one row per sample.
     """
     *sources, names = kernel
-    names.update(isfinite=math.isfinite, DivergenceError=DivergenceError)
+    names["isfinite"] = math.isfinite
     for source in sources:
         exec(_compiled(source), names)
-    state = [[float(v) for v in group] for group in groups]
-    ts, buffers = array("d", [t0]), [array("d", group) for group in state]
-    names["run"](*(v for group in state for v in group), t0, dt, n_steps, stride, ts, *buffers)
-    return (np.frombuffer(ts), *(np.frombuffer(buffer).reshape(len(ts), len(group))
-                                 for buffer, group in zip(buffers, state)))
+    state = [float(v) for v in y0]
+    ts, ys = array("d", [t0]), array("d", state)
+    names["run"](*state, t0, dt, n_steps, stride, ts, ys)
+    return np.frombuffer(ts), np.frombuffer(ys).reshape(len(ts), len(state))
 
 
-def _integrate_full(
-    game: QuadraticGame,
-    topology: DeceptionTopology,
-    tuning: NESTuning,
-    initial: SimState,
-    dt: float,
-    n_steps: int,
-    stride: int,
-    freeze_delta: bool,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """RK4 loop of the dithered model, run by the straight-line code that
-    :func:`_full_kernel` generates for this market.
-
-    This is the hot path (millions of steps at realistic frequencies), so a
-    step is plain float arithmetic with every player and victim unrolled.
-    :func:`simulate` runs it up to :data:`MAX_GENERATED_PLAYERS` players;
-    the test-suite pins it, and the numpy route above that bound, against
-    the generic :func:`rhs` + :func:`numerics.rk4_step` route.
-    """
-    kernel = _full_kernel(game, topology, tuning, freeze_delta)
-    return _run_kernel(kernel, (initial.u, initial.delta), initial.t, dt, n_steps, stride)
+def _bounded_int(name: str, value, low: int) -> int:
+    """``value`` as an int, if it is an integer (not a bool) in
+    ``low..MAX_STEPS``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
+            or not low <= value <= MAX_STEPS:
+        raise ValueError(f"{name} must be an integer in {low}..{MAX_STEPS}, got {value!r}")
+    return int(value)
 
 
 def _positive_finite(name: str, value: float, axis: str) -> float:
@@ -818,16 +799,24 @@ def simulate(
     the full-model step to ``2*pi / (w_max * oversampling)`` (at least 16
     steps per fastest probing period); dither-free models pick their step
     from their own rate bounds unless ``dt`` (native-axis units) is given.
+    ``stride`` and ``oversampling`` are integers, not bools.
     ``freeze_delta`` holds deceiver gains at their initial values while the
-    probing injections stay active.  The affine fields, ``boundary`` and
-    ``averaged`` without deceivers, are stepped by
-    :func:`numerics.integrate_affine`, one matrix-vector product per recorded
-    sample, at every player count.  A start state or frozen gain that is not
+    probing injections stay active.
+
+    Every route takes the packed state and returns a packed ``(times,
+    states)`` record: a generated kernel (:func:`_run_kernel`), the affine
+    fields' block maps (:func:`numerics.integrate_affine`, ``boundary`` and
+    ``averaged`` without deceivers) or the numpy field
+    (:func:`numerics.integrate_fixed`).  Each stops after the first block
+    whose end state is not finite, and that block's end time is the time of
+    the :class:`DivergenceError` raised, so a diverging run costs only the
+    steps up to its divergence.  A start state or frozen gain that is not
     finite raises :class:`DivergenceError` at ``initial.t``.  Runs above
     :data:`MAX_STEPS` steps or :data:`MAX_SAMPLES` recorded samples are
     refused with ``ValueError``, and so are runs whose horizon, common
     probing period or step on the native axis is zero or infinite (a float
-    underflow or overflow).
+    underflow or overflow), and runs from a start time that is not finite
+    or that one step does not move.
     """
     if model not in MODEL_KINDS:
         raise ValueError(f"unknown model kind {model!r}")
@@ -835,10 +824,9 @@ def simulate(
         raise ValueError("horizon must be positive")
     if dt is not None and not dt > 0.0:
         raise ValueError("dt must be positive")
-    if not 1 <= stride <= MAX_STEPS:
-        raise ValueError(f"stride must be an integer in 1..{MAX_STEPS}")
-    if not 16 <= oversampling <= MAX_STEPS:   # below 16 does not resolve the dither
-        raise ValueError(f"oversampling must be an integer in 16..{MAX_STEPS}")
+    stride = _bounded_int("stride", stride, 1)
+    # an oversampling below 16 does not resolve the dither
+    oversampling = _bounded_int("oversampling", oversampling, 16)
     topology.validate_against(game.n_players)
     if initial is None:
         initial = default_initial(game, topology)
@@ -885,6 +873,11 @@ def simulate(
         else:
             step = min(step, native_horizon / 200.0)
     _positive_finite("integration step", step, axis)
+    if not (math.isfinite(initial.t) and initial.t + step != initial.t):
+        raise ValueError(
+            f"the start time on the {axis} axis is {initial.t:.6g}; it must be "
+            f"finite and move by the integration step {step:.6g}"
+        )
 
     blocks = native_horizon / (step * stride)   # may be huge, inf or NaN
     if not (blocks * stride <= MAX_STEPS and blocks + 1.0 <= MAX_SAMPLES):
@@ -896,44 +889,39 @@ def simulate(
     n_steps = stride * max(1, math.ceil(blocks - 1e-9))
 
     n = game.n_players
+    kernel = None
     if model == "full" and n <= MAX_GENERATED_PLAYERS:
-        times, u_mat, d_mat = _integrate_full(
-            game, topology, tuning, initial, step, n_steps, stride, freeze_delta
-        )
+        # the hot path: millions of steps of unrolled float arithmetic
+        kernel = _full_kernel(game, topology, tuning, freeze_delta)
     elif model == "averaged" and n <= MAX_GENERATED_AVERAGED_PLAYERS and topology.n_deceivers:
         kernel = _averaged_kernel(game, topology, tuning, freeze_delta)
-        times, u_mat, d_mat = _run_kernel(
-            kernel, (initial.u, initial.delta), initial.t, step, n_steps, stride)
     elif model == "reduced" and topology.n_deceivers == 1:
         # the stage reads |V| + 1 and 2|V| + 1 coefficients, whatever n
         kernel = _reduced_kernel(game, topology, tuning, initial.delta, freeze_delta)
-        times, d_mat = _run_kernel(kernel, (initial.delta,), initial.t, step, n_steps, stride)
+    if kernel is not None:
+        times, states = _run_kernel(kernel, y0, initial.t, step, n_steps, stride)
+    elif model == "boundary" or model == "averaged" and not topology.n_deceivers:
+        # the field c + A y is affine: each RK4 step is one affine map
+        c, a, _ = _polynomial_field(model, game, topology, tuning, initial.delta, freeze_delta)
+        times, states = numerics.integrate_affine(
+            a, c, initial.t, y0, step, n_steps, record_every=stride)
     else:
-        if model == "boundary" or model == "averaged" and not topology.n_deceivers:
-            # the field c + A y is affine: each RK4 step is one affine map
-            c, a, _ = _polynomial_field(model, game, topology, tuning, initial.delta,
-                                        freeze_delta)
-            times, states = numerics.integrate_affine(
-                a, c, initial.t, y0, step, n_steps, record_every=stride)
-        else:
-            f = _vector_field(model, game, topology, tuning, initial.delta, freeze_delta)
-            times, states = numerics.integrate_fixed(
-                f, initial.t, y0, step, n_steps, record_every=stride)
-        if not np.all(np.isfinite(states[-1])):
-            bad = np.where(~np.all(np.isfinite(states), axis=1))[0]
-            raise DivergenceError(times[bad[0]], axis)
-        if model in ("full", "averaged"):
-            u_mat, d_mat = states[:, :game.n_players], states[:, game.n_players:]
-        elif model == "reduced":
-            d_mat = states
-        else:
-            u_mat = states
-            d_mat = np.tile(initial.delta, (len(times), 1))
+        f = _vector_field(model, game, topology, tuning, initial.delta, freeze_delta)
+        times, states = numerics.integrate_fixed(
+            f, initial.t, y0, step, n_steps, record_every=stride)
+    # every route stops recording at its first state that is not finite
+    if not all(map(math.isfinite, states[-1].tolist())):
+        raise DivergenceError(times[-1], axis)
     if model == "reduced":
+        d_mat = states
         u_mat = _Evaluation(game, topology, d_mat).h
         singular = np.flatnonzero(np.isnan(u_mat).any(axis=1))
         if singular.size:  # raise the first singular sample's error
             _Evaluation(game, topology, d_mat[singular[0]]).h
+    elif model == "boundary":
+        u_mat, d_mat = states, np.tile(initial.delta, (len(times), 1))
+    else:
+        u_mat, d_mat = states[:, :n], states[:, n:]
 
     x = _played_prices(u_mat, tuning, topology, d_mat, times) if model == "full" \
         else u_mat.copy()

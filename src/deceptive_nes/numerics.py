@@ -5,11 +5,16 @@ partial-pivot elimination meets a pivot below ``1e-13 * ||a||_inf`` is
 singular (:class:`SingularMatrixError`, or NaN rows in :func:`solve_stack`),
 and ``numpy.linalg`` failures surface as :class:`ConvergenceError`.  Damped
 Newton and RK4 are written out here; one-deceiver roots come from
-``numpy.polynomial.polynomial`` in :mod:`deceptive_nes.deception`.
+``numpy.polynomial.polynomial`` in :mod:`deceptive_nes.deception`.  The
+fixed-step integrators record ``(times, states)`` and stop after the first
+recorded state that is not finite, so a diverging run costs the steps up to
+its divergence, whatever its horizon.
 """
 
 from __future__ import annotations
 
+import math
+from array import array
 from typing import Callable
 
 import numpy as np
@@ -216,7 +221,8 @@ def integrate_fixed(
 
     Returns ``(times, states)`` with ``states[k]`` the state at ``times[k]``.
     A state that overflows is recorded as it is, without a floating-point
-    warning; the caller checks the record.
+    warning, and ends the record: after the first recorded state that is not
+    finite no step is taken, and the arrays stop at that row.
     """
     def advance(first, k, y):
         for i in range(first, first + k):
@@ -230,7 +236,8 @@ def integrate_affine(
     *, record_every: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
     """:func:`integrate_fixed` of the field ``f(t, y) = a @ y + c``, each
-    recorded sample one matrix-vector product.
+    recorded sample one matrix-vector product; the record likewise stops at
+    the first recorded state that is not finite.
 
     One RK4 step is the affine map ``y <- R y + s`` of :func:`affine_rk4_map`,
     that is ``(y, 1) <- M (y, 1)`` with ``M = [[R, s], [0, 1]]``, so a block
@@ -272,18 +279,19 @@ def affine_rk4_map(a: np.ndarray, c: np.ndarray, dt: float) -> tuple[np.ndarray,
 def _record(advance, t0, y0, dt, n_steps, record_every):
     """Take ``y0`` through ``n_steps`` steps in blocks of ``record_every``
     and a trailing part-block, keeping ``y0`` and each block's end state at
-    ``t0 + step * dt`` in arrays allocated up front.  ``advance(first, k,
-    y)`` takes ``y`` from step ``first`` through ``k`` steps, under
-    ``np.errstate`` that silences overflow."""
-    n_rec = 1 + -(-n_steps // record_every)
-    y = np.array(y0, dtype=float, copy=True)
-    times = np.empty(n_rec)
-    states = np.empty((n_rec,) + y.shape)
-    times[0], states[0] = t0, y
+    ``t0 + step * dt`` in flat float buffers, through the first state that
+    is not finite.  ``advance(first, k, y)`` takes ``y`` from step ``first``
+    through ``k`` steps, under ``np.errstate`` that silences overflow."""
+    y = np.array(y0, dtype=float)
+    ts, ys = array("d", [t0]), array("d", y.ravel().tolist())
     with np.errstate(over="ignore", invalid="ignore"):
-        for row in range(1, n_rec):
-            first = (row - 1) * record_every
+        for first in range(0, n_steps, record_every):
             end = min(first + record_every, n_steps)
             y = advance(first, end - first, y)
-            times[row], states[row] = t0 + end * dt, y
-    return times, states
+            ts.append(t0 + end * dt)
+            row = y.ravel().tolist()
+            ys.extend(row)
+            # on floats: a numpy reduction costs several times more per block
+            if not all(map(math.isfinite, row)):
+                break
+    return np.frombuffer(ts), np.frombuffer(ys).reshape((len(ts),) + y.shape)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -405,6 +406,37 @@ def test_simulate_validation(game3_published, topology3, tuning3):
         simulate("reduced", game3_published, bare, tuning3, horizon=1.0)
 
 
+@pytest.mark.parametrize("model", MODEL_KINDS)
+def test_simulate_takes_only_integer_strides_and_oversampling(game3_published, topology3,
+                                                              tuning3, model):
+    # A float or a bool is refused up front, with the same message on every
+    # route; a numpy integer is an integer, recorded as a Python int.
+    tun = tuning3.scaled(0.1)
+    run = functools.partial(simulate, model, game3_published, topology3, tun, horizon=1e-3,
+                            dt=1e-4)
+    for bad in (2.5, 2.0, True, np.float64(2.0), "2", None):
+        with pytest.raises(ValueError, match=r"stride must be an integer in 1\.\."):
+            run(stride=bad)
+    for bad in (32.5, 32.0, True, np.float64(32.0)):
+        with pytest.raises(ValueError, match=r"oversampling must be an integer in 16\.\."):
+            run(oversampling=bad)
+    traj = run(stride=np.int64(2), oversampling=np.int32(32))
+    assert type(traj.meta.stride) is int and traj.meta.stride == 2
+    assert np.allclose(np.diff(traj.times), 2e-4)
+
+
+@pytest.mark.parametrize("model", MODEL_KINDS)
+@pytest.mark.parametrize("t0", [np.inf, np.nan, 1e300])
+def test_simulate_refuses_a_start_time_that_cannot_carry_a_clock(game3_published, topology3,
+                                                                tuning3, model, t0):
+    # A start time that is not finite, or so large that a step does not move
+    # it, would record every sample at one time (or none); it is refused.
+    init = SimState(t=t0, u=game3_published.nash_equilibrium(), delta=np.array([1.0]))
+    with pytest.raises(ValueError, match="start time"):
+        simulate(model, game3_published, topology3, tuning3.scaled(0.1), initial=init,
+                 horizon=1.0, stride=8)
+
+
 def test_simulate_records_uniform_grid(game3_published, topology3, tuning3):
     traj = simulate("full", game3_published, topology3, tuning3.scaled(0.1),
                     horizon=0.5, stride=4)
@@ -426,13 +458,13 @@ def test_full_integrator_matches_generic_rk4_on_rhs(game3_published,
     # must agree with numerics.rk4_step applied to the reference rhs to
     # round-off, and so must the numpy field stepped above the player bound.
     generated = []
-    integrate_full = dynamics._integrate_full
+    full_kernel = dynamics._full_kernel
 
     def spy(game, *args):
         generated.append(game.n_players)
-        return integrate_full(game, *args)
+        return full_kernel(game, *args)
 
-    monkeypatch.setattr(dynamics, "_integrate_full", spy)
+    monkeypatch.setattr(dynamics, "_full_kernel", spy)
     tun = tuning3.scaled(0.1)
     dt = 1e-4
     n_steps = 25
@@ -525,8 +557,9 @@ def test_full_kernel_long_run_matches_generic_rk4_on_rhs():
     t0, stride, n_steps = 0.25, 7, 5003
     dt = 2.0 * math.pi / (float(max(tuning.frequencies())) * 32)
     init = SimState(t=t0, u=game.nash_equilibrium() + 0.3, delta=np.array([1.0]))
-    times, u, d = dynamics._integrate_full(game, topo, tuning, init, dt, n_steps, stride,
-                                           False)
+    times, got = dynamics._run_kernel(dynamics._full_kernel(game, topo, tuning, False),
+                                      np.concatenate([init.u, init.delta]), t0, dt, n_steps,
+                                      stride)
     assert times.size == 1 + n_steps // stride
     assert times.tolist() == [t0 + k * stride * dt for k in range(times.size)]
 
@@ -540,10 +573,9 @@ def test_full_kernel_long_run_matches_generic_rk4_on_rhs():
         if (i + 1) % stride == 0:
             ref.append(y)
     ref = np.array(ref)
-    got = np.column_stack([u, d])
     scale = np.max(np.abs(ref), axis=1, keepdims=True)
     assert np.all(np.abs(got - ref) <= 1e-12 * scale), np.max(np.abs(got - ref) / scale)
-    assert abs(d[-1, 0] - d[0, 0]) > 1e-3   # the gain moved
+    assert abs(got[-1, 3] - got[0, 3]) > 1e-3   # the gain moved
 
 
 def test_kernel_sources_are_built_once_per_structure():
@@ -908,10 +940,20 @@ def test_affine_zero_state_stays_zero_where_the_block_map_overflows(game3_publis
     assert traj.times.size == 4 and not traj.u.any()
 
 
-def test_numpy_fields_diverge_without_a_warning():
+def test_numpy_fields_diverge_without_a_warning(monkeypatch):
     # Above their kernels' bounds the full and averaged models step numpy
     # fields through integrate_fixed; gains far too hot overflow them, and
-    # DivergenceError alone reports it, as on the generated kernels.
+    # DivergenceError alone reports it, as on the generated kernels.  The
+    # record stops at the diverging block: a horizon a hundred times longer
+    # diverges at the same time, and no RK4 step runs after that block.
+    steps = []
+    rk4_step = numerics.rk4_step
+
+    def counted(f, t, y, dt):
+        steps.append(t)
+        return rk4_step(f, t, y, dt)
+
+    monkeypatch.setattr(numerics, "rk4_step", counted)
     rng = np.random.default_rng(43)
     for model, n in (("averaged", dynamics.MAX_GENERATED_AVERAGED_PLAYERS + 1),
                      ("full", dynamics.MAX_GENERATED_PLAYERS + 1)):
@@ -919,11 +961,35 @@ def test_numpy_fields_diverge_without_a_warning():
         game = build_quadratic_game(OligopolyParams(r, m, sd))
         tuning = NESTuning(amplitude=np.full(n, 0.05), gain=np.full(n, 1e4), omega=1.0,
                            omega_ratio=tuple(range(3, 3 + n)))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(DivergenceError):
-                simulate(model, game, DeceptionTopology((0,), ((2, n - 1),)), tuning,
-                         horizon=50.0, dt=1.0, stride=1)
+        errors = []
+        for horizon in (50.0, 5000.0):
+            steps.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DivergenceError) as err:
+                    simulate(model, game, DeceptionTopology((0,), ((2, n - 1),)), tuning,
+                             horizon=horizon, dt=1.0, stride=1)
+            errors.append((err.value.time, err.value.axis))
+            assert steps == [float(k) for k in range(int(err.value.time))], (model, horizon)
+        assert errors[0] == errors[1] and errors[0][0] < 50.0, (model, errors)
+
+
+def test_generated_kernels_stop_at_the_first_non_finite_block(game3_published, topology3,
+                                                              tuning3):
+    # The same contract on the generated kernels: a run far too hot records
+    # finite rows through the block before it diverges and that block's
+    # non-finite end, at the times t0 + k * stride * dt, and stops there.
+    hot = NESTuning(amplitude=tuning3.amplitude, gain=tuning3.gain * 1e6,
+                    omega=tuning3.omega * 0.1, omega_ratio=tuning3.omega_ratio)
+    init = default_initial(game3_published, topology3)
+    y0 = np.concatenate([init.u, init.delta])
+    t0, dt, stride, n_steps = 0.5, 1e-3, 4, 4_000_000
+    for kernel in (dynamics._full_kernel(game3_published, topology3, hot, False),
+                   dynamics._averaged_kernel(game3_published, topology3, hot, False)):
+        times, states = dynamics._run_kernel(kernel, y0, t0, dt, n_steps, stride)
+        finite = np.isfinite(states).all(axis=1)
+        assert 1 < len(times) < 1000 and finite[:-1].all() and not finite[-1], finite
+        assert times.tolist() == [t0 + k * stride * dt for k in range(len(times))]
 
 
 @pytest.mark.parametrize("model", MODEL_KINDS)
@@ -949,9 +1015,10 @@ def test_full_model_records_samples_compactly(game3_published, topology3,
     n_steps = 3000
     tracemalloc.start()
     try:
-        dynamics._integrate_full(game3_published, topology3, tuning3.scaled(0.1),
-                                 default_initial(game3_published, topology3),
-                                 1e-4, n_steps, 1, False)
+        init = default_initial(game3_published, topology3)
+        dynamics._run_kernel(dynamics._full_kernel(game3_published, topology3,
+                                                   tuning3.scaled(0.1), False),
+                             np.concatenate([init.u, init.delta]), 0.0, 1e-4, n_steps, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -272,3 +272,29 @@ def test_integrate_affine_is_rk4_on_the_affine_field():
         scale = 1.0 + np.max(np.abs(ref_states))
         assert np.max(np.abs(states - ref_states)) <= 1e-12 * scale
         assert np.max(np.abs(states[-1] - y)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("record_every", [1, 3])
+def test_integrators_stop_at_the_first_non_finite_block(record_every):
+    # y' = y^2 from y(0) = 1 blows up at t = 1, and y' = y overflows a float
+    # near t = 709: a horizon far past either ends the record at the first
+    # block whose end state is not finite, and no step follows it.
+    calls = []
+
+    def square(t, y):
+        calls.append(t)
+        return y * y
+
+    def check(times, states, t0, dt):
+        finite = np.isfinite(states).all(axis=1)
+        assert finite[:-1].all() and not finite[-1], finite
+        assert len(times) == len(states) < 1000
+        steps = np.arange(len(times)) * record_every
+        assert np.array_equal(times, t0 + steps * dt)
+        return steps[-1]
+
+    steps = check(*numerics.integrate_fixed(square, 0.5, np.array([1.0]), 0.01, 10**5,
+                                            record_every=record_every), 0.5, 0.01)
+    assert len(calls) == 4 * steps
+    check(*numerics.integrate_affine(np.eye(2), np.zeros(2), 0.0, np.ones(2), 1.0, 10**5,
+                                     record_every=record_every), 0.0, 1.0)
