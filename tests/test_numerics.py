@@ -298,3 +298,14 @@ def test_integrators_stop_at_the_first_non_finite_block(record_every):
     assert len(calls) == 4 * steps
     check(*numerics.integrate_affine(np.eye(2), np.zeros(2), 0.0, np.ones(2), 1.0, 10**5,
                                      record_every=record_every), 0.0, 1.0)
+    # a start state that is not finite is the whole record: no step is taken
+    calls.clear()
+    for bad in (np.nan, np.inf):
+        times, states = numerics.integrate_fixed(square, 0.5, np.array([bad]), 0.01, 10**5,
+                                                 record_every=record_every)
+        assert times.tolist() == [0.5] and states.shape == (1, 1) and not calls
+        times, states = numerics.integrate_affine(np.eye(2), np.zeros(2), 0.0,
+                                                  np.array([1.0, bad]), 1.0, 10**5,
+                                                  record_every=record_every)
+        assert times.tolist() == [0.0] and states.shape == (1, 2)
+        assert np.array_equal(states[0], [1.0, bad], equal_nan=True)
