@@ -169,7 +169,8 @@ def dither_vector(
 
 def _played_prices(u, tuning, topology, delta, t) -> np.ndarray:
     """``x = u + (I + delta . G)(a o s)``, summed as ``(u + a o s) + (delta .
-    G)(a o s)`` like the full model's generated kernel."""
+    G)(a o s)``; the full model's generated kernel sums the same terms in
+    its sales-form coordinates (:func:`_full_source`)."""
     tones = tuning.amplitude * np.sin(np.multiply.outer(t, tuning.frequencies()))
     g = topology.injection(tuning.n_players)
     d = np.asarray(delta, dtype=float)
@@ -458,26 +459,21 @@ class Trajectory:
 # simulation driver
 # ---------------------------------------------------------------------------
 
-#: Above this many players :func:`simulate` steps the full model with the
-#: numpy field of :func:`_vector_field` instead of the generated kernel, whose
-#: source and compile time grow with the square of the player count.
-#: Measured per step on 2 cores (Python 3.11, numpy 2.4), generated against
-#: numpy: 126 / 196 µs at N = 20, 216-274 / 282-290 µs at 30, 351 / 307 µs at
-#: 34, 550 / 339 µs at 40.
-MAX_GENERATED_PLAYERS = 30
-
-#: The same bound for the averaged model, against its numpy polynomial
-#: field: the unrolled price rows ``-(K/w) Q0 u`` cost N**2 float operations
-#: in Python.  Measured per step as above (two deceivers, one shared victim),
-#: generated against numpy: 5.4 / 13.7 µs at N = 6, 13.4 / 16.6 at 12, 16.8
-#: / 16.8 at 14, 20.5 / 18.3 at 16, 29.7 / 21.3 at 20; the kernel also costs
-#: 0.5-0.9 ms more to set up.  The reduced model with one deceiver has no
-#: bound: its stage reads 3|V| + 2 numbers whatever the player count (1.5
-#: against 1670 µs per step at N = 30, 2.5 against 10600 at 60).
+#: Above this many players :func:`simulate` steps the averaged model with
+#: deceivers by its numpy polynomial field instead of the generated kernel:
+#: the unrolled price rows ``-(K/w) Q0 u`` cost N**2 float operations in
+#: Python.  Measured per step on 2 cores (Python 3.11, numpy 2.4, two
+#: deceivers, one shared victim), generated against numpy: 5.4 / 13.7 µs at
+#: N = 6, 13.4 / 16.6 at 12, 16.8 / 16.8 at 14, 20.5 / 18.3 at 16, 29.7 /
+#: 21.3 at 20; the kernel also costs 0.5-0.9 ms more to set up.  The
+#: reduced model with one deceiver has no bound: its stage reads 3|V| + 2
+#: numbers whatever the player count (1.5 against 1670 µs per step at N =
+#: 30, 2.5 against 10600 at 60).  Nor has the full model where its costs
+#: have the sales form (:func:`_sales_form`), as every market's do.
 MAX_GENERATED_AVERAGED_PLAYERS = 13
 
 
-def _run_loop(state, body, prologue=(), params=()) -> str:
+def _run_loop(state, body, prologue=(), params=(), record=None) -> str:
     """Source of ``run``, the loop of every generated kernel.
 
     ``run(*state, t0, dt, n_steps, stride, ts, ys, *params)`` runs the
@@ -485,11 +481,14 @@ def _run_loop(state, body, prologue=(), params=()) -> str:
     ``body`` lines (a part-block would record nothing).  They advance the
     floats named in ``state`` by one step and may read ``step``, the steps
     taken once this one ends, ``half = dt / 2`` and ``sixth = dt / 6``.
-    After each block it appends the time to ``ts`` and the state to ``ys``,
-    and returns if the state is not finite.  ``params`` default to the
-    namespace's values: locals.
+    After each block it appends the time to ``ts`` and the recorded values
+    to ``ys``, and returns if one of them is not finite.  The recorded
+    values are the ``state`` floats, or the expressions in ``record``, one
+    per float.  ``params`` default to the namespace's values: locals.
     """
     args = [*state, "t0", "dt", "n_steps", "stride", "ts", "ys", *(f"{p}={p}" for p in params)]
+    record = state if record is None else record
+    out = [v if e == v else f"rec{i}" for i, (v, e) in enumerate(zip(state, record))]
     run = [f"def run({', '.join(args)}):",
            "    half = 0.5 * dt",
            "    sixth = dt / 6.0",
@@ -497,9 +496,10 @@ def _run_loop(state, body, prologue=(), params=()) -> str:
            "    for last in range(stride, n_steps + 1, stride):",
            "        for step in range(last - stride + 1, last + 1):"]
     run += [f"            {line}" for line in body]
+    run += [f"        {o} = {e}" for o, e in zip(out, record) if o != e]
     run += ["        ts.append(t0 + last * dt)",
-            f"        ys.extend([{', '.join(state)}])",
-            f"        if not ({' and '.join(f'isfinite({v})' for v in state)}):",
+            f"        ys.extend([{', '.join(out)}])",
+            f"        if not ({' and '.join(f'isfinite({o})' for o in out)}):",
             "            return"]
     return "\n".join(run) + "\n"
 
@@ -526,25 +526,70 @@ def _stage_calls(tones=((),) * 4, clock=()):
                                + f"= stage({', '.join([*at, *tones[r - 1]])})"]
 
 
-def _full_kernel(game, topology, tuning, freeze_delta) -> tuple[str, str, dict]:
+def _sales_form(game: QuadraticGame):
+    """``(v, m, theta, beta, gamma)`` with ``J_i(x) = z_i (theta_i z_i +
+    beta_i - Z) + gamma_i`` for ``z = v o (x - m)`` and ``Z = sum_j z_j``,
+    or ``None`` where the game's costs have no such form.
+
+    The form exists where every off-diagonal entry is ``Q_ij = -v_i v_j``
+    and ``b_ij = m_i v_i v_j`` with every ``v_i`` nonzero: then ``x_i Q_ij
+    x_j + b_ij x_j = -z_i v_j x_j``, so player ``i`` meets the others only
+    through ``Z``.  Every market's sales are affine in one resistance-weighted
+    price sum (``v_i = sqrt(Rp) / R_i``, ``m`` the marginal costs), and
+    neither an own-curvature override nor a deceptive game moves an
+    off-diagonal entry.  ``v`` and ``m`` are read off a few entries and must
+    reproduce every off-diagonal entry of ``Q`` and ``b`` to 1e-13 relative.
+    """
+    q, b, c = game.pseudogradient_matrix, game.b, game.c
+    n = c.size
+    i = np.arange(n)
+    j, k = (i + 1) % n, (i + 2) % n
+    with np.errstate(all="ignore"):
+        if n == 2:
+            v = np.array([abs(q[0, 1]), -q[0, 1]]) / math.sqrt(abs(q[0, 1]))
+        else:
+            # v_i^2 = Q_ij Q_ik / -Q_jk, signed like -Q_0i with v_0 > 0 (one
+            # player has no off-diagonal entry, and any v_0 != 0 will do)
+            v = np.copysign(np.sqrt(q[i, j] * q[i, k] / -q[j, k]), np.where(i, -q[0], 1.0))
+        m = b[i, j] / -q[i, j]
+        vv = v[:, None] * v
+        dq, db = np.abs(q + vv), np.abs(b - m[:, None] * vv)
+        dq[i, i] = db[i, i] = 0.0
+        qd, bd = q[i, i], b[i, i]
+        form = np.array([v, m, qd / (2.0 * v * v) + 1.0, (qd * m + bd) / v - v @ m + v * m,
+                         (0.5 * qd * m + bd) * m + c])
+        if (dq <= 1e-13 * np.abs(q)).all() and (db <= 1e-13 * np.abs(b)).all() \
+                and v.all() and np.isfinite(form).all():
+            return tuple(form)
+    return None
+
+
+def _full_kernel(game, topology, tuning, freeze_delta, form=None) -> tuple[str, str, dict]:
     """Source of the full model's RK4 ``stage`` and ``run`` loop for this
     market (:func:`_full_source`), and the namespace of numbers they read.
+
+    The kernel steps the coordinates ``z = v o (u - m)`` of the game's
+    sales ``form`` (:func:`_sales_form`, found here unless the caller has
+    it); RK4 commutes with that affine map, so the run equals RK4 on ``u``
+    up to rounding.  Raises ``ValueError`` for a game without the sales
+    form.
     """
-    n = game.n_players
-    q, b = game.pseudogradient_matrix.tolist(), game.b.tolist()
+    form = _sales_form(game) if form is None else form
+    if form is None:
+        raise ValueError("the game's costs have no sales form; step the numpy field")
+    v, m, theta, beta, gamma = (x.tolist() for x in form)
     names = {"sin": math.sin}
-    for i in range(n):
-        amp = names[f"a{i}"] = float(tuning.amplitude[i])
-        names[f"w{i}"] = tuning.omega * float(tuning.omega_ratio[i])
-        names[f"m{i}"] = -(2.0 * float(tuning.gain[i]) / amp)
-        names[f"c{i}"] = float(game.c[i])
-        names[f"hq{i}"] = 0.5 * q[i][i]
-        names.update({f"q{i}_{j}": v for j, v in enumerate(q[i])})
-        names.update({f"b{i}_{j}": v for j, v in enumerate(b[i])})
-    for k in range(topology.n_deceivers):
+    for i in range(game.n_players):
+        amp = float(tuning.amplitude[i])
+        names.update({f"{key}{i}": value for key, value in (
+            ("a", amp * v[i]), ("w", tuning.omega * float(tuning.omega_ratio[i])),
+            ("k", -(2.0 * float(tuning.gain[i]) / amp) * v[i]), ("v", v[i]), ("m", m[i]),
+            ("th", theta[i]), ("be", beta[i]), ("ga", gamma[i]))})
+    for k, (zk, vs) in enumerate(zip(topology.deceivers, topology.victims)):
         names[f"g{k}"] = 0.0 if freeze_delta else topology.eps * topology.eps_rates[k]
         names[f"r{k}"] = topology.cost_refs[k]
-    return (*_full_source(n, topology.deceivers, topology.victims), names)
+        names.update({f"a{zk}_{l}": float(tuning.amplitude[l]) * v[zk] for l in vs})
+    return (*_full_source(game.n_players, topology.deceivers, topology.victims), names)
 
 
 @functools.lru_cache(maxsize=16)
@@ -552,33 +597,38 @@ def _full_source(n, deceivers, victims) -> tuple[str, str]:
     """Source of the full model's ``stage`` and ``run`` for ``n`` players
     and these deceivers and victims, built once per structure.
 
-    Every player and victim is unrolled and the state travels as separate
-    floats.  Every number is a bound name, never a literal.  Sums are flat
-    left-to-right chains, in the order ``x = (u + a o s) + (delta . G)(a o
-    s)`` and ``J_i = x_i (sum_j Q_ij x_j - Q_ii x_i / 2) + sum_j b_ij x_j +
-    c_i``.  The tones at the end of a step, at ``t0 + step * dt``, are those
-    at the start of the next, so a step takes ``2 n`` sines.
+    The state travels as separate floats ``z_i = v_i (u_i - m_i)`` and
+    ``d_k``: ``run`` maps the prices in once and each recorded block back
+    out as ``u_i = z_i / v_i + m_i``.  Every player and victim is unrolled,
+    and every number is a bound name, never a literal.  The played price is
+    ``y = (z + a o s) + (delta . G)(a o s)`` in the same coordinates (``a``
+    bound as ``a_i v_i`` and ``a_l v_{z_k}``), and the stage is O(n):
+    ``Z = sum_j y_j`` and ``J_i = y_i (theta_i y_i + beta_i - Z) +
+    gamma_i``, chains summed left to right.  The tones at the end of a step,
+    at ``t0 + step * dt``, are those at the start of the next, so a step
+    takes ``2 n`` sines.
     """
     players = range(n)
-    u, d = [f"u{i}" for i in players], [f"d{k}" for k in range(len(deceivers))]
-    state = u + d
+    z, d = [f"z{i}" for i in players], [f"d{k}" for k in range(len(deceivers))]
+    state = z + d
     stage = [f"def stage({', '.join(state + [f's{i}' for i in players])}):"]
-    stage += [f"    x{i} = u{i} + a{i} * s{i}" for i in players]
-    stage += [f"    x{zk} = x{zk} + d{k} * ({' + '.join(f'a{l} * s{l}' for l in vs)})"
+    stage += [f"    y{i} = z{i} + a{i} * s{i}" for i in players]
+    stage += [f"    y{zk} = y{zk} + d{k} * ({' + '.join(f'a{zk}_{l} * s{l}' for l in vs)})"
               for k, (zk, vs) in enumerate(zip(deceivers, victims))]
-    stage += [f"    j{i} = x{i} * ({' + '.join(f'q{i}_{j} * x{j}' for j in players)}"
-              f" - hq{i} * x{i}) + ({' + '.join(f'b{i}_{j} * x{j}' for j in players)})"
-              f" + c{i}" for i in players]
+    stage.append(f"    total = {' + '.join(f'y{i}' for i in players)}")
+    stage += [f"    j{i} = y{i} * (th{i} * y{i} + be{i} - total) + ga{i}" for i in players]
     stage.append("    return " + "".join(
-        [*(f"m{i} * j{i} * s{i}, " for i in players),
+        [*(f"k{i} * j{i} * s{i}, " for i in players),
          *(f"g{k} * (j{zk} - r{k}), " for k, zk in enumerate(deceivers))]))
 
     clock = ["tm = te + half", "te = t0 + step * dt"]
     clock += [f"{s}{i} = sin(w{i} * {t})" for s, t in (("h", "tm"), ("e", "te")) for i in players]
     tones = [[f"{s}{i}" for i in players] for s in "ehhe"]
-    prologue = ["te = t0", *(f"e{i} = sin(w{i} * t0)" for i in players)]
+    prologue = ["te = t0", *(f"z{i} = v{i} * (z{i} - m{i})" for i in players),
+                *(f"e{i} = sin(w{i} * t0)" for i in players)]
     body = _rk4_body(state, _stage_calls(tones, clock))
-    run = _run_loop(state, body, prologue, ["sin", "stage", *(f"w{i}" for i in players)])
+    params = ["sin", "stage", *(f"{p}{i}" for p in "wvm" for i in players)]
+    run = _run_loop(state, body, prologue, params, [f"z{i} / v{i} + m{i}" for i in players] + d)
     return "\n".join(stage) + "\n", run
 
 
@@ -753,6 +803,8 @@ def _run_kernel(kernel, y0, t0, dt, n_steps, stride) -> tuple[np.ndarray, np.nda
     """
     *sources, names = kernel
     names["isfinite"] = math.isfinite
+    # a np.float64 step or start time costs the loop 4-5x
+    t0, dt = float(t0), float(dt)
     for source in sources:
         exec(_compiled(source), names)
     state = [float(v) for v in y0]
@@ -804,7 +856,9 @@ def simulate(
     probing injections stay active.
 
     Every route takes the packed state and returns a packed ``(times,
-    states)`` record: a generated kernel (:func:`_run_kernel`), the affine
+    states)`` record: a generated kernel (:func:`_run_kernel`; the full
+    model takes one wherever its costs have the sales form of
+    :func:`_sales_form`, as every market's do), the affine
     fields' block maps (:func:`numerics.integrate_affine`, ``boundary`` and
     ``averaged`` without deceivers) or the numpy field
     (:func:`numerics.integrate_fixed`).  Each stops after the first block
@@ -890,9 +944,10 @@ def simulate(
 
     n = game.n_players
     kernel = None
-    if model == "full" and n <= MAX_GENERATED_PLAYERS:
-        # the hot path: millions of steps of unrolled float arithmetic
-        kernel = _full_kernel(game, topology, tuning, freeze_delta)
+    if model == "full" and (form := _sales_form(game)) is not None:
+        # the hot path: millions of steps of unrolled float arithmetic, O(n)
+        # a stage in the sales form
+        kernel = _full_kernel(game, topology, tuning, freeze_delta, form)
     elif model == "averaged" and n <= MAX_GENERATED_AVERAGED_PLAYERS and topology.n_deceivers:
         kernel = _averaged_kernel(game, topology, tuning, freeze_delta)
     elif model == "reduced" and topology.n_deceivers == 1:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import functools
 import io
 import json
@@ -22,6 +23,7 @@ from deceptive_nes import (
     OligopolyParams,
     SimState,
     averaged_residual,
+    build_deceptive_game,
     build_quadratic_game,
     bundled_scenario_path,
     common_period,
@@ -31,6 +33,7 @@ from deceptive_nes import (
     dither_vector,
     lambda_matrix,
     load_scenario,
+    market_game,
     perturbed_pseudogradient,
     rhs,
     simulate,
@@ -451,12 +454,24 @@ def test_simulate_records_uniform_grid(game3_published, topology3, tuning3):
     assert np.allclose(traj.physical_times(), traj.times)
 
 
+def _without_sales_form(game):
+    """``game`` with the pair ``q[0, 0, 1]``, ``q[1, 1, 0]`` (and its mirror
+    entries) scaled by 1.1: with three or more players its off-diagonal
+    pseudogradient is no longer rank one, so the costs have no sales form."""
+    q = game.q.copy()
+    for i, j in ((0, 1), (1, 0)):
+        q[i, i, j] *= 1.1
+        q[i, j, i] *= 1.1
+    return dataclasses.replace(game, q=q)
+
+
 def test_full_integrator_matches_generic_rk4_on_rhs(game3_published,
                                                     topology3, tuning3,
                                                     monkeypatch):
     # The production loop is generated per market structure; one coarse run
     # must agree with numerics.rk4_step applied to the reference rhs to
-    # round-off, and so must the numpy field stepped above the player bound.
+    # round-off, and so must the numpy field that steps a game without the
+    # sales form.
     generated = []
     full_kernel = dynamics._full_kernel
 
@@ -486,18 +501,23 @@ def test_full_integrator_matches_generic_rk4_on_rhs(game3_published,
     assert abs(traj.delta[-1][0] - y[3]) < 1e-13
 
     # More structures: several deceivers with several victims, no deceiver,
-    # frozen gains, and one market just above the generated kernel's bound.
+    # frozen gains, markets of 31 and 60 players, and last a game without
+    # the sales form, which takes the numpy field.
     rng = np.random.default_rng(3)
-    big = dynamics.MAX_GENERATED_PLAYERS + 1
-    r, m, sd = oracles.random_market(rng, n_min=big, n_max=big)
+
+    def large(n):
+        r, m, sd = oracles.random_market(rng, n_min=n, n_max=n)
+        return (build_quadratic_game(OligopolyParams(r, m, sd)),
+                DeceptionTopology((0, 5), ((1, 2, n - 1), (0, 2)), eps=0.1),
+                NESTuning(amplitude=rng.uniform(0.01, 0.1, size=n),
+                          gain=rng.uniform(0.005, 0.02, size=n), omega=1.0,
+                          omega_ratio=tuple(range(3, 3 + n))), False)
+
     cases = [(g, topo, tuning, False) for g, topo, tuning, _ in _rich_cases()]
+    big = large(31)
     cases += [(game3_published, DeceptionTopology((), ()), tun, False),
-              (game3_published, topology3, tun, True),
-              (build_quadratic_game(OligopolyParams(r, m, sd)),
-               DeceptionTopology((0, 5), ((1, 2, big - 1), (0, 2)), eps=0.1),
-               NESTuning(amplitude=rng.uniform(0.01, 0.1, size=big),
-                         gain=rng.uniform(0.005, 0.02, size=big), omega=1.0,
-                         omega_ratio=tuple(range(3, 3 + big))), False)]
+              (game3_published, topology3, tun, True), big, large(60),
+              (_without_sales_form(big[0]), *big[1:])]
     generated.clear()
     for game, topo, tuning, freeze in cases:
         n = game.n_players
@@ -536,12 +556,70 @@ def test_full_kernel_source_depends_only_on_market_structure():
     *source, names = dynamics._full_kernel(game, topo, tuning, False)
     *same, other_names = dynamics._full_kernel(other, retopo, retuned, True)
     assert same == source
-    assert all(names[k] != other_names[k] for k in ("a0", "w0", "m0", "q0_1", "b1_0", "c0",
-                                                    "g0", "r0"))
+    zk, victim = topo.deceivers[0], topo.victims[0][0]
+    assert all(names[k] != other_names[k]
+               for k in ("a0", "w0", "k0", "v0", "m0", "th0", "be0", "ga0", "g0", "r0",
+                         f"a{zk}_{victim}"))
     numbers = {tok.string for text in source
                for tok in tokenize.generate_tokens(io.StringIO(text).readline)
                if tok.type == tokenize.NUMBER}
     assert numbers <= {"0", "1", "0.0", "0.5", "2.0", "6.0"}, numbers
+
+    # The stage is O(N): doubling the players at most about doubles its
+    # tokens, where the dense stage's grow about fourfold.
+    def stage_tokens(n):
+        stage, _ = dynamics._full_source(n, (0,), ((1, 2),))
+        return sum(1 for _ in tokenize.generate_tokens(io.StringIO(stage).readline))
+
+    assert stage_tokens(40) <= 2.2 * stage_tokens(20), (stage_tokens(20), stage_tokens(40))
+
+
+def test_sales_form_recovers_every_game_the_package_builds():
+    # Markets of 2..8 players, with and without an own-curvature override,
+    # and deceptive games: the form reproduces the resistance weights'
+    # products Rp / (R_i R_j) and the marginal costs, and its factored costs
+    # match game.costs at random prices.
+    rng = np.random.default_rng(47)
+    for n in range(2, 9):
+        for _ in range(4):
+            r, m, sd = oracles.random_market(rng, n_min=n, n_max=n)
+            params = OligopolyParams(r, m, sd)
+            base = market_game(params)
+            decs, vics = oracles.random_topology(rng, n)
+            deceptive = build_deceptive_game(params, DeceptionTopology(decs, vics),
+                                             rng.uniform(0.5, 3.0, size=len(decs)))
+            curved = {int(i): float(rng.uniform(0.5, 2.0) * base.q[i, i, i])
+                      for i in rng.choice(n, size=2, replace=False)}
+            for game in (base, market_game(params, curved), deceptive.quadratic()):
+                form = dynamics._sales_form(game)
+                assert form is not None, n
+                v, mc, theta, beta, gamma = form
+                off = ~np.eye(n, dtype=bool)
+                weights = 1.0 / np.sum(1.0 / r) / np.outer(r, r)
+                assert np.allclose(np.outer(v, v)[off], weights[off], rtol=1e-13, atol=0.0)
+                assert np.allclose(mc, m, rtol=1e-13, atol=0.0)
+                x = rng.uniform(0.0, 100.0, size=(5, n))
+                z = v * (x - mc)
+                costs = z * (theta * z + beta - z.sum(axis=1, keepdims=True)) + gamma
+                ref = game.costs(x)
+                assert np.all(np.abs(costs - ref)
+                              <= 1e-13 * np.max(np.abs(ref), axis=1, keepdims=True)), n
+
+
+def test_sales_form_refuses_games_without_it():
+    # An off-diagonal that is not rank one, and a row of b that is not
+    # proportional to the row of q: the numpy field steps such a game.
+    rng = np.random.default_rng(53)
+    r, m, sd = oracles.random_market(rng, n_min=5, n_max=5)
+    game = build_quadratic_game(OligopolyParams(r, m, sd))
+    b = game.b.copy()
+    b[2, 4] *= 1.0 + 1e-9
+    for other in (_without_sales_form(game), dataclasses.replace(game, b=b)):
+        assert dynamics._sales_form(other) is None
+        with pytest.raises(ValueError, match="sales form"):
+            dynamics._full_kernel(other, DeceptionTopology((), ()), NESTuning(
+                amplitude=np.full(5, 0.05), gain=np.full(5, 0.01), omega=1.0,
+                omega_ratio=(3, 4, 5, 6, 7)), False)
 
 
 def test_full_kernel_long_run_matches_generic_rk4_on_rhs():
@@ -812,11 +890,12 @@ def test_reduced_run_started_at_a_pole_raises_singular(game3_published, topology
 
 def test_simulate_takes_the_generated_kernel_where_it_applies(game3_published, topology3,
                                                              tuning3, monkeypatch):
-    # Generated kernels: the full model up to MAX_GENERATED_PLAYERS, the
-    # averaged model with deceivers up to MAX_GENERATED_AVERAGED_PLAYERS and
-    # the reduced model with one deceiver at any size.  The affine fields
-    # (boundary, averaged without deceivers) take integrate_affine at every
-    # size; the rest the numpy field.
+    # Generated kernels: the full model wherever the costs have the sales
+    # form (every market, at any size), the averaged model with deceivers up
+    # to MAX_GENERATED_AVERAGED_PLAYERS and the reduced model with one
+    # deceiver at any size.  The affine fields (boundary, averaged without
+    # deceivers) take integrate_affine at every size; the rest the numpy
+    # field.
     routes = []
 
     def spy(module, name):
@@ -845,14 +924,16 @@ def test_simulate_takes_the_generated_kernel_where_it_applies(game3_published, t
     bare = DeceptionTopology((), ())
     top = market(dynamics.MAX_GENERATED_AVERAGED_PLAYERS)
     above = market(dynamics.MAX_GENERATED_AVERAGED_PLAYERS + 1)
-    big = market(dynamics.MAX_GENERATED_PLAYERS + 1)
+    big = market(31)
     cases = [("full", game3_published, topology3, tun, "_full_kernel"),
              ("averaged", game3_published, topology3, tun, "_averaged_kernel"),
              ("reduced", game3_published, topology3, tun, "_reduced_kernel"),
              ("reduced", game3_published, two, tun, "integrate_fixed"),
              ("averaged", *top, "_averaged_kernel"),
              ("averaged", *above, "integrate_fixed"),
-             ("full", *big, "integrate_fixed"),
+             ("full", *big, "_full_kernel"),
+             ("full", *market(60), "_full_kernel"),
+             ("full", _without_sales_form(big[0]), *big[1:], "integrate_fixed"),
              ("reduced", *big, "_reduced_kernel")]
     for game, topo, tuning in [(game3_published, topology3, tun), market(7), market(8),
                                top, above, big]:
@@ -941,11 +1022,12 @@ def test_affine_zero_state_stays_zero_where_the_block_map_overflows(game3_publis
 
 
 def test_numpy_fields_diverge_without_a_warning(monkeypatch):
-    # Above their kernels' bounds the full and averaged models step numpy
-    # fields through integrate_fixed; gains far too hot overflow them, and
-    # DivergenceError alone reports it, as on the generated kernels.  The
-    # record stops at the diverging block: a horizon a hundred times longer
-    # diverges at the same time, and no RK4 step runs after that block.
+    # The full model without the sales form and the averaged model above
+    # its kernel's bound step numpy fields through integrate_fixed; gains
+    # far too hot overflow them, and DivergenceError alone reports it, as on
+    # the generated kernels.  The record stops at the diverging block: a
+    # horizon a hundred times longer diverges at the same time, and no RK4
+    # step runs after that block.
     steps = []
     rk4_step = numerics.rk4_step
 
@@ -955,10 +1037,11 @@ def test_numpy_fields_diverge_without_a_warning(monkeypatch):
 
     monkeypatch.setattr(numerics, "rk4_step", counted)
     rng = np.random.default_rng(43)
-    for model, n in (("averaged", dynamics.MAX_GENERATED_AVERAGED_PLAYERS + 1),
-                     ("full", dynamics.MAX_GENERATED_PLAYERS + 1)):
+    for model, n, recast in (("averaged", dynamics.MAX_GENERATED_AVERAGED_PLAYERS + 1,
+                              lambda game: game),
+                             ("full", 31, _without_sales_form)):
         r, m, sd = oracles.random_market(rng, n_min=n, n_max=n)
-        game = build_quadratic_game(OligopolyParams(r, m, sd))
+        game = recast(build_quadratic_game(OligopolyParams(r, m, sd)))
         tuning = NESTuning(amplitude=np.full(n, 0.05), gain=np.full(n, 1e4), omega=1.0,
                            omega_ratio=tuple(range(3, 3 + n)))
         errors = []
