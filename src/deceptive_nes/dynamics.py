@@ -30,9 +30,11 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import struct
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, islice
 from typing import Callable, Sequence
 
 import numpy as np
@@ -473,18 +475,19 @@ class Trajectory:
 MAX_GENERATED_AVERAGED_PLAYERS = 13
 
 
-def _run_loop(state, body, prologue=(), params=(), record=None) -> str:
+def _run_loop(state, block, prologue=(), params=(), record=None) -> str:
     """Source of ``run``, the loop of every generated kernel.
 
     ``run(*state, t0, dt, n_steps, stride, ts, ys, *params)`` runs the
-    ``prologue`` lines, then ``n_steps // stride`` blocks of ``stride``
-    ``body`` lines (a part-block would record nothing).  They advance the
-    floats named in ``state`` by one step and may read ``step``, the steps
-    taken once this one ends, ``half = dt / 2`` and ``sixth = dt / 6``.
-    After each block it appends the time to ``ts`` and the recorded values
-    to ``ys``, and returns if one of them is not finite.  The recorded
-    values are the ``state`` floats, or the expressions in ``record``, one
-    per float.  ``params`` default to the namespace's values: locals.
+    ``prologue`` lines, then the ``block`` lines ``n_steps // stride`` times
+    (a part-block would record nothing).  They advance the floats named in
+    ``state`` by one recording block of ``stride`` steps, and may read
+    ``last``, the steps taken once the block ends, ``half = dt / 2`` and
+    ``sixth = dt / 6``.  After each block it appends the time to ``ts`` and
+    the recorded values to ``ys``, and returns if one of them is not
+    finite.  The recorded values are the ``state`` floats, or the
+    expressions in ``record``, one per float.  ``params`` default to the
+    namespace's values: locals.
     """
     args = [*state, "t0", "dt", "n_steps", "stride", "ts", "ys", *(f"{p}={p}" for p in params)]
     record = state if record is None else record
@@ -493,9 +496,8 @@ def _run_loop(state, body, prologue=(), params=(), record=None) -> str:
            "    half = 0.5 * dt",
            "    sixth = dt / 6.0",
            *(f"    {line}" for line in prologue),
-           "    for last in range(stride, n_steps + 1, stride):",
-           "        for step in range(last - stride + 1, last + 1):"]
-    run += [f"            {line}" for line in body]
+           "    for last in range(stride, n_steps + 1, stride):"]
+    run += [f"        {line}" for line in block]
     run += [f"        {o} = {e}" for o, e in zip(out, record) if o != e]
     run += ["        ts.append(t0 + last * dt)",
             f"        ys.extend([{', '.join(out)}])",
@@ -504,11 +506,17 @@ def _run_loop(state, body, prologue=(), params=(), record=None) -> str:
     return "\n".join(run) + "\n"
 
 
+def _step_loop(body) -> list[str]:
+    """The lines of one recording block for :func:`_run_loop`: the ``body``
+    of one step, ``stride`` times."""
+    return ["for _ in range(stride):", *(f"    {line}" for line in body)]
+
+
 def _rk4_body(state, stage) -> list[str]:
-    """The lines of one classical RK4 step of the floats named in ``state``,
-    for :func:`_run_loop`.  ``stage(r, at, out)`` gives the lines that set
-    the floats named in ``out`` to the derivative of RK4 stage ``r`` at the
-    point whose components are the expressions ``at``.
+    """The lines of one classical RK4 step of the floats named in ``state``.
+    ``stage(r, at, out)`` gives the lines that set the floats named in
+    ``out`` to the derivative of RK4 stage ``r`` at the point whose
+    components are the expressions ``at``.
     """
     body = []
     for r, step in enumerate((None, "half", "half", "dt"), 1):
@@ -517,13 +525,11 @@ def _rk4_body(state, stage) -> list[str]:
     return body + [f"{v} = {v} + sixth * (f1{v} + 2.0 * (f2{v} + f3{v}) + f4{v})" for v in state]
 
 
-def _stage_calls(tones=((),) * 4, clock=()):
+def _stage_calls(r, at, out) -> list[str]:
     """The ``stage`` of :func:`_rk4_body` for a kernel with a compiled
-    ``stage``: stage ``r`` calls it with ``tones[r - 1]`` after the point,
-    and the ``clock`` lines open stage 2."""
+    ``stage``: stage ``r`` calls it at the point."""
     # the trailing comma keeps a one-component derivative a tuple
-    return lambda r, at, out: [*(clock if r == 2 else ()), "".join(f"{o}, " for o in out)
-                               + f"= stage({', '.join([*at, *tones[r - 1]])})"]
+    return ["".join(f"{o}, " for o in out) + f"= stage({', '.join(at)})"]
 
 
 def _sales_form(game: QuadraticGame):
@@ -565,71 +571,149 @@ def _sales_form(game: QuadraticGame):
 
 
 def _full_kernel(game, topology, tuning, freeze_delta, form=None) -> tuple[str, str, dict]:
-    """Source of the full model's RK4 ``stage`` and ``run`` loop for this
+    """Source of the full model's RK4 ``block`` and ``run`` loop for this
     market (:func:`_full_source`), and the namespace of numbers they read.
 
     The kernel steps the coordinates ``z = v o (u - m)`` of the game's
     sales ``form`` (:func:`_sales_form`, found here unless the caller has
     it); RK4 commutes with that affine map, so the run equals RK4 on ``u``
-    up to rounding.  Raises ``ValueError`` for a game without the sales
-    form.
+    up to rounding.  The namespace's ``tones`` is :func:`_tone_rows` on the
+    market's tone numbers, which it also holds by name (``a_i v_i`` as
+    ``a{i}``, ``w{i}``, ``k{i}`` and ``a_l v_{z_k}`` as ``a{z_k}_{l}``).
+    Raises ``ValueError`` for a game without the sales form.
     """
     form = _sales_form(game) if form is None else form
     if form is None:
         raise ValueError("the game's costs have no sales form; step the numpy field")
-    v, m, theta, beta, gamma = (x.tolist() for x in form)
-    names = {"sin": math.sin}
-    for i in range(game.n_players):
-        amp = float(tuning.amplitude[i])
-        names.update({f"{key}{i}": value for key, value in (
-            ("a", amp * v[i]), ("w", tuning.omega * float(tuning.omega_ratio[i])),
-            ("k", -(2.0 * float(tuning.gain[i]) / amp) * v[i]), ("v", v[i]), ("m", m[i]),
-            ("th", theta[i]), ("be", beta[i]), ("ga", gamma[i]))})
-    for k, (zk, vs) in enumerate(zip(topology.deceivers, topology.victims)):
-        names[f"g{k}"] = 0.0 if freeze_delta else topology.eps * topology.eps_rates[k]
-        names[f"r{k}"] = topology.cost_refs[k]
-        names.update({f"a{zk}_{l}": float(tuning.amplitude[l]) * v[zk] for l in vs})
+    v, m, theta, beta, gamma = form
+    a = tuning.amplitude * v
+    k = -(2.0 * tuning.gain / tuning.amplitude) * v
+    w = tuning.frequencies()
+    injections = [(list(vs), tuning.amplitude[list(vs)] * v[zk])
+                  for zk, vs in zip(topology.deceivers, topology.victims)]
+    names = {"islice": islice, "tones": functools.partial(_tone_rows, a, k, w, injections)}
+    for key, values in (("a", a), ("w", w), ("k", k), ("v", v), ("m", m), ("th", theta),
+                        ("be", beta), ("ga", gamma)):
+        names.update((f"{key}{i}", x) for i, x in enumerate(values.tolist()))
+    for j, (zk, (vs, coeffs)) in enumerate(zip(topology.deceivers, injections)):
+        names[f"g{j}"] = 0.0 if freeze_delta else topology.eps * topology.eps_rates[j]
+        names[f"r{j}"] = topology.cost_refs[j]
+        names.update((f"a{zk}_{l}", x) for l, x in zip(vs, coeffs.tolist()))
     return (*_full_source(game.n_players, topology.deceivers, topology.victims), names)
+
+
+#: Steps of tones that :func:`_tone_rows` computes per fill of its table:
+#: enough to spread numpy's per-call cost thin, few enough that its buffers
+#: (about 2(5N + 2K) floats a step) stay small next to the recorded
+#: samples.
+_TONE_CHUNK = 256
+
+
+def _tone_rows(a, k, w, injections, t0, dt, n_steps):
+    """The full model's tones at the points its RK4 steps read them, scaled
+    as its kernel uses them, as an iterator of rows.
+
+    A row at time ``t`` holds ``a_i s_i``, ``k_i s_i`` and, per deceiver,
+    ``sum_l c_l s_l`` over its victims ``l`` (``injections`` holds their
+    indices and coefficients ``c``), with ``s_i = sin(w_i t)``, each float
+    as the scalar expression gives it.  The first row is at ``t0``; then
+    step ``j`` of ``n_steps`` has one row of two: at its midpoint ``te +
+    dt / 2`` and at its end, with ``te = t0 + j dt`` the end of step ``j -
+    1`` (``t0`` for the first).  The rows are computed :data:`_TONE_CHUNK`
+    steps at a time into one table, filled in place, and read out lazily as
+    tuples, so memory stays bounded at any stride or horizon.
+    """
+    n = w.size
+    width = 2 * n + len(injections)
+    # one quantity a row, so numpy's loops run along the times, then the
+    # table of rows that the kernel reads
+    sines, columns = np.empty((n, 2 * _TONE_CHUNK)), np.empty((width, 2 * _TONE_CHUNK))
+    table = np.empty((2 * _TONE_CHUNK, width))
+    a, k = a[:, None], k[:, None]
+
+    def fill(times):
+        """The rows at ``times``: a view of the table."""
+        s, cols = sines[:, :len(times)], columns[:, :len(times)]
+        np.sin(np.multiply.outer(w, times, out=s), out=s)
+        np.multiply(s, a, out=cols[:n])
+        np.multiply(s, k, out=cols[n:2 * n])
+        for acc, (victims, coeffs) in zip(cols[2 * n:], injections):
+            np.multiply(s[victims[0]], coeffs[0], out=acc)
+            for l, c in zip(victims[1:], coeffs[1:]):
+                acc += s[l] * c
+        out = table[:len(times)]
+        np.copyto(out, cols.T)
+        return out
+
+    def chunks():
+        yield fill(np.array([t0])).tolist()
+        rows = struct.Struct(f"{2 * width}d")
+        for done in range(0, n_steps, _TONE_CHUNK):
+            te = t0 + np.arange(done, min(done + _TONE_CHUNK, n_steps) + 1) * dt
+            # each step's midpoint, then its end
+            yield rows.iter_unpack(fill(np.stack([te[:-1] + 0.5 * dt, te[1:]], axis=1).ravel()))
+
+    # chain hands out the rows in C, with no generator resumed per row
+    return chain.from_iterable(chunks())
 
 
 @functools.lru_cache(maxsize=16)
 def _full_source(n, deceivers, victims) -> tuple[str, str]:
-    """Source of the full model's ``stage`` and ``run`` for ``n`` players
+    """Source of the full model's ``block`` and ``run`` for ``n`` players
     and these deceivers and victims, built once per structure.
 
     The state travels as separate floats ``z_i = v_i (u_i - m_i)`` and
     ``d_k``: ``run`` maps the prices in once and each recorded block back
-    out as ``u_i = z_i / v_i + m_i``.  Every player and victim is unrolled,
+    out as ``u_i = z_i / v_i + m_i``.  ``run`` calls ``block`` once per
+    recording block with the state, the tones at the block's start and an
+    iterator over its ``stride`` rows of :func:`_tone_rows`; ``block`` runs
+    the four RK4 stages of every step inline and returns the state and the
+    tones at its end.  The two are compiled apart, which keeps the
+    compiler's peak memory down.  Every player and victim is unrolled,
     and every number is a bound name, never a literal.  The played price is
-    ``y = (z + a o s) + (delta . G)(a o s)`` in the same coordinates (``a``
-    bound as ``a_i v_i`` and ``a_l v_{z_k}``), and the stage is O(n):
-    ``Z = sum_j y_j`` and ``J_i = y_i (theta_i y_i + beta_i - Z) +
-    gamma_i``, chains summed left to right.  The tones at the end of a step,
-    at ``t0 + step * dt``, are those at the start of the next, so a step
-    takes ``2 n`` sines.
+    ``y = (z + a o s) + (delta . G)(a o s)`` in the same coordinates (the
+    tone rows carry ``a o s`` with ``a`` bound as ``a_i v_i``, and ``(G a o
+    s)_{z_k}`` with ``a_l v_{z_k}``), and a stage is O(n): ``Z = sum_j
+    y_j`` and ``J_i = y_i (theta_i y_i + beta_i - Z) + gamma_i``, chains
+    summed left to right, and ``dz_i = J_i (k_i s_i)``.
     """
     players = range(n)
     z, d = [f"z{i}" for i in players], [f"d{k}" for k in range(len(deceivers))]
     state = z + d
-    stage = [f"def stage({', '.join(state + [f's{i}' for i in players])}):"]
-    stage += [f"    y{i} = z{i} + a{i} * s{i}" for i in players]
-    stage += [f"    y{zk} = y{zk} + d{k} * ({' + '.join(f'a{zk}_{l} * s{l}' for l in vs)})"
-              for k, (zk, vs) in enumerate(zip(deceivers, victims))]
-    stage.append(f"    total = {' + '.join(f'y{i}' for i in players)}")
-    stage += [f"    j{i} = y{i} * (th{i} * y{i} + be{i} - total) + ga{i}" for i in players]
-    stage.append("    return " + "".join(
-        [*(f"k{i} * j{i} * s{i}, " for i in players),
-         *(f"g{k} * (j{zk} - r{k}), " for k, zk in enumerate(deceivers))]))
 
-    clock = ["tm = te + half", "te = t0 + step * dt"]
-    clock += [f"{s}{i} = sin(w{i} * {t})" for s, t in (("h", "tm"), ("e", "te")) for i in players]
-    tones = [[f"{s}{i}" for i in players] for s in "ehhe"]
-    prologue = ["te = t0", *(f"z{i} = v{i} * (z{i} - m{i})" for i in players),
-                *(f"e{i} = sin(w{i} * t0)" for i in players)]
-    body = _rk4_body(state, _stage_calls(tones, clock))
-    params = ["sin", "stage", *(f"{p}{i}" for p in "wvm" for i in players)]
-    run = _run_loop(state, body, prologue, params, [f"z{i} / v{i} + m{i}" for i in players] + d)
-    return "\n".join(stage) + "\n", run
+    def tone_names(prefix):
+        return [*(f"{prefix}{x}{i}" for x in "ak" for i in players),
+                *(f"{prefix}{x}" for x in d)]
+
+    def stage(r, at, out):
+        t = "ehhe"[r - 1]
+        # stage 1 reads the tones at the step's start, the last row's end
+        # ones, before the step's own row is unpacked
+        lines = [f"{', '.join(tone_names('h') + tone_names('e'))} = row"] if r == 2 else []
+        lines += [f"y{i} = {at[i]} + {t}a{i}" for i in players]
+        lines += [f"y{zk} = y{zk} + {at[n + k] if r == 1 else f'({at[n + k]})'} * {t}d{k}"
+                  for k, zk in enumerate(deceivers)]
+        lines.append(f"total = {' + '.join(f'y{i}' for i in players)}")
+        lines += [f"j{i} = y{i} * (th{i} * y{i} + be{i} - total) + ga{i}" for i in players]
+        lines += [f"{out[i]} = j{i} * {t}k{i}" for i in players]
+        return lines + [f"{out[n + k]} = g{k} * (j{zk} - r{k})" for k, zk in enumerate(deceivers)]
+
+    numbers = [*(f"{p}{i}" for p in ("th", "be", "ga") for i in players),
+               *(f"{p}{k}" for p in "gr" for k in range(len(deceivers)))]
+    carried = state + tone_names("e")
+    args = [*carried, "rows", "half", "sixth", "dt", *(f"{p}={p}" for p in numbers)]
+    block = [f"def block({', '.join(args)}):",
+             "    for row in rows:",
+             *(f"        {line}" for line in _rk4_body(state, stage)),
+             f"    return {', '.join(carried)}"]
+    prologue = [*(f"z{i} = v{i} * (z{i} - m{i})" for i in players),
+                "rows = tones(t0, dt, n_steps)",
+                f"{', '.join(tone_names('e'))}, = next(rows)"]
+    call = [f"{', '.join(carried)} = block({', '.join(carried)}, "
+            "islice(rows, stride), half, sixth, dt)"]
+    params = ["block", "tones", "islice", *(f"{p}{i}" for p in "vm" for i in players)]
+    run = _run_loop(state, call, prologue, params, [f"z{i} / v{i} + m{i}" for i in players] + d)
+    return "\n".join(block) + "\n", run
 
 
 def _averaged_kernel(game, topology, tuning, freeze_delta) -> tuple[str, dict]:
@@ -692,7 +776,7 @@ def _averaged_source(n, deceivers, victims) -> tuple[str, tuple]:
         bind = [] if r == 1 else [f"{p} = {a}" for p, a in zip(point, at)]
         return bind + [f"{o} = {row}" for o, row in zip(out, rows(point))]
 
-    run = _run_loop(y, _rk4_body(y, step), (), params)
+    run = _run_loop(y, _step_loop(_rk4_body(y, step)), (), params)
     return run, terms
 
 
@@ -781,7 +865,7 @@ def _reduced_source(v) -> tuple[str, str]:
               f"    num = f{2 * v}"]
     stage += [f"    num = num * x + f{k}" for k in range(2 * v - 1, -1, -1)]
     stage.append("    return rate * (num / den / den),")
-    run = _run_loop(["d0"], _rk4_body(["d0"], _stage_calls()), params=["stage"])
+    run = _run_loop(["d0"], _step_loop(_rk4_body(["d0"], _stage_calls)), params=["stage"])
     return "\n".join(stage) + "\n", run
 
 
@@ -791,14 +875,15 @@ def _compiled(source: str):
 
 
 def _run_kernel(kernel, y0, t0, dt, n_steps, stride) -> tuple[np.ndarray, np.ndarray]:
-    """Run a generated kernel, its sources (``stage`` and ``run``, or ``run``
-    alone) and the namespace they read, from the packed state ``y0`` at
-    ``t0`` for ``n_steps // stride`` blocks of ``stride`` steps, or through
-    the first block whose end state is not finite.
+    """Run a generated kernel, its sources (the full model's ``block`` or
+    the reduced model's ``stage``, then ``run``; or ``run`` alone) and the
+    namespace they read, from the packed state ``y0`` at ``t0`` for
+    ``n_steps // stride`` blocks of ``stride`` steps, or through the first
+    block whose end state is not finite.
 
-    ``stage`` and ``run`` are compiled separately, which keeps the
-    compiler's peak memory down, and the code of recent market structures is
-    kept compiled.  Recorded samples go straight into one flat float buffer,
+    Each source is compiled on its own, which keeps the compiler's peak
+    memory down, and the code of recent market structures is kept
+    compiled.  Recorded samples go straight into one flat float buffer,
     8 bytes a number.  Returns ``(times, states)``, one row per sample.
     """
     *sources, names = kernel
@@ -906,14 +991,18 @@ def simulate(
     # the boundary model's frozen gain
     if not (np.isfinite(y0).all() and np.isfinite(initial.delta).all()):
         raise DivergenceError(initial.t, axis)
+    step_rule = ""   # what a refusal of the step count should name
     if dt is not None:
         step = float(dt)
     elif model == "full":
         step = 2.0 * math.pi / (float(np.max(tuning.frequencies())) * oversampling)
     else:
         if model == "reduced":
-            lam = _Evaluation(game, topology, initial.delta).lam
-            rate = float(np.linalg.norm(lam, np.inf)) / omega
+            lam = float(np.linalg.norm(_Evaluation(game, topology, initial.delta).lam, np.inf))
+            rate = lam / omega
+            step_rule = (f"; the reduced model's step is 0.2 / (||Lambda(delta0)||_inf / omega) "
+                         f"at the start gain delta0 = {initial.delta.tolist()}, where "
+                         f"||Lambda(delta0)||_inf = {lam:.4g}")
         else:
             qbar = _Evaluation(game, topology, initial.delta).pert.qbar
             rate = float(np.linalg.norm(tuning.gain[:, None] * qbar, np.inf)) / scale
@@ -938,7 +1027,7 @@ def simulate(
         raise ValueError(
             f"the run needs {blocks * stride:.4g} steps and {blocks + 1.0:.4g} "
             f"recorded samples; the caps are {MAX_STEPS} steps and "
-            f"{MAX_SAMPLES} samples"
+            f"{MAX_SAMPLES} samples{step_rule}"
         )
     n_steps = stride * max(1, math.ceil(blocks - 1e-9))
 

@@ -12,6 +12,7 @@ import tokenize
 import tracemalloc
 import warnings
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -656,6 +657,42 @@ def test_full_kernel_long_run_matches_generic_rk4_on_rhs():
     assert abs(got[-1, 3] - got[0, 3]) > 1e-3   # the gain moved
 
 
+@pytest.mark.parametrize("topo", [None, DeceptionTopology((0, 2), ((1, 2), (0, 1)))],
+                         ids=["bundled", "two-victims"])
+def test_full_kernel_tones_match_scalar_tones(topo):
+    # The tone rows, taken stride by stride as run takes them over more than
+    # three table fills, against each tone from math.sin: at t0, then at
+    # each step's midpoint te + dt / 2 and its end te = t0 + k dt.  The
+    # deceiver sums add their victims' terms left to right.
+    scenario = load_scenario(bundled_scenario_path("three_firm_deception"))
+    game, topo = scenario.game(), topo or scenario.topology
+    tuning = scenario.tuning.scaled(scenario.sim.freq_scale)
+    n, t0, stride = game.n_players, 0.25, 7
+    dt = 2.0 * math.pi / (float(max(tuning.frequencies())) * 32)
+    n_steps = stride * (3 * dynamics._TONE_CHUNK // stride + 2)
+    *_, names = dynamics._full_kernel(game, topo, tuning, False)
+
+    def scalar(t):
+        s = [math.sin(names[f"w{i}"] * t) for i in range(n)]
+        row = [names[f"a{i}"] * s[i] for i in range(n)] + [names[f"k{i}"] * s[i] for i in range(n)]
+        for zk, vs in zip(topo.deceivers, topo.victims):
+            total = names[f"a{zk}_{vs[0]}"] * s[vs[0]]
+            for l in vs[1:]:
+                total = total + names[f"a{zk}_{l}"] * s[l]
+            row.append(total)
+        return row
+
+    rows = names["tones"](t0, dt, n_steps)
+    assert list(next(rows)) == scalar(t0)
+    half, te, k = 0.5 * dt, t0, 0
+    for _ in range(n_steps // stride):
+        for row in islice(rows, stride):
+            k += 1
+            mid, te = te + half, t0 + k * dt
+            assert list(row) == scalar(mid) + scalar(te), k
+    assert k == n_steps and next(rows, None) is None
+
+
 def test_kernel_sources_are_built_once_per_structure():
     # Every kernel hands two markets of one structure the very same source
     # objects, and a market of another structure other ones.
@@ -1094,8 +1131,11 @@ def test_simulate_refuses_runs_above_the_sample_cap(game3_published,
 
 def test_full_model_records_samples_compactly(game3_published, topology3,
                                              tuning3):
-    # a recorded sample is t, three prices and one gain: 40 bytes of floats
+    # a recorded sample is t, three prices and one gain: 40 bytes of floats;
+    # the kernel is built and compiled inside the trace, whatever ran before
     n_steps = 3000
+    dynamics._compiled.cache_clear()
+    dynamics._full_source.cache_clear()
     tracemalloc.start()
     try:
         init = default_initial(game3_published, topology3)
@@ -1106,6 +1146,26 @@ def test_full_model_records_samples_compactly(game3_published, topology3,
     finally:
         tracemalloc.stop()
     assert peak / (n_steps + 1) <= 100.0, f"{peak / (n_steps + 1):.0f} B per sample"
+
+
+def test_full_kernel_memory_stays_bounded_at_a_large_stride(game3_published, topology3,
+                                                           tuning3):
+    # Three recording blocks of 16 tone-table fills each: the tones of one
+    # block alone take more than 400 KB as a table, so the kernel must fill
+    # one table in place as it goes.
+    stride = 16 * dynamics._TONE_CHUNK
+    kernel = dynamics._full_kernel(game3_published, topology3, tuning3.scaled(0.1), False)
+    init = default_initial(game3_published, topology3)
+    y0 = np.concatenate([init.u, init.delta])
+    dynamics._run_kernel(kernel, y0, 0.0, 1e-4, stride, stride)   # compile outside the trace
+    tracemalloc.start()
+    try:
+        times, _ = dynamics._run_kernel(kernel, y0, 0.0, 1e-4, 3 * stride, stride)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(times) == 4
+    assert peak < 300_000, f"{peak} B"
 
 
 def test_freeze_delta_holds_gain_constant(game3_published, topology3,

@@ -6,6 +6,7 @@ import copy
 import csv
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -501,6 +502,27 @@ def test_cli_unrepresentable_step_or_horizon_exits_2(tmp_path, scen_path,
         err = json.load(fh)
     assert err["kind"] == "validation" and err["error"] == "ValueError"
     assert "must be a positive finite float" in err["message"], err["message"]
+
+
+def test_cli_reduced_run_beside_a_pole_names_its_step_rule(tmp_path, scen_path):
+    # Started beside the pole at delta = 5.6317, the reduced model's step
+    # comes from a huge ||Lambda(delta0)||_inf, and the run needs more steps
+    # than the cap; the refusal names the start gain and that norm.
+    with open(scen_path) as fh:
+        doc = json.load(fh)
+    doc["initial"] = {"delta": [5.64]}
+    pole = tmp_path / "pole.json"
+    pole.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["simulate", "--scenario", str(pole), "--out", str(out),
+                 "--model", "reduced"]) == 2
+    with open(out / "error.json") as fh:
+        err = json.load(fh)
+    assert err["kind"] == "validation" and err["error"] == "ValueError"
+    assert err["message"].startswith("the run needs "), err["message"]
+    found = re.search(r"start gain delta0 = \[5\.64\], where "
+                      r"\|\|Lambda\(delta0\)\|\|_inf = ([0-9.e+]+)$", err["message"])
+    assert found and float(found.group(1)) > 1e8, err["message"]
 
 
 def test_cli_unexpected_exception_writes_internal_error(tmp_path, scen_path,
