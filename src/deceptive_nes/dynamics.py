@@ -113,6 +113,11 @@ class NESTuning:
 
     def frequencies(self) -> np.ndarray:
         """Effective per-player angular frequencies ``omega * ratio``."""
+        return self._frequencies.copy()
+
+    @functools.cached_property
+    def _frequencies(self) -> np.ndarray:
+        # built once per tuning: a simulate run reads them up to three times
         return self.omega * np.array([float(r) for r in self.omega_ratio])
 
     def scaled(self, factor) -> "NESTuning":
@@ -471,7 +476,7 @@ class Trajectory:
 #: reduced model with one deceiver has no bound: its stage reads 3|V| + 2
 #: numbers whatever the player count (1.5 against 1670 µs per step at N =
 #: 30, 2.5 against 10600 at 60).  Nor has the full model where its costs
-#: have the sales form (:func:`_sales_form`), as every market's do.
+#: have the sales form (:attr:`QuadraticGame.sales_form`), as every market's do.
 MAX_GENERATED_AVERAGED_PLAYERS = 13
 
 
@@ -532,57 +537,19 @@ def _stage_calls(r, at, out) -> list[str]:
     return ["".join(f"{o}, " for o in out) + f"= stage({', '.join(at)})"]
 
 
-def _sales_form(game: QuadraticGame):
-    """``(v, m, theta, beta, gamma)`` with ``J_i(x) = z_i (theta_i z_i +
-    beta_i - Z) + gamma_i`` for ``z = v o (x - m)`` and ``Z = sum_j z_j``,
-    or ``None`` where the game's costs have no such form.
-
-    The form exists where every off-diagonal entry is ``Q_ij = -v_i v_j``
-    and ``b_ij = m_i v_i v_j`` with every ``v_i`` nonzero: then ``x_i Q_ij
-    x_j + b_ij x_j = -z_i v_j x_j``, so player ``i`` meets the others only
-    through ``Z``.  Every market's sales are affine in one resistance-weighted
-    price sum (``v_i = sqrt(Rp) / R_i``, ``m`` the marginal costs), and
-    neither an own-curvature override nor a deceptive game moves an
-    off-diagonal entry.  ``v`` and ``m`` are read off a few entries and must
-    reproduce every off-diagonal entry of ``Q`` and ``b`` to 1e-13 relative.
-    """
-    q, b, c = game.pseudogradient_matrix, game.b, game.c
-    n = c.size
-    i = np.arange(n)
-    j, k = (i + 1) % n, (i + 2) % n
-    with np.errstate(all="ignore"):
-        if n == 2:
-            v = np.array([abs(q[0, 1]), -q[0, 1]]) / math.sqrt(abs(q[0, 1]))
-        else:
-            # v_i^2 = Q_ij Q_ik / -Q_jk, signed like -Q_0i with v_0 > 0 (one
-            # player has no off-diagonal entry, and any v_0 != 0 will do)
-            v = np.copysign(np.sqrt(q[i, j] * q[i, k] / -q[j, k]), np.where(i, -q[0], 1.0))
-        m = b[i, j] / -q[i, j]
-        vv = v[:, None] * v
-        dq, db = np.abs(q + vv), np.abs(b - m[:, None] * vv)
-        dq[i, i] = db[i, i] = 0.0
-        qd, bd = q[i, i], b[i, i]
-        form = np.array([v, m, qd / (2.0 * v * v) + 1.0, (qd * m + bd) / v - v @ m + v * m,
-                         (0.5 * qd * m + bd) * m + c])
-        if (dq <= 1e-13 * np.abs(q)).all() and (db <= 1e-13 * np.abs(b)).all() \
-                and v.all() and np.isfinite(form).all():
-            return tuple(form)
-    return None
-
-
-def _full_kernel(game, topology, tuning, freeze_delta, form=None) -> tuple[str, str, dict]:
+def _full_kernel(game, topology, tuning, freeze_delta) -> tuple[str, str, dict]:
     """Source of the full model's RK4 ``block`` and ``run`` loop for this
     market (:func:`_full_source`), and the namespace of numbers they read.
 
     The kernel steps the coordinates ``z = v o (u - m)`` of the game's
-    sales ``form`` (:func:`_sales_form`, found here unless the caller has
-    it); RK4 commutes with that affine map, so the run equals RK4 on ``u``
-    up to rounding.  The namespace's ``tones`` is :func:`_tone_rows` on the
-    market's tone numbers, which it also holds by name (``a_i v_i`` as
-    ``a{i}``, ``w{i}``, ``k{i}`` and ``a_l v_{z_k}`` as ``a{z_k}_{l}``).
-    Raises ``ValueError`` for a game without the sales form.
+    sales form (:attr:`QuadraticGame.sales_form`); RK4 commutes with that
+    affine map, so the run equals RK4 on ``u`` up to rounding.  The
+    namespace's ``tones`` is :func:`_tone_rows` on the market's tone
+    numbers, which it also holds by name (``a_i v_i`` as ``a{i}``, ``w{i}``,
+    ``k{i}`` and ``a_l v_{z_k}`` as ``a{z_k}_{l}``).  Raises ``ValueError``
+    for a game without the sales form.
     """
-    form = _sales_form(game) if form is None else form
+    form = game.sales_form
     if form is None:
         raise ValueError("the game's costs have no sales form; step the numpy field")
     v, m, theta, beta, gamma = form
@@ -943,7 +910,7 @@ def simulate(
     Every route takes the packed state and returns a packed ``(times,
     states)`` record: a generated kernel (:func:`_run_kernel`; the full
     model takes one wherever its costs have the sales form of
-    :func:`_sales_form`, as every market's do), the affine
+    :attr:`QuadraticGame.sales_form`, as every market's do), the affine
     fields' block maps (:func:`numerics.integrate_affine`, ``boundary`` and
     ``averaged`` without deceivers) or the numpy field
     (:func:`numerics.integrate_fixed`).  Each stops after the first block
@@ -1033,10 +1000,10 @@ def simulate(
 
     n = game.n_players
     kernel = None
-    if model == "full" and (form := _sales_form(game)) is not None:
+    if model == "full" and game.sales_form is not None:
         # the hot path: millions of steps of unrolled float arithmetic, O(n)
         # a stage in the sales form
-        kernel = _full_kernel(game, topology, tuning, freeze_delta, form)
+        kernel = _full_kernel(game, topology, tuning, freeze_delta)
     elif model == "averaged" and n <= MAX_GENERATED_AVERAGED_PLAYERS and topology.n_deceivers:
         kernel = _averaged_kernel(game, topology, tuning, freeze_delta)
     elif model == "reduced" and topology.n_deceivers == 1:

@@ -14,6 +14,7 @@ its divergence, whatever its horizon.
 from __future__ import annotations
 
 import math
+import numbers
 from array import array
 from typing import Callable
 
@@ -219,52 +220,75 @@ def integrate_fixed(
     """Integrate with :func:`rk4_step` on a fixed grid, recording every
     ``record_every``-th state (the initial state is always recorded).
 
-    Returns ``(times, states)`` with ``states[k]`` the state at ``times[k]``.
+    Returns ``(times, states)`` with ``states[k]`` the state at ``times[k]``,
+    and ``times[k] = t0 + step * dt`` for the state after ``step`` steps:
+    ``y0``, each block of ``record_every`` steps and a trailing part-block.
     A state that overflows is recorded as it is, without a floating-point
     warning, and ends the record: after the first recorded state that is not
     finite, ``y0`` included, no step is taken, and the arrays stop at that
-    row.
+    row.  ``record_every`` must be an integer (not a bool) of at least 1,
+    else ``ValueError``.
     """
-    def advance(first, k, y):
-        for i in range(first, first + k):
-            y = rk4_step(f, t0 + i * dt, y, dt)
-        return y
-    return _record(advance, t0, y0, dt, n_steps, record_every)
+    stride = _stride(record_every)
+    y = np.array(y0, dtype=float)
+    ts, ys = array("d", [t0]), array("d", y.tobytes())
+    end = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while end < n_steps and _finite(y):
+            first, end = end, min(end + stride, n_steps)
+            for i in range(first, end):
+                y = rk4_step(f, t0 + i * dt, y, dt)
+            ts.append(t0 + end * dt)
+            ys.frombytes(y.tobytes())
+    return np.frombuffer(ts), np.frombuffer(ys).reshape((len(ts),) + y.shape)
 
 
 def integrate_affine(
     a: np.ndarray, c: np.ndarray, t0: float, y0: np.ndarray, dt: float, n_steps: int,
     *, record_every: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`integrate_fixed` of the field ``f(t, y) = a @ y + c``, each
-    recorded sample one matrix-vector product; the record likewise stops at
-    the first recorded state that is not finite.
+    """:func:`integrate_fixed` of the field ``f(t, y) = a @ y + c``, the
+    record built by repeated squaring: O(log samples) matrix products.
 
     One RK4 step is the affine map ``y <- R y + s`` of :func:`affine_rk4_map`,
     that is ``(y, 1) <- M (y, 1)`` with ``M = [[R, s], [0, 1]]``, so a block
-    of ``k`` steps is ``M^k``, whose top rows are ``R^k`` and ``sum_{j<k} R^j
-    s`` (``numpy.linalg.matrix_power``, O(log k) products).  A block takes
-    ``record_every`` steps, and a trailing part-block the steps left.  Where
-    ``M^k`` overflows, which an unstable field does over a long block, the
-    block is stepped one ``M`` at a time instead, so an exactly-zero state of
-    a field with ``c = 0`` stays zero rather than meeting ``inf * 0``.
+    of ``k = record_every`` steps is ``P = M^k`` (``numpy.linalg.matrix_power``)
+    and the recorded states are ``P^j (y0, 1)``.  Given rows ``0 .. L-1``,
+    rows ``L .. 2L-1`` are the same rows times ``(P^L)'`` in one product, and
+    ``P^2L = P^L P^L``.  The record grows so until it holds every block, and
+    stops after the first row that is not finite, so a diverging run costs
+    time and memory in proportion to its samples up to divergence.  A
+    trailing part-block takes the steps left.  Where a power overflows,
+    which an unstable field's does, the record goes on one block at a time:
+    by ``P`` where only a doubled power overflows, and by ``k`` maps ``M``
+    where ``P`` does.  So an exactly-zero state of a field with ``c = 0``
+    stays zero rather than meeting ``inf * 0``.
     """
+    k = _stride(record_every)
     r, s = affine_rk4_map(a, c, dt)
     m = len(s)
     step = np.eye(m + 1)
     step[:m, :m], step[:m, m] = r, s
-    blocks = {}
-
-    def advance(first, k, y):
-        if k not in blocks:
-            power = np.linalg.matrix_power(step, k)
-            blocks[k] = (power, 1) if np.isfinite(power).all() else (step, k)
-        block, repeats = blocks[k]
-        for _ in range(repeats):
-            y = block @ y
-        return y
-    times, states = _record(advance, t0, np.append(y0, 1.0), dt, n_steps, record_every)
-    return times, states[:, :m]
+    last = max(n_steps, 0)   # no step count below 0, as in integrate_fixed
+    full, left = divmod(last, k)
+    ys = np.append(np.asarray(y0, dtype=float), 1.0)[None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        block, repeats = _block_map(step, k)
+        power = block if repeats == 1 else None
+        finite = _finite(ys[0])
+        while finite and len(ys) <= full:
+            if power is not None and np.isfinite(power).all():
+                new = ys[:full + 1 - len(ys)] @ power.T
+                power = power @ power
+            else:
+                new = _map_blocks(block, repeats, ys[-1], full + 1 - len(ys))
+            ok = np.isfinite(new).all(axis=1)
+            finite = bool(ok.all())
+            ys = np.concatenate([ys, new if finite else new[:ok.argmin() + 1]])
+        if finite and left:
+            ys = np.concatenate([ys, _map_blocks(*_block_map(step, left), ys[-1], 1)])
+    steps = np.minimum(np.arange(len(ys)) * k, last)
+    return t0 + steps * dt, ys[:, :m]
 
 
 def affine_rk4_map(a: np.ndarray, c: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
@@ -277,23 +301,35 @@ def affine_rk4_map(a: np.ndarray, c: np.ndarray, dt: float) -> tuple[np.ndarray,
     return eye + ha @ series, dt * series @ np.asarray(c, dtype=float)
 
 
-def _record(advance, t0, y0, dt, n_steps, record_every):
-    """Take ``y0`` through ``n_steps`` steps in blocks of ``record_every``
-    and a trailing part-block, keeping ``y0`` and each block's end state at
-    ``t0 + step * dt`` in flat float buffers, and stop at the first kept
-    state, ``y0`` included, that is not finite.  ``advance(first, k, y)``
-    takes ``y`` from step ``first`` through ``k`` steps, under
-    ``np.errstate`` that silences overflow."""
-    y = np.array(y0, dtype=float)
-    ts, ys = array("d", [t0]), array("d", y.tobytes())
-    end = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        # a float sum is finite only if every term is, and costs a fraction
-        # of a numpy reduction; the exact test runs where the sum is not
-        while end < n_steps and (math.isfinite(sum(y.ravel().tolist()))
-                                 or np.isfinite(y).all()):
-            first, end = end, min(end + record_every, n_steps)
-            y = advance(first, end - first, y)
-            ts.append(t0 + end * dt)
-            ys.frombytes(y.tobytes())
-    return np.frombuffer(ts), np.frombuffer(ys).reshape((len(ts),) + y.shape)
+def _stride(record_every) -> int:
+    """``record_every`` as an int, if it is an integer (not a bool) of at
+    least 1."""
+    if isinstance(record_every, bool) or not isinstance(record_every, numbers.Integral) \
+            or record_every < 1:
+        raise ValueError(f"record_every must be an integer of at least 1, got {record_every!r}")
+    return int(record_every)
+
+
+def _finite(y: np.ndarray) -> bool:
+    # a float sum is finite only if every term is, and costs a fraction of
+    # a numpy reduction; the exact test runs where the sum is not
+    return math.isfinite(sum(y.ravel().tolist())) or bool(np.isfinite(y).all())
+
+
+def _block_map(step: np.ndarray, k: int) -> tuple[np.ndarray, int]:
+    """``(step^k, 1)``, or ``(step, k)`` where that power is not finite."""
+    power = np.linalg.matrix_power(step, k)
+    return (power, 1) if np.isfinite(power).all() else (step, k)
+
+
+def _map_blocks(block: np.ndarray, repeats: int, y: np.ndarray, count: int) -> np.ndarray:
+    """The next ``count`` states from ``y``, each ``repeats`` products with
+    ``block`` after the last, stopping after the first that is not finite."""
+    out = []
+    while len(out) < count:
+        for _ in range(repeats):
+            y = block @ y
+        out.append(y)
+        if not _finite(y):
+            break
+    return np.array(out)

@@ -19,6 +19,7 @@ price vector, so the whole game is captured by per-player matrices
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
@@ -140,6 +141,48 @@ class QuadraticGame:
         n = self.n_players
         idx = np.arange(n)
         return self.q[idx, idx, :]
+
+    @cached_property
+    def sales_form(self) -> tuple[np.ndarray, ...] | None:
+        """``(v, m, theta, beta, gamma)`` with ``J_i(x) = z_i (theta_i z_i +
+        beta_i - Z) + gamma_i`` for ``z = v o (x - m)`` and ``Z = sum_j
+        z_j``, or ``None`` where the costs have no such form.  The arrays
+        are read-only.
+
+        The form exists where every off-diagonal entry is ``Q_ij = -v_i
+        v_j`` and ``b_ij = m_i v_i v_j`` with every ``v_i`` nonzero: then
+        ``x_i Q_ij x_j + b_ij x_j = -z_i v_j x_j``, so player ``i`` meets the
+        others only through ``Z``.  Every market's sales are affine in one
+        resistance-weighted price sum (``v_i = sqrt(Rp) / R_i``, ``m`` the
+        marginal costs), and neither an own-curvature override nor a
+        deceptive game moves an off-diagonal entry.  ``v`` and ``m`` are
+        read off a few entries and must reproduce every off-diagonal entry
+        of ``Q`` and ``b`` to 1e-13 relative.
+        """
+        q, b, c = self.pseudogradient_matrix, self.b, self.c
+        n = c.size
+        i = np.arange(n)
+        j, k = (i + 1) % n, (i + 2) % n
+        with np.errstate(all="ignore"):
+            if n == 2:
+                v = np.array([abs(q[0, 1]), -q[0, 1]]) / math.sqrt(abs(q[0, 1]))
+            else:
+                # v_i^2 = Q_ij Q_ik / -Q_jk, signed like -Q_0i with v_0 > 0
+                # (one player has no off-diagonal entry, and any v_0 != 0
+                # will do)
+                v = np.copysign(np.sqrt(q[i, j] * q[i, k] / -q[j, k]), np.where(i, -q[0], 1.0))
+            m = b[i, j] / -q[i, j]
+            vv = v[:, None] * v
+            dq, db = np.abs(q + vv), np.abs(b - m[:, None] * vv)
+            dq[i, i] = db[i, i] = 0.0
+            qd, bd = q[i, i], b[i, i]
+            form = np.array([v, m, qd / (2.0 * v * v) + 1.0, (qd * m + bd) / v - v @ m + v * m,
+                             (0.5 * qd * m + bd) * m + c])
+            if (dq <= 1e-13 * np.abs(q)).all() and (db <= 1e-13 * np.abs(b)).all() \
+                    and v.all() and np.isfinite(form).all():
+                form.flags.writeable = False
+                return tuple(form)
+        return None
 
     @cached_property
     def pseudogradient_offset(self) -> np.ndarray:

@@ -592,7 +592,7 @@ def test_sales_form_recovers_every_game_the_package_builds():
             curved = {int(i): float(rng.uniform(0.5, 2.0) * base.q[i, i, i])
                       for i in rng.choice(n, size=2, replace=False)}
             for game in (base, market_game(params, curved), deceptive.quadratic()):
-                form = dynamics._sales_form(game)
+                form = game.sales_form
                 assert form is not None, n
                 v, mc, theta, beta, gamma = form
                 off = ~np.eye(n, dtype=bool)
@@ -616,7 +616,7 @@ def test_sales_form_refuses_games_without_it():
     b = game.b.copy()
     b[2, 4] *= 1.0 + 1e-9
     for other in (_without_sales_form(game), dataclasses.replace(game, b=b)):
-        assert dynamics._sales_form(other) is None
+        assert other.sales_form is None
         with pytest.raises(ValueError, match="sales form"):
             dynamics._full_kernel(other, DeceptionTopology((), ()), NESTuning(
                 amplitude=np.full(5, 0.05), gain=np.full(5, 0.01), omega=1.0,
@@ -1012,6 +1012,28 @@ def test_integrate_affine_matches_rk4_at_every_size_and_stride():
             for i in range(n_steps):
                 y = numerics.rk4_step(lambda t, v: a @ v + c, t0 + i * dt, y, dt)
             assert np.max(np.abs(states[-1] - y)) <= 1e-12 * np.max(np.abs(y)), (m, stride)
+
+
+def test_integrate_affine_matches_rk4_over_long_records():
+    # 5000 recorded samples take the doubled block maps up to P^4096: each
+    # row against integrate_fixed, relative to the row's largest entry, for
+    # decaying (c = 0) and settling (c != 0) fields.  The run spans 100 /
+    # ||a||_inf, so a decaying state stays far above the subnormal floats.
+    rng = np.random.default_rng(59)
+    for m in range(1, 11):
+        for stride in (1, 3):
+            a, c = _stable_affine_field(rng, m)
+            y0 = rng.uniform(-5.0, 5.0, size=m)
+            n_steps = 5000 * stride
+            dt = 100.0 / (np.linalg.norm(a, np.inf) * n_steps)
+            for field in (np.zeros(m), c):
+                times, states = numerics.integrate_affine(a, field, 0.0, y0, dt, n_steps,
+                                                          record_every=stride)
+                ref_times, ref = numerics.integrate_fixed(lambda t, v: a @ v + field, 0.0, y0,
+                                                          dt, n_steps, record_every=stride)
+                assert np.array_equal(times, ref_times) and len(times) == 5001
+                scale = np.max(np.abs(ref), axis=1, keepdims=True)
+                assert np.all(np.abs(states - ref) <= 1e-11 * scale), (m, stride, field.any())
 
 
 @pytest.mark.parametrize("stride", [16, 16384])

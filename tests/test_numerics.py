@@ -274,6 +274,53 @@ def test_integrate_affine_is_rk4_on_the_affine_field():
         assert np.max(np.abs(states[-1] - y)) <= 1e-12 * scale
 
 
+@pytest.mark.parametrize("record_every", [0, -1, True])
+def test_integrators_refuse_a_stride_that_is_not_a_positive_integer(record_every):
+    # a stride below 1 would never advance the record, and a bool is no count
+    with pytest.raises(ValueError, match="record_every"):
+        numerics.integrate_fixed(lambda t, y: -y, 0.0, np.ones(2), 0.1, 10,
+                                 record_every=record_every)
+    with pytest.raises(ValueError, match="record_every"):
+        numerics.integrate_affine(-np.eye(2), np.zeros(2), 0.0, np.ones(2), 0.1, 10,
+                                  record_every=record_every)
+
+
+@pytest.mark.parametrize("n_steps", [0, -3])
+def test_integrators_record_only_the_start_without_steps(n_steps):
+    for times, states in (
+            numerics.integrate_fixed(lambda t, y: -y, 0.5, np.ones(2), 0.1, n_steps,
+                                     record_every=2),
+            numerics.integrate_affine(-np.eye(2), np.zeros(2), 0.5, np.ones(2), 0.1, n_steps,
+                                      record_every=2)):
+        assert times.tolist() == [0.5] and states.tolist() == [[1.0, 1.0]]
+
+
+def test_affine_divergence_costs_only_the_samples_up_to_it():
+    # y' = y at dt = 1 overflows a float at t = 713: over a horizon of 4e6
+    # samples, the record stops there, and its memory stays that of the
+    # samples taken (a record sized by the horizon would take 96 MB).
+    tracemalloc.start()
+    try:
+        times, states = numerics.integrate_affine(np.eye(2), np.zeros(2), 0.0, np.ones(2),
+                                                  1.0, 4_000_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    finite = np.isfinite(states).all(axis=1)
+    assert len(times) == len(states) == 714 and times[-1] == 713.0
+    assert finite[:-1].all() and not finite[-1]
+    assert peak < 200_000, peak
+
+
+def test_affine_zero_state_stays_zero_where_a_doubled_power_overflows():
+    # y' = y at dt = 1: the block map P is finite but P^1024 overflows.  A
+    # zero state of this c = 0 field is an equilibrium, recorded as exactly
+    # zero to the horizon rather than as inf * 0.
+    times, states = numerics.integrate_affine(np.eye(2), np.zeros(2), 0.0, np.zeros(2),
+                                              1.0, 3000)
+    assert len(times) == 3001 and times[-1] == 3000.0 and not states.any()
+
+
 @pytest.mark.parametrize("record_every", [1, 3])
 def test_integrators_stop_at_the_first_non_finite_block(record_every):
     # y' = y^2 from y(0) = 1 blows up at t = 1, and y' = y overflows a float
