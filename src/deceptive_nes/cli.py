@@ -3,9 +3,11 @@
 Every command loads a scenario JSON file and writes deterministic artifacts
 into an output directory (``summary.json``, and ``trajectory.csv`` /
 ``sweep.csv`` where applicable).  Exit status: 0 on success, 2 for
-validation problems (bad scenario, bad flags), 3 for numerical failures and
-1 for any other exception (a defect, kind ``internal``); failures also leave
-a machine-readable ``error.json`` in the output directory.
+validation problems (bad or unreadable scenario, bad flags), 3 for numerical
+failures and 1 for any other exception (a defect, kind ``internal``);
+failures also leave a machine-readable ``error.json`` in the output
+directory, except where ``--out`` cannot be made a directory (exit 2, a
+message on stderr only).
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ class CommandError(ValueError):
 
 def _jsonable(value):
     if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value]
+        return value.tolist()
     if isinstance(value, (np.floating, np.integer)):
         return value.item()
     if isinstance(value, dict):
@@ -70,6 +72,22 @@ def _write_json(out_dir: Path, name: str, payload: dict) -> None:
     except ValueError as exc:
         raise numerics.ConvergenceError(f"{name} would hold a non-finite number") from exc
     (out_dir / name).write_text(text + "\n")
+
+
+def _write_grid_csv(out_dir: Path, names: list[str], columns: list[np.ndarray],
+                    ok: np.ndarray) -> None:
+    """``sweep.csv``: one row per grid point, the ``columns`` as
+    12-significant-digit fields and ``in_delta`` as ``true`` or ``false``,
+    formatted in one ``%`` pass over the whole table."""
+    width = len(columns) + 1
+    cells = [None] * (width * len(ok))
+    for k, column in enumerate(columns):
+        cells[k::width] = column.tolist()
+    cells[width - 1::width] = ["true" if o else "false" for o in ok.tolist()]
+    line = "%.12g," * (width - 1) + "%s\n"
+    text = ",".join([*names, "in_delta"]) + "\n" + line * len(ok) % tuple(cells)
+    with open(out_dir / "sweep.csv", "w", newline="") as fh:
+        fh.write(text)
 
 
 def _parse_grid(spec: str) -> np.ndarray:
@@ -120,7 +138,7 @@ def _attain_payload(res: AttainabilityResult, game) -> dict:
     return {
         "delta_star": res.delta_star,
         "x_star": res.u_star,
-        "lambda": [list(row) for row in res.lambda_mat],
+        "lambda": res.lambda_mat,
         "attainable": bool(res.attainable),
         "in_delta": bool(res.in_stability),
         "residual": res.residual,
@@ -158,10 +176,7 @@ def _cmd_stability(scenario: Scenario, out_dir: Path, args) -> None:
     sa = numerics.spectral_abscissa(m)
     ok = hurwitz_verdict(m, sa)   # in_stability_set, from the abscissa at hand
     if args.delta_grid is not None:
-        with open(out_dir / "sweep.csv", "w", newline="") as fh:
-            fh.write("delta,spectral_abscissa,in_delta\n")
-            for g, a, o in zip(delta[:, 0], sa, ok):
-                fh.write(f"{g:.12g},{a:.12g},{str(o).lower()}\n")
+        _write_grid_csv(out_dir, ["delta", "spectral_abscissa"], [delta[:, 0], sa], ok)
         return
     _write_json(out_dir, "summary.json", {
         "delta": delta,
@@ -268,12 +283,8 @@ def _cmd_sweep(scenario: Scenario, out_dir: Path, args) -> None:
     costs = game.costs(numerics.solve_stack(pert.qbar, -pert.bbar))
     # rows where Qbar(delta) is singular hold NaN costs and are never in Delta
     ok = in_stability_set(pert, gains) & ~np.isnan(costs).any(axis=1)
-    with open(out_dir / "sweep.csv", "w", newline="") as fh:
-        fh.write("delta," + ",".join(f"J_{i+1}" for i in range(game.n_players))
-                 + ",in_delta\n")
-        for g, row, o in zip(grid, costs, ok):
-            fh.write(f"{g:.12g}," + ",".join(f"{c:.12g}" for c in row)
-                     + f",{str(o).lower()}\n")
+    _write_grid_csv(out_dir, ["delta", *(f"J_{i + 1}" for i in range(game.n_players))],
+                    [grid, *costs.T], ok)
 
 
 _HANDLERS = {
@@ -339,7 +350,11 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser().parse_args(_attach_gain_values(list(argv)))
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:   # a file, or a path below one: no error.json can go there
+        print(f"deceptive-nes: --out: {exc}", file=sys.stderr)
+        return 2
 
     def fail(kind: str, exc: Exception, code: int) -> int:
         _write_json(out_dir, "error.json", {
@@ -351,10 +366,13 @@ def main(argv=None) -> int:
         return code
 
     try:
-        scenario = load_scenario(args.scenario)
+        try:
+            scenario = load_scenario(args.scenario)
+        except OSError as exc:   # missing, a directory, unreadable
+            return fail("validation", exc, 2)
         _check_delta_flags(args)
         _HANDLERS[args.command](scenario, out_dir, args)
-    except (FileNotFoundError, ScenarioError, CommandError) as exc:
+    except (ScenarioError, CommandError) as exc:
         return fail("validation", exc, 2)
     except (
         numerics.SingularMatrixError,

@@ -20,6 +20,7 @@ conditions (attainability).
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -103,7 +104,7 @@ class DeceptionTopology:
         object.__setattr__(self, "eps", float(self.eps))
         if len(rates) != n or len(refs) != n:
             raise ValueError("eps_rates and cost_refs must have one entry per deceiver")
-        if not np.all(np.isfinite((self.eps, *rates, *refs))):
+        if not all(map(math.isfinite, (self.eps, *rates, *refs))):
             raise ValueError("adaptation gains and cost references must be finite")
         if self.eps <= 0.0 or any(r <= 0.0 for r in rates):
             raise ValueError("adaptation gains must be strictly positive")

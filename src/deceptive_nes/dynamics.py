@@ -84,19 +84,22 @@ class NESTuning:
     def __post_init__(self):
         a = np.asarray(self.amplitude, dtype=float)
         k = np.asarray(self.gain, dtype=float)
-        ratios = tuple(Fraction(r) for r in self.omega_ratio)
+        omega = float(self.omega)
+        ratios = _fractions(self.omega_ratio)
         object.__setattr__(self, "amplitude", a)
         object.__setattr__(self, "gain", k)
-        object.__setattr__(self, "omega", float(self.omega))
+        object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "omega_ratio", ratios)
         if a.ndim != 1 or k.shape != a.shape or len(ratios) != a.size:
             raise ValueError("amplitude, gain and omega_ratio must have equal length")
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(k))
-                and np.isfinite(self.omega)):
+        # checked on plain floats: numpy reductions cost more on a few entries
+        al, kl = a.tolist(), k.tolist()
+        if not (all(map(math.isfinite, al)) and all(map(math.isfinite, kl))
+                and math.isfinite(omega)):
             raise ValueError("amplitudes, gains and omega must be finite")
-        if np.any(a <= 0.0) or np.any(k <= 0.0) or self.omega <= 0.0:
+        if min((*al, *kl, omega)) <= 0.0:
             raise ValueError("amplitudes, gains and omega must be strictly positive")
-        if any(r <= 0 for r in ratios):
+        if any(r.numerator <= 0 for r in ratios):
             raise ValueError("frequency ratios must be strictly positive")
         if len(set(ratios)) != len(ratios):
             raise ValueError("frequency ratios must be pairwise distinct")
@@ -134,16 +137,23 @@ class NESTuning:
         )
 
 
+def _fractions(ratios) -> tuple[Fraction, ...]:
+    """``ratios`` as fractions, building one only from a value that is not
+    a fraction already.  A fraction's denominator is positive, so its sign
+    is its numerator's."""
+    return tuple(r if type(r) is Fraction else Fraction(r) for r in ratios)
+
+
 def common_period_factor(ratios: Sequence[Fraction]) -> Fraction:
     """Exact least common multiple of the inverse frequency ratios.
 
     ``sin(r_i * tau)`` is periodic with period ``2*pi / r_i``; the returned
     fraction ``L`` makes ``2*pi*L`` a common period of all of them.
     """
-    fr = [Fraction(r) for r in ratios]
+    fr = _fractions(ratios)
     if not fr:
         raise ValueError("need at least one frequency ratio")
-    if any(r <= 0 for r in fr):
+    if any(r.numerator <= 0 for r in fr):
         raise ValueError("frequency ratios must be strictly positive")
     # lcm of q_i/p_i for ratios p_i/q_i: lcm of numerators over gcd of denominators
     return Fraction(

@@ -22,6 +22,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -40,9 +41,10 @@ class OligopolyParams:
     def __post_init__(self):
         r = np.asarray(self.resistance, dtype=float)
         m = np.asarray(self.marginal_cost, dtype=float)
+        sd = float(self.total_demand)
         object.__setattr__(self, "resistance", r)
         object.__setattr__(self, "marginal_cost", m)
-        object.__setattr__(self, "total_demand", float(self.total_demand))
+        object.__setattr__(self, "total_demand", sd)
         if r.ndim != 1 or m.ndim != 1:
             raise ValueError("resistance and marginal_cost must be 1-d sequences")
         if r.size != m.size:
@@ -51,14 +53,16 @@ class OligopolyParams:
             )
         if r.size < 2:
             raise ValueError("a market needs at least two firms")
-        if not np.all(np.isfinite(r)) or not np.all(np.isfinite(m)) \
-                or not np.isfinite(self.total_demand):
+        # checked on plain floats: numpy reductions cost more on a few entries
+        rl, ml = r.tolist(), m.tolist()
+        if not (all(map(math.isfinite, rl)) and all(map(math.isfinite, ml))
+                and math.isfinite(sd)):
             raise ValueError("market parameters must be finite")
-        if np.any(r <= 0.0):
+        if min(rl) <= 0.0:
             raise ValueError("every resistance must be strictly positive")
-        if np.any(m < 0.0):
+        if min(ml) < 0.0:
             raise ValueError("marginal costs must be nonnegative")
-        if self.total_demand <= 0.0:
+        if sd <= 0.0:
             raise ValueError("total demand must be strictly positive")
 
     @property
@@ -209,30 +213,40 @@ def build_quadratic_game(params: OligopolyParams) -> QuadraticGame:
     overflows a float (legal but extreme numbers, such as a resistance of
     5e-324 whose reciprocal is infinite).
     """
-    n = params.n_players
-    r = params.resistance
-    m = params.marginal_cost
+    r = params.resistance.tolist()
+    m = params.marginal_cost.tolist()
     sd = params.total_demand
-    q = np.zeros((n, n, n))
-    b = np.zeros((n, n))
-    c = np.zeros(n)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         agg = derive_aggregates(params)
-        rp = agg.r_parallel
-        for i in range(n):
-            q[i, i, i] = 2.0 * rp / (r[i] * agg.r_others[i])
-            for j in range(n):
-                if j == i:
-                    continue
-                q[i, i, j] = q[i, j, i] = -rp / (r[i] * r[j])
-                b[i, j] = m[i] * rp / (r[i] * r[j])
-            b[i, i] = -m[i] * rp / (r[i] * agg.r_others[i]) - sd * rp / r[i]
-            c[i] = rp * sd * m[i] / r[i]
-    if not (np.all(np.isfinite(q)) and np.all(np.isfinite(b)) and np.all(np.isfinite(c))):
+    rp = agg.r_parallel
+    # Plain floats, entry for entry the same operations as numpy's, which
+    # cost more per call on a few entries.  Python divides by zero with an
+    # error where numpy gives an infinity or a NaN, and both refuse the market.
+    rows, b, c = [], [], []
+    try:
+        for i, (ri, mi, oi) in enumerate(zip(r, m, agg.r_others.tolist())):
+            den = [ri * rj for rj in r]
+            den[i] = ri * oi
+            mrp = mi * rp
+            row = [-rp / d for d in den]
+            brow = [mrp / d for d in den]
+            row[i] = 2.0 * rp / den[i]
+            brow[i] = -brow[i] - sd * rp / ri
+            rows.append(row)
+            b.append(brow)
+            c.append(rp * sd * mi / ri)
+        finite = all(map(math.isfinite, chain(*rows, *b, c)))
+    except ZeroDivisionError:
+        finite = False
+    if not finite:
         raise ValueError(
             f"the market's cost coefficients overflow a float: resistance "
-            f"{r.tolist()}, marginal_cost {m.tolist()}, total_demand {sd:g}")
-    return QuadraticGame(q=q, b=b, c=c)
+            f"{r}, marginal_cost {m}, total_demand {sd:g}")
+    n = len(r)
+    idx = np.arange(n)
+    q = np.zeros((n, n, n))
+    q[idx, idx] = q[idx, :, idx] = np.array(rows)   # q[i, i, :] and q[i, :, i]
+    return QuadraticGame(q=q, b=np.array(b), c=np.array(c))
 
 
 def override_own_curvature(

@@ -107,14 +107,13 @@ def _ratio(value: Any, path: str) -> Fraction:
         raise ScenarioError("nonpositive-parameter", f"{path}.den", "denominator must be positive")
     if num <= 0:
         raise ScenarioError("nonpositive-parameter", f"{path}.num", "numerator must be positive")
-    ratio = Fraction(num, den)
     try:
-        value = float(ratio)
+        value = num / den            # rounded once, as the fraction's float
     except OverflowError:
         value = math.inf
     if not 0.0 < value < math.inf:
         raise ScenarioError("non-finite", path, "num/den must be a positive finite float")
-    return ratio
+    return Fraction(num, den)
 
 
 def _bounded_int(value: Any, low: int, path: str) -> int:
@@ -406,7 +405,8 @@ def scenario_from_dict(doc: Mapping[str, Any]) -> Scenario:
 
 def load_scenario(path) -> Scenario:
     """Load and validate a scenario JSON file."""
-    text = Path(path).read_text()
+    with open(path) as fh:
+        text = fh.read()
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

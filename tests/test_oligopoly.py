@@ -144,8 +144,8 @@ def test_quadratic_cost_equals_direct_cost():
 
 def test_quadratic_blocks_match_oracle():
     rng = np.random.default_rng(16)
-    for _ in range(30):
-        r, m, sd = oracles.random_market(rng)
+    for players in [(2, 6)] * 30 + [(60, 60)] * 3:
+        r, m, sd = oracles.random_market(rng, *players)
         game = build_quadratic_game(OligopolyParams(r, m, sd))
         q, b, c = oracles.quadratic_blocks(r, m, sd)
         assert np.max(np.abs(game.q - q)) < 1e-13

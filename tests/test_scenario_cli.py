@@ -17,13 +17,16 @@ from deceptive_nes import (
     ScenarioError,
     bundled_scenario_path,
     cli,
+    in_stability_set,
     is_hurwitz,
     load_scenario,
+    numerics,
     perturbed_pseudogradient,
     scenario_from_dict,
     write_scenario,
 )
 from deceptive_nes.cli import main
+from deceptive_nes.deception import hurwitz_verdict
 
 GOOD = {
     "market": {
@@ -241,6 +244,52 @@ def test_cli_sweep_handles_singular_point(tmp_path, scen_path):
     assert not math.isnan(float(rows[1]["J_1"]))
 
 
+def _per_row_csv(names, columns, ok):
+    """Reference for ``sweep.csv``: one f-string per field and row."""
+    lines = [",".join([*names, "in_delta"])]
+    for values, flag in zip(zip(*columns), ok):
+        lines.append(",".join(f"{v:.12g}" for v in values) + f",{str(flag).lower()}")
+    return "\n".join(lines) + "\n"
+
+
+def test_grid_csv_writer_matches_a_per_row_formatter(tmp_path):
+    delta = np.array([-2.5, -0.0, 1e-300, 5.631716138867322, 123456789012.5, 7.0])
+    costs = np.array([[-1200.0, np.nan, 1 / 3], [np.inf, -np.inf, 2.0 / 3e7],
+                      [0.1, 0.2, 0.3], [np.nan] * 3, [1e16, -1e-16, 5e-324],
+                      [999999999999.5, 0.5, -7.25]])
+    ok = np.array([True, False, True, False, False, True])
+    cli._write_grid_csv(tmp_path, ["delta", "J_1", "J_2", "J_3"], [delta, *costs.T], ok)
+    assert (tmp_path / "sweep.csv").read_text() \
+        == _per_row_csv(["delta", "J_1", "J_2", "J_3"], [delta, *costs.T], ok)
+
+
+def test_cli_grid_csvs_match_a_per_row_formatter(tmp_path, scen_path):
+    # byte for byte against the library's numbers: negative gains, both
+    # verdicts, and the singular point whose costs are NaN
+    scenario = load_scenario(scen_path)
+    game, topo, gains = scenario.game(), scenario.topology, scenario.tuning.gain
+    seen = ""
+    for i, spec in enumerate(["5.631716138867322:5.731716138867322:0.05", "-2:7:0.5"]):
+        grid = cli._parse_grid(spec)
+        pert = perturbed_pseudogradient(game, topo, grid[:, None])
+        m = -(gains[:, None] * pert.qbar)
+        sa = numerics.spectral_abscissa(m)
+        costs = game.costs(numerics.solve_stack(pert.qbar, -pert.bbar))
+        ok = in_stability_set(pert, gains) & ~np.isnan(costs).any(axis=1)
+        expected = {
+            "stability": _per_row_csv(["delta", "spectral_abscissa"], [grid, sa],
+                                      hurwitz_verdict(m, sa)),
+            "sweep": _per_row_csv(["delta", "J_1", "J_2", "J_3"], [grid, *costs.T], ok),
+        }
+        for command, text in expected.items():
+            out = tmp_path / f"{command}{i}"
+            assert main([command, "--scenario", scen_path, "--out", str(out),
+                         f"--delta-grid={spec}"]) == 0
+            assert (out / "sweep.csv").read_text() == text, (command, spec)
+            seen += text
+    assert all(word in seen for word in (",nan,", "true", "false", "\n-2,"))
+
+
 def test_cli_sweep_profits_cross_reference(tmp_path, scen_path):
     out = tmp_path / "sweep2"
     assert main(["sweep", "--scenario", scen_path, "--out", str(out),
@@ -299,6 +348,26 @@ def test_cli_missing_scenario_exits_2(tmp_path):
     with open(out / "error.json") as fh:
         doc = json.load(fh)
     assert doc["kind"] == "validation"
+
+
+def test_cli_unreadable_scenario_exits_2(tmp_path):
+    out = tmp_path / "x"
+    assert main(["nash", "--scenario", str(tmp_path), "--out", str(out)]) == 2
+    with open(out / "error.json") as fh:
+        doc = json.load(fh)
+    assert doc["kind"] == "validation" and doc["error"] == "IsADirectoryError"
+
+
+@pytest.mark.parametrize("below", [False, True])
+def test_cli_out_that_cannot_be_a_directory_exits_2(tmp_path, scen_path, capsys, below):
+    # no error.json can be written there: one line on stderr says why
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n")
+    out = taken / "out" if below else taken
+    assert main(["nash", "--scenario", scen_path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("deceptive-nes: --out: ") and err.count("\n") == 1, err
+    assert taken.read_text() == "keep\n"
 
 
 def test_cli_invalid_scenario_exits_2(tmp_path):
