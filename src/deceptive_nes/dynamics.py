@@ -43,7 +43,6 @@ from . import numerics
 from .deception import (
     DeceptionTopology,
     _Evaluation,
-    _matching_polynomials,
     _pseudogradient_basis,
 )
 from .oligopoly import QuadraticGame
@@ -223,11 +222,14 @@ def _residual_polynomial(
     delta``.
     """
     a2 = np.asarray(tuning.amplitude, dtype=float) ** 2
-    q = game.q[list(topology.deceivers)]
+    z = list(topology.deceivers)
+    q = game.q[z]
     g = topology.injection(game.n_players)
     const = 0.25 * np.einsum("kmm,m->k", q, a2)
     lin = 0.5 * np.einsum("kmi,jim,m->kj", q, g, a2)
-    quad = 0.25 * np.einsum("kab,jbc,c,lac->kjl", q, g, a2, g)
+    # G[j] is row z_j, so quad[k, j, l] = q[z_k][z_l, z_j] sum_{c in V_j, V_l} a_c^2 / 4
+    hit = g.any(axis=1)
+    quad = 0.25 * q[:, z][:, :, z].transpose(0, 2, 1) * ((hit * a2) @ hit.T)
     return const, lin, quad
 
 
@@ -358,6 +360,8 @@ def _vector_field(
         d_gain = rates / tuning.omega
 
         def f(t, d):
+            if not np.isfinite(d).all():   # NaN, without the warnings of Qbar(d)
+                return np.full(d.shape, np.nan)
             return d_gain * _Evaluation(game, topology, d, refs, basis).gaps
     else:
         c, a, tensor = _polynomial_field(model, game, topology, tuning, delta, freeze_delta)
@@ -476,20 +480,6 @@ class Trajectory:
 # simulation driver
 # ---------------------------------------------------------------------------
 
-#: Above this many players :func:`simulate` steps the averaged model with
-#: deceivers by its numpy polynomial field instead of the generated kernel:
-#: the unrolled price rows ``-(K/w) Q0 u`` cost N**2 float operations in
-#: Python.  Measured per step on 2 cores (Python 3.11, numpy 2.4, two
-#: deceivers, one shared victim), generated against numpy: 5.4 / 13.7 µs at
-#: N = 6, 13.4 / 16.6 at 12, 16.8 / 16.8 at 14, 20.5 / 18.3 at 16, 29.7 /
-#: 21.3 at 20; the kernel also costs 0.5-0.9 ms more to set up.  The
-#: reduced model with one deceiver has no bound: its stage reads 3|V| + 2
-#: numbers whatever the player count (1.5 against 1670 µs per step at N =
-#: 30, 2.5 against 10600 at 60).  Nor has the full model where its costs
-#: have the sales form (:attr:`QuadraticGame.sales_form`), as every market's do.
-MAX_GENERATED_AVERAGED_PLAYERS = 13
-
-
 def _run_loop(state, block, prologue=(), params=(), record=None) -> str:
     """Source of ``run``, the loop of every generated kernel.
 
@@ -545,6 +535,15 @@ def _stage_calls(r, at, out) -> list[str]:
     ``stage``: stage ``r`` calls it at the point."""
     # the trailing comma keeps a one-component derivative a tuple
     return ["".join(f"{o}, " for o in out) + f"= stage({', '.join(at)})"]
+
+
+def _sales_costs(y, players, total=None) -> list[str]:
+    """Lines setting ``total`` to ``Z`` (the expression ``total``, or the
+    sum of every ``y[i]``, left to right) and ``j{i}`` to the sales-form
+    cost ``J_i = z_i (th_i z_i + be_i - Z) + ga_i`` of each of ``players``,
+    with ``y[i]`` naming ``z_i``."""
+    return [f"total = {' + '.join(y) if total is None else total}",
+            *(f"j{i} = {y[i]} * (th{i} * {y[i]} + be{i} - total) + ga{i}" for i in players)]
 
 
 def _full_kernel(game, topology, tuning, freeze_delta) -> tuple[str, str, dict]:
@@ -652,7 +651,8 @@ def _full_source(n, deceivers, victims) -> tuple[str, str]:
     tone rows carry ``a o s`` with ``a`` bound as ``a_i v_i``, and ``(G a o
     s)_{z_k}`` with ``a_l v_{z_k}``), and a stage is O(n): ``Z = sum_j
     y_j`` and ``J_i = y_i (theta_i y_i + beta_i - Z) + gamma_i``, chains
-    summed left to right, and ``dz_i = J_i (k_i s_i)``.
+    summed left to right (:func:`_sales_costs`), and ``dz_i = J_i (k_i
+    s_i)``.
     """
     players = range(n)
     z, d = [f"z{i}" for i in players], [f"d{k}" for k in range(len(deceivers))]
@@ -670,8 +670,7 @@ def _full_source(n, deceivers, victims) -> tuple[str, str]:
         lines += [f"y{i} = {at[i]} + {t}a{i}" for i in players]
         lines += [f"y{zk} = y{zk} + {at[n + k] if r == 1 else f'({at[n + k]})'} * {t}d{k}"
                   for k, zk in enumerate(deceivers)]
-        lines.append(f"total = {' + '.join(f'y{i}' for i in players)}")
-        lines += [f"j{i} = y{i} * (th{i} * y{i} + be{i} - total) + ga{i}" for i in players]
+        lines += _sales_costs([f"y{i}" for i in players], players)
         lines += [f"{out[i]} = j{i} * {t}k{i}" for i in players]
         return lines + [f"{out[n + k]} = g{k} * (j{zk} - r{k})" for k, zk in enumerate(deceivers)]
 
@@ -695,154 +694,161 @@ def _full_source(n, deceivers, victims) -> tuple[str, str]:
 
 def _averaged_kernel(game, topology, tuning, freeze_delta) -> tuple[str, dict]:
     """Source of the averaged model's RK4 ``run`` for this market
-    (:func:`_averaged_source`), and the namespace of numbers it reads."""
-    c, a, t = _polynomial_field("averaged", game, topology, tuning, None, freeze_delta)
-    run, terms = _averaged_source(game.n_players, topology.deceivers, topology.victims)
-    names = {}
-    for i, row in enumerate(terms):
-        names[f"c{i}"] = float(c[i])
-        for j, ls in row:
-            names[f"a{i}_{j}"] = float(a[i, j])
-            for l in ls:
-                names[f"t{i}_{j}_{l}"] = float(t[i, j, l] + t[i, l, j] if l != j else t[i, j, j])
+    (:func:`_averaged_source`), and the namespace of numbers it reads.
+
+    It steps the sales coordinates ``z = v o (u - m)`` of the game's
+    :attr:`~QuadraticGame.sales_form`, as the full kernel does.  There the
+    price rows of :func:`_polynomial_field` are ``dz_i = -(k_i v_i^2 /
+    omega)((2 theta_i - 1) z_i + beta_i - Z - z_i sum_{k: i in V_k} delta_k
+    v_{z_k} / v_i)``, and gain row ``k`` is ``g_k (J_{z_k} - ref_k +
+    residual_k)``.
+    """
+    v, m, theta, beta, gamma = game.sales_form
+    const, lin, quad = _residual_polynomial(game, topology, tuning)
+    run, residual = _averaged_source(game.n_players, topology.deceivers, topology.victims)
+    names = {f"{key}{i}": x for key, values in (
+        ("v", v), ("m", m), ("th", theta), ("be", beta), ("ga", gamma),
+        ("kv", -(tuning.gain / tuning.omega) * v * v), ("ct", 2.0 * theta - 1.0),
+    ) for i, x in enumerate(values.tolist())}
+    g = 0.0 if freeze_delta else topology.eps / tuning.omega
+    for k, (zk, vs, (js, ls)) in enumerate(zip(topology.deceivers, topology.victims, residual)):
+        pair = quad[k, k] + quad[k, :, k]   # of delta_k delta_l, l != k
+        pair[k] = quad[k, k, k]             # of delta_k^2
+        names.update({f"g{k}": g * topology.eps_rates[k], f"r{k}": topology.cost_refs[k],
+                      f"c{k}": float(const[k]), **{f"s{k}_{l}": float(pair[l]) for l in ls},
+                      **{f"dv{k}_{i}": float(v[zk] / v[i]) for i in vs},
+                      **{f"l{k}_{j}": float(lin[k, j]) for j in js}})
     return run, names
 
 
 @functools.lru_cache(maxsize=16)
 def _averaged_source(n, deceivers, victims) -> tuple[str, tuple]:
     """Source of the averaged model's ``run`` for ``n`` players and these
-    deceivers and victims, and its terms, built once per structure.
+    deceivers and victims, and its residual terms, built once per structure.
 
-    The field is the polynomial ``c + (A + T y) y`` of
-    :func:`_polynomial_field`, unrolled over its structural nonzeros into
-    the loop: row ``i`` is ``c_i + sum_j (A_ij + sum_l S_ijl y_l) y_j`` with
-    ``S_ijl = T_ijl + T_ilj`` (``T_ijj`` for ``l = j``), and ``terms[i]``
-    holds the pairs ``(j, ls)`` of its products ``y_j y_l``.  Price row
-    ``i`` reads every ``u`` and, where ``i`` is a victim of deceiver ``k``,
-    ``delta_k`` and ``delta_k u_i``; gain row ``k`` reads every ``y``,
-    ``u_{z_k}`` times every ``u`` (``q[z_k] / 2``), and ``delta_k`` times
-    the gains of the deceivers whose victims overlap its own (``quad``).
-    Every number is a parameter of ``run`` bound to the namespace's value,
-    so the source depends only on the structure and the loop reads the
-    numbers as locals.
+    A stage is O(n + sum_k |V_k|).  ``residual[k] = (js, ls)`` makes
+    deceiver ``k``'s residual ``c_k + delta_k sum_{l in ls} s_kl delta_l +
+    sum_{j in js} l_kj delta_j``: ``q[z_k]`` lives in row and column
+    ``z_k``, so ``lin[k, j]`` is nonzero only where ``j = k`` or ``z_k`` is
+    a victim of ``j``, and ``quad[k, j, l]`` where ``k`` is ``j`` or ``l``
+    and the victims of ``j`` and ``l`` overlap.  Every number is a
+    parameter of ``run`` bound to the namespace's value.
     """
-    y = [f"u{i}" for i in range(n)] + [f"d{k}" for k in range(len(deceivers))]
-    terms = [dict.fromkeys(range(n), ()) for _ in range(n)]
-    terms += [dict.fromkeys(range(len(y)), ()) for _ in deceivers]
-    for k, vs in enumerate(victims):
-        for i in vs:
-            terms[i][i] += (n + k,)
-            terms[i][n + k] = ()
-        terms[n + k][deceivers[k]] = tuple(range(n))
-        terms[n + k][n + k] = tuple(n + l for l, ws in enumerate(victims) if set(vs) & set(ws))
-    terms = tuple(tuple(row.items()) for row in terms)
-    params = []
-    for i, row in enumerate(terms):
-        params.append(f"c{i}")
-        for j, ls in row:
-            params += [f"a{i}_{j}", *(f"t{i}_{j}_{l}" for l in ls)]
+    players = range(n)
+    z, d = [f"z{i}" for i in players], [f"d{k}" for k in range(len(deceivers))]
+    state = z + d
+    hits = [[k for k, vs in enumerate(victims) if i in vs] for i in players]
+    residual = tuple((tuple(j for j, ws in enumerate(victims) if j == k or zk in ws),
+                      tuple(l for l, ws in enumerate(victims) if set(vs) & set(ws)))
+                     for k, (zk, vs) in enumerate(zip(deceivers, victims)))
 
-    def rows(at):
-        """The rows at the point whose components are named ``at``."""
-        return [" + ".join([f"c{i}", *(
-            f"({' + '.join([f'a{i}_{j}', *(f't{i}_{j}_{l} * {at[l]}' for l in ls)])}) * {at[j]}"
-            if ls else f"a{i}_{j} * {at[j]}" for j, ls in row)]) for i, row in enumerate(terms)]
+    def stage(r, at, out):
+        point = state if r == 1 else [f"p{x}" for x in state]
+        lines = [] if r == 1 else [f"{p} = {a}" for p, a in zip(point, at)]
+        pz, pd = point[:n], point[n:]
+        lines += _sales_costs(pz, deceivers)
+        for i in players:
+            own = "".join(f" - {pd[k]} * dv{k}_{i}" for k in hits[i])
+            lines.append(f"{out[i]} = kv{i} * ({pz[i]} * (ct{i}{own}) + be{i} - total)")
+        for k, (zk, (js, ls)) in enumerate(zip(deceivers, residual)):
+            quad = " + ".join([f"l{k}_{k}", *(f"s{k}_{l} * {pd[l]}" for l in ls)])
+            cross = "".join(f" + l{k}_{j} * {pd[j]}" for j in js if j != k)
+            row = f"j{zk} - r{k} + c{k} + {pd[k]} * ({quad}){cross}"
+            lines.append(f"{out[n + k]} = g{k} * ({row})")
+        return lines
 
-    def step(r, at, out):
-        point = y if r == 1 else [f"p{v}" for v in y]
-        bind = [] if r == 1 else [f"{p} = {a}" for p, a in zip(point, at)]
-        return bind + [f"{o} = {row}" for o, row in zip(out, rows(point))]
+    params = [*(f"{p}{i}" for p in ("v", "m", "kv", "ct", "be") for i in players),
+              *(f"{p}{i}" for p in ("th", "ga") for i in deceivers)]
+    for k, (vs, (js, ls)) in enumerate(zip(victims, residual)):
+        params += [f"g{k}", f"r{k}", f"c{k}", *(f"dv{k}_{i}" for i in vs),
+                   *(f"l{k}_{j}" for j in js), *(f"s{k}_{l}" for l in ls)]
+    prologue = [f"z{i} = v{i} * (z{i} - m{i})" for i in players]
+    run = _run_loop(state, _step_loop(_rk4_body(state, stage)), prologue, params,
+                    [f"z{i} / v{i} + m{i}" for i in players] + d)
+    return run, residual
 
-    run = _run_loop(y, _step_loop(_rk4_body(y, step)), (), params)
-    return run, terms
 
+def _reduced_kernel(game, topology, tuning, freeze_delta) -> tuple[str, str, dict]:
+    """Source of the reduced model's RK4 ``stage`` and ``run`` for this
+    market (:func:`_reduced_source`), and the namespace of numbers they read.
 
-def _reduced_kernel(game, topology, tuning, delta, freeze_delta) -> tuple[str, str, dict]:
-    """Source of the reduced model's RK4 ``stage`` and ``run`` for one
-    deceiver, and the namespace of numbers they read.
-
-    The field is ``rate F / D**2`` with the matching polynomials ``(F, D)``
-    of :func:`~deceptive_nes.deception._matching_polynomials` on the disc of
-    radius ``r = 1 + |o|`` around ``o``, which the stage evaluates by
-    Horner's rule in ``x = (d - o) / r``.  A stage outside the disc takes
-    the gated numpy field of :func:`_vector_field` and centres the disc on
-    its gain, so the run keeps its accuracy however far the gain travels.
-    The source depends only on |V| and is built once per |V|
-    (:func:`_reduced_source`).
+    In the sales form ``Qbar = diag(D) - v v'``, so Sherman-Morrison gives
+    ``h = -(y + g D^-1 v)`` with ``y = D^-1 Bbar``, ``s = 1 - v' D^-1 v``
+    and ``g = v'y / s``, and ``Z = v'(h - m) = -g - v'm``.  The rows nobody
+    deceives add the same terms at every gain, bound once as ``s0``, ``sy``
+    and ``rs``.
     """
-    v = len(topology.victims[0])
-    rate = 0.0 if freeze_delta else topology.eps_rates[0] / tuning.omega
-    q0 = game.pseudogradient_matrix.tolist()
-    basis = _pseudogradient_basis(game, topology)
-    pi = [abs(x) for x in basis[0][0].tolist()]
-    rows = [math.hypot(*row) for row in q0]
-    norm_q0 = max(sum(map(abs, row)) for row in q0)
-    field = _vector_field("reduced", game, topology, tuning, delta, freeze_delta)
+    v, m, theta, beta, gamma = game.sales_form
+    pi, p = _pseudogradient_basis(game, topology)
+    q0, b0 = game.pseudogradient_matrix, game.pseudogradient_offset
+    union = set(chain(*topology.victims))
+    rest = [i for i in range(game.n_players) if i not in union]
+    diag = np.diagonal(q0) + v * v
+    field = _vector_field("reduced", game, topology, tuning, None, freeze_delta)
 
-    def centre(o):
-        """Bind the coefficients of ``F`` and ``D`` on the disc around ``o``,
-        and the singularity screen over it."""
-        r = 1.0 + abs(o)
-        f, e = _matching_polynomials(game, topology, basis, topology.cost_refs[0], o, r)
-        # Screen.  Partial pivoting keeps every pivot at or above 1 /
-        # ||Qbar^-1||: the k-th pivot is the largest entry in the first
-        # column of a Schur complement whose inverse is a block of Qbar^-1
-        # with permuted columns (norms ||.||_inf).  So the gate, which raises
-        # on a pivot below 1e-13 ||Qbar||, fails only where ||Qbar^-1|| > 1 /
-        # (1e-13 ||Qbar||), that is where |det Qbar| < 1e-13 ||Qbar|| ||adj
-        # Qbar||.  Every (n-1)-minor without row i is at most prod_{l != i}
-        # rho_l (Hadamard), rho_l the 2-norm of row l, so ||adj Qbar|| <=
-        # prod_l rho_l sum_l 1 / rho_l.  With ||Qbar|| <= ||Q0|| + |d| max |pi|
-        # and rho_l <= ||row l of Q0|| + |d| |pi_l|, the bound grows with
-        # |d|, so its value at |d| = |o| + r covers the disc.  The screen
-        # doubles it for the rounding of the gate and adds 1e-13 sum_k |e_k|
-        # for the rounding of D.
-        a = abs(o) + r
-        rho = [row + a * x for row, x in zip(rows, pi)]
-        e, f = e[0].tolist(), f[0].tolist()
-        screen = 2e-13 * (norm_q0 + a * max(pi)) * math.prod(rho) * sum(1.0 / x for x in rho) \
-            + 1e-13 * sum(map(abs, e))
-        if not all(map(math.isfinite, [screen, *e, *f])):
-            screen = math.inf   # D or F overflows: every stage takes the gated solve
-        names.update(o=o, ir=1.0 / r, screen=screen)
-        names.update({f"f{k}": c for k, c in enumerate(f)})
-        names.update({f"e{k}": c for k, c in enumerate(e)})
+    def gated(*d):   # raises SingularMatrixError where Qbar(d) fails the gate
+        return tuple(field(0.0, np.array(d)).tolist())
 
-    def exact(d):
-        """The field by the gated solve, which raises SingularMatrixError
-        where ``Qbar(d)`` fails the pivot gate."""
-        return float(field(0.0, np.array([d]))[0])
-
-    def recentre(d):
-        """The field outside the disc, which moves to be centred on ``d``."""
-        if not math.isfinite(d):
-            return exact(d)
-        centre(d)
-        return names["stage"](d)[0]
-
-    names = {"rate": rate, "exact": exact, "recentre": recentre}
-    centre(float(delta[0]))
-    return (*_reduced_source(v), names)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # a zero D_i of a row nobody deceives sends every stage to the gate
+        r, y = v[rest] / diag[rest], b0[rest] / diag[rest]
+        names = {"gated": gated, "s0": 1.0 - float(v[rest] @ r), "sy": float(v[rest] @ y),
+                 "rs": float(np.sum(np.abs(r))), "vm": float(v @ m),
+                 "iv": 1.0 / float(np.min(np.abs(v))),
+                 "tq": 2e-13 * float(np.max(np.sum(np.abs(q0), axis=1)))}
+    for key, values in (("v", v), ("m", m), ("th", theta), ("be", beta), ("ga", gamma),
+                        ("e", diag), ("b", b0)):
+        names.update((f"{key}{i}", x) for i, x in enumerate(values.tolist()))
+    names.update(zip([f"y{i}" for i in rest] + [f"r{i}" for i in rest], y.tolist() + r.tolist()))
+    for k, vs in enumerate(topology.victims):
+        names.update({f"tp{k}": 2e-13 * float(np.max(np.abs(pi[k]))),
+                      f"rate{k}": 0.0 if freeze_delta else topology.eps_rates[k] / tuning.omega,
+                      f"ref{k}": topology.cost_refs[k]})
+        names.update((f"{x}{k}_{i}", float(a[k, i])) for x, a in (("c", pi), ("p", p)) for i in vs)
+    return (*_reduced_source(topology.deceivers, topology.victims), names)
 
 
 @functools.lru_cache(maxsize=16)
-def _reduced_source(v) -> tuple[str, str]:
-    """Source of the reduced model's ``stage`` and ``run`` for a deceiver
-    with ``v`` victims."""
-    # where |D| falls under the screen the stage takes the gated route, and
-    # the gate decides
-    stage = ["def stage(d0):",
-             "    x = (d0 - o) * ir",
-             "    if not -1.0 <= x <= 1.0:",
-             "        return recentre(d0),",
-             f"    den = e{v}"]
-    stage += [f"    den = den * x + e{k}" for k in range(v - 1, -1, -1)]
-    stage += ["    if not abs(den) > screen:",
-              "        return exact(d0),",
-              f"    num = f{2 * v}"]
-    stage += [f"    num = num * x + f{k}" for k in range(2 * v - 1, -1, -1)]
-    stage.append("    return rate * (num / den / den),")
-    run = _run_loop(["d0"], _step_loop(_rk4_body(["d0"], _stage_calls)), params=["stage"])
+def _reduced_source(deceivers, victims) -> tuple[str, str]:
+    """Source of the reduced model's ``stage`` and ``run`` for these
+    deceivers and victims, built once per structure: a stage reads O(|V| +
+    K) globals of the namespace, ``V`` the union of the victim sets.
+
+    The screen.  Partial pivoting keeps every pivot at or above 1 /
+    ||Qbar^-1||_inf (the k-th is the largest entry in the first column of a
+    Schur complement whose inverse is a block of Qbar^-1), so the gate
+    raises only where 1e-13 ||Qbar|| ||Qbar^-1|| >= 1.  With ``r = D^-1 v``
+    and ``rho = sum |r_i|``, ``Qbar^-1 = D^-1 + r r' / s`` gives
+    ||Qbar^-1|| <= rho / min |v| + rho^2 / |s|.  The closed form runs only
+    where that times ``tq + sum_k |d_k| tp_k`` (at least twice the gate's
+    threshold) is below 1, multiplied out by ``|s|`` so that no ``D_i`` or
+    ``s`` divides unless nonzero; a NaN gain fails the screen.
+    """
+    d = [f"d{k}" for k in range(len(deceivers))]
+    union = sorted(set(chain(*victims)))
+
+    def deceived(base, coeff, i):
+        return base + "".join(f" + {d[k]} * {coeff}{k}_{i}" for k, vs in enumerate(victims)
+                              if i in vs)
+
+    tol = "tq" + "".join(f" + abs({x}) * tp{k}" for k, x in enumerate(d))
+    costs = _sales_costs({zk: f"x{zk}" for zk in deceivers}, deceivers, "-g - vm")
+    field = "".join(f"rate{k} * (j{zk} - ref{k}), " for k, zk in enumerate(deceivers))
+    stage = [f"def stage({', '.join(d)}):",
+             *(f"    D{i} = {deceived(f'e{i}', 'c', i)}" for i in union),
+             f"    if {' and '.join(f'D{i}' for i in union)}:",
+             *(f"        r{i} = v{i} / D{i}" for i in union),
+             f"        s = s0{''.join(f' - v{i} * r{i}' for i in union)}",
+             f"        rho = rs{''.join(f' + abs(r{i})' for i in union)}",
+             "        a = abs(s)",
+             f"        if ({tol}) * rho * (a * iv + rho) < a:",
+             *(f"            y{i} = ({deceived(f'b{i}', 'p', i)}) / D{i}" for i in union),
+             f"            g = (sy{''.join(f' + v{i} * y{i}' for i in union)}) / s",
+             *(f"            x{zk} = -v{zk} * (y{zk} + r{zk} * g + m{zk})" for zk in deceivers),
+             *(f"            {line}" for line in costs),
+             f"            return {field}",
+             f"    return gated({', '.join(d)})"]
+    run = _run_loop(d, _step_loop(_rk4_body(d, _stage_calls)), params=["stage"])
     return "\n".join(stage) + "\n", run
 
 
@@ -918,12 +924,12 @@ def simulate(
     probing injections stay active.
 
     Every route takes the packed state and returns a packed ``(times,
-    states)`` record: a generated kernel (:func:`_run_kernel`; the full
-    model takes one wherever its costs have the sales form of
-    :attr:`QuadraticGame.sales_form`, as every market's do), the affine
-    fields' block maps (:func:`numerics.integrate_affine`, ``boundary`` and
-    ``averaged`` without deceivers) or the numpy field
-    (:func:`numerics.integrate_fixed`).  Each stops after the first block
+    states)`` record: the affine fields' block maps
+    (:func:`numerics.integrate_affine`, ``boundary`` and ``averaged``
+    without deceivers), else a generated kernel (:func:`_run_kernel`)
+    wherever the costs have the sales form of
+    :attr:`QuadraticGame.sales_form`, as every market's do, else the numpy
+    field (:func:`numerics.integrate_fixed`).  Each stops after the first block
     whose end state is not finite, and that block's end time is the time of
     the :class:`DivergenceError` raised, so a diverging run costs only the
     steps up to its divergence.  A start state or frozen gain that is not
@@ -1009,23 +1015,16 @@ def simulate(
     n_steps = stride * max(1, math.ceil(blocks - 1e-9))
 
     n = game.n_players
-    kernel = None
-    if model == "full" and game.sales_form is not None:
-        # the hot path: millions of steps of unrolled float arithmetic, O(n)
-        # a stage in the sales form
-        kernel = _full_kernel(game, topology, tuning, freeze_delta)
-    elif model == "averaged" and n <= MAX_GENERATED_AVERAGED_PLAYERS and topology.n_deceivers:
-        kernel = _averaged_kernel(game, topology, tuning, freeze_delta)
-    elif model == "reduced" and topology.n_deceivers == 1:
-        # the stage reads |V| + 1 and 2|V| + 1 coefficients, whatever n
-        kernel = _reduced_kernel(game, topology, tuning, initial.delta, freeze_delta)
-    if kernel is not None:
-        times, states = _run_kernel(kernel, y0, initial.t, step, n_steps, stride)
-    elif model == "boundary" or model == "averaged" and not topology.n_deceivers:
+    if model == "boundary" or model == "averaged" and not topology.n_deceivers:
         # the field c + A y is affine: each RK4 step is one affine map
         c, a, _ = _polynomial_field(model, game, topology, tuning, initial.delta, freeze_delta)
         times, states = numerics.integrate_affine(
             a, c, initial.t, y0, step, n_steps, record_every=stride)
+    elif game.sales_form is not None:
+        # unrolled float arithmetic in the sales form, O(n + sum_k |V_k|) a stage
+        build = {"full": _full_kernel, "averaged": _averaged_kernel, "reduced": _reduced_kernel}
+        kernel = build[model](game, topology, tuning, freeze_delta)
+        times, states = _run_kernel(kernel, y0, initial.t, step, n_steps, stride)
     else:
         f = _vector_field(model, game, topology, tuning, initial.delta, freeze_delta)
         times, states = numerics.integrate_fixed(

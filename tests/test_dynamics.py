@@ -704,7 +704,7 @@ def test_kernel_sources_are_built_once_per_structure():
     builds = [   # (kernel, a topology, one of another structure)
         (lambda g, t: dynamics._full_kernel(g, t, tuning, False), topo, single),
         (lambda g, t: dynamics._averaged_kernel(g, t, tuning, False), topo, single),
-        (lambda g, t: dynamics._reduced_kernel(g, t, tuning, [0.0], False), single,
+        (lambda g, t: dynamics._reduced_kernel(g, t, tuning, False), single,
          DeceptionTopology((0,), ((1,),))),   # one victim against several
     ]
     for build, same, changed in builds:
@@ -770,17 +770,20 @@ def _kernel_namespace(kernel):
     return names
 
 
-def _reduced_case(rng, n_victims, n_players=5, resistance_scale=1.0):
-    """A random market with one deceiver and ``n_victims`` victims, a cost
-    reference drawn from [-500, 0] and a tuning."""
+def _reduced_case(rng, structure, n_players=5, resistance_scale=1.0):
+    """A random market with the deceivers and victims of ``structure``, or
+    with one deceiver and ``structure`` random victims, cost references
+    drawn from [-500, 0] and a tuning."""
     r, m, sd = oracles.random_market(rng, n_min=n_players, n_max=n_players)
     game = build_quadratic_game(OligopolyParams(np.asarray(r) * resistance_scale, m, sd))
-    z = int(rng.integers(n_players))
-    others = [j for j in range(n_players) if j != z]
-    victims = tuple(int(j) for j in rng.choice(others, size=n_victims, replace=False))
-    topo = DeceptionTopology((z,), (victims,), eps=1e-3,
-                             eps_rates=(rng.uniform(0.5, 2.0),),
-                             cost_refs=(rng.uniform(-500.0, 0.0),))
+    if isinstance(structure, int):
+        z = int(rng.integers(n_players))
+        others = [j for j in range(n_players) if j != z]
+        structure = ((z,), (tuple(int(j) for j in rng.choice(others, size=structure,
+                                                             replace=False)),))
+    k = len(structure[0])
+    topo = DeceptionTopology(*structure, eps=1e-3, eps_rates=rng.uniform(0.5, 2.0, size=k),
+                             cost_refs=rng.uniform(-500.0, 0.0, size=k))
     tuning = NESTuning(amplitude=rng.uniform(0.01, 0.1, size=n_players),
                        gain=rng.uniform(0.005, 0.02, size=n_players), omega=1.0,
                        omega_ratio=tuple(range(3, 3 + n_players)))
@@ -806,8 +809,8 @@ def test_dither_free_kernel_sources_depend_only_on_market_structure():
                                  cost_refs=(3.0,))
     pairs = [(dynamics._averaged_kernel(game, topo, tuning, False),
               dynamics._averaged_kernel(other, retopo, retuned, False)),
-             (dynamics._reduced_kernel(game, single, tuning, [0.0], False),
-              dynamics._reduced_kernel(other, resingle, retuned, [1.5], False))]
+             (dynamics._reduced_kernel(game, single, tuning, False),
+              dynamics._reduced_kernel(other, resingle, retuned, False))]
     for (*source, names), (*same, other_names) in pairs:
         assert same == source
         floats = [key for key, value in names.items() if isinstance(value, float)]
@@ -822,12 +825,15 @@ def test_dither_free_kernel_sources_depend_only_on_market_structure():
 @pytest.mark.parametrize("freeze", [False, True])
 def test_averaged_kernel_matches_generic_rk4_on_rhs(freeze):
     # Several deceivers, overlapping victim sets and a deceiver that is
-    # another's victim, against numerics.rk4_step on the reference rhs.
+    # another's victim, against numerics.rk4_step on the reference rhs; the
+    # last two in markets of 31 and 60 players.
     rng = np.random.default_rng(29)
     structures = [(topo.deceivers, topo.victims, game) for game, topo, _, _ in _rich_cases()]
-    r, m, sd = oracles.random_market(rng, n_min=4, n_max=4)
-    structures.append(((1, 3, 2), ((0,), (0, 2), (0, 3)),
-                       build_quadratic_game(OligopolyParams(r, m, sd))))
+    for n, deceivers, victims in ((4, (1, 3, 2), ((0,), (0, 2), (0, 3))),
+                                  (31, (0, 5), ((1, 2, 30), (0, 2))),
+                                  (60, (7, 0, 59), ((0, 3, 40), (7, 3), (1, 2, 3, 58)))):
+        r, m, sd = oracles.random_market(rng, n_min=n, n_max=n)
+        structures.append((deceivers, victims, build_quadratic_game(OligopolyParams(r, m, sd))))
     for deceivers, victims, game in structures:
         n, k = game.n_players, len(deceivers)
         topo = DeceptionTopology(deceivers, victims, eps=1e-3,
@@ -856,16 +862,22 @@ def test_averaged_kernel_matches_generic_rk4_on_rhs(freeze):
         assert np.any(traj.delta[-1] != init.delta) != freeze
 
 
-@pytest.mark.parametrize("n_victims", [1, 2, 3, 4])
-def test_reduced_kernel_matches_generic_rk4_on_rhs(n_victims):
-    rng = np.random.default_rng(31 + n_victims)
-    cases = [_reduced_case(rng, n_victims) for _ in range(5)]
-    # 30 players with resistances 1e-7 of the usual: det Qbar(d)**2
-    # overflows, so every stage must take the gated solve
-    cases.append(_reduced_case(rng, n_victims, n_players=30, resistance_scale=1e-7))
+@pytest.mark.parametrize("structure", [1, 2, 3, 4, ((0, 1), ((2, 3), (0, 3))),
+                                       ((0, 1, 4), ((2, 3), (0, 3), (1, 2, 3)))],
+                         ids=["1", "2", "3", "4", "2-deceivers", "3-deceivers"])
+def test_reduced_kernel_matches_generic_rk4_on_rhs(structure):
+    # One deceiver with 1-4 random victims, and two and three deceivers
+    # whose victims overlap, one of them another's victim.
+    rng = np.random.default_rng(31 + (structure if isinstance(structure, int)
+                                      else 3 * len(structure[0])))
+    cases = [_reduced_case(rng, structure) for _ in range(5)]
+    # 30 players with resistances 1e-7 of the usual: every number of the
+    # stage is some 1e7 times the usual one
+    cases.append(_reduced_case(rng, structure, n_players=30, resistance_scale=1e-7))
     for game, topo, tuning in cases:
         n = game.n_players
-        init = SimState(t=0.0, u=np.zeros(n), delta=rng.uniform(-1.0, 1.0, size=1))
+        init = SimState(t=0.0, u=np.zeros(n),
+                        delta=rng.uniform(-1.0, 1.0, size=topo.n_deceivers))
 
         def f(t, d):
             return rhs("reduced", game, topo, tuning, SimState(t=t, u=np.zeros(n), delta=d))
@@ -874,26 +886,25 @@ def test_reduced_kernel_matches_generic_rk4_on_rhs(n_victims):
         # the gain travels at most 0.5 and no stage lands next to a pole: a
         # run that jumps across poles is chaotic, and there any rounding
         # difference grows without bound.
-        rate = abs(float(lambda_matrix(game, topo, init.delta)[0, 0])) / tuning.omega
-        dt, n_steps = min(0.02 / rate, 0.02 / abs(f(0.0, init.delta)[0])), 25
+        rate = float(np.linalg.norm(lambda_matrix(game, topo, init.delta), np.inf)) / tuning.omega
+        dt, n_steps = min(0.02 / rate, 0.02 / np.max(np.abs(f(0.0, init.delta)))), 25
         traj = simulate("reduced", game, topo, tuning, initial=init,
                         horizon=dt * n_steps / (topo.eps * tuning.omega),
                         stride=n_steps, dt=dt)
         y = init.delta
         for i in range(n_steps):
             y = numerics.rk4_step(f, i * dt, y, dt)
-        assert abs(traj.delta[-1, 0] - y[0]) < 1e-13 * (1 + abs(y[0])), (
-            f"victims {topo.victims[0]}: {traj.delta[-1, 0]} vs {y[0]}")
-        assert abs(y[0] - init.delta[0]) > 1e-3   # the gain moved
+        assert np.max(np.abs(traj.delta[-1] - y)) < 1e-13 * (1 + np.max(np.abs(y))), (
+            f"victims {topo.victims}: {traj.delta[-1]} vs {y}")
+        assert np.max(np.abs(y - init.delta)) > 1e-3   # the gain moved
 
 
 def test_reduced_kernel_screen_covers_every_singular_gate(game3_published, topology3,
                                                           tuning3):
-    # Near the pole the stage must raise wherever the gated solve does; a
-    # kernel centred on the pole evaluates them by the polynomials, not by
-    # re-centring.
+    # Near the pole the stage must raise wherever the gated solve does, and
+    # return wherever it does not.
     names = _kernel_namespace(dynamics._reduced_kernel(
-        game3_published, topology3, tuning3, [SINGULAR_DELTA], False))
+        game3_published, topology3, tuning3, False))
     gated = 0
     for scale in 10.0 ** -np.arange(6.0, 17.0, 0.25):
         for d in (SINGULAR_DELTA - scale, SINGULAR_DELTA + scale):
@@ -906,6 +917,64 @@ def test_reduced_kernel_screen_covers_every_singular_gate(game3_published, topol
             else:
                 names["stage"](d)
     assert gated >= 10
+
+
+@pytest.mark.parametrize("k", [1, 2], ids=["one-deceiver", "two-deceivers"])
+def test_reduced_stage_divides_by_no_zero(game3_published, tuning3, k):
+    # The stage runs on Python floats, where 1 / 0.0 raises.  Where a
+    # victim's D_i = Qbar_ii + v_i^2 vanishes, at d_k = -(Q0_ii + v_i^2 +
+    # the other deceivers' terms) / pi_ki, Qbar(d) is regular but the closed
+    # form would divide by zero.  There, a few ulps either side and beside
+    # the study's pole the stage raises SingularMatrixError exactly where
+    # deceptive_equilibrium does, and otherwise returns the gated field.
+    topo = DeceptionTopology((0, 1)[:k], ((2,), (0, 2))[:k], eps=1e-4,
+                             cost_refs=(-1200.0, -1400.0)[:k])
+    names = _kernel_namespace(dynamics._reduced_kernel(game3_published, topo, tuning3, False))
+    q0, v = game3_published.pseudogradient_matrix, game3_published.sales_form[0]
+    pi, _ = dynamics._pseudogradient_basis(game3_published, topo)
+    base = np.array([0.0, 0.7])[:k]
+    points = [np.array([SINGULAR_DELTA, 0.0])[:k]]
+    for j, vs in enumerate(topo.victims):
+        for i in vs:
+            d = base.copy()
+            d[j] = -(q0[i, i] + v[i] ** 2 + np.delete(base, j) @ np.delete(pi[:, i], j)) / pi[j, i]
+            points.append(d)
+    raised = 0
+    for point in points:
+        for ulps in range(-3, 4):
+            d = point.copy()
+            for _ in range(abs(ulps)):
+                d[0] = np.nextafter(d[0], math.copysign(math.inf, ulps))
+            try:
+                deceptive_equilibrium(game3_published, topo, d)
+            except numerics.SingularMatrixError:
+                raised += 1
+                with pytest.raises(numerics.SingularMatrixError):
+                    names["stage"](*d.tolist())
+            else:
+                want = rhs("reduced", game3_published, topo, tuning3,
+                           SimState(t=0.0, u=np.zeros(3), delta=d))
+                assert names["stage"](*d.tolist()) == tuple(want.tolist()), d
+    assert raised >= 1
+
+
+@pytest.mark.parametrize("case", ["one-deceiver", "two-deceivers", "no-sales-form"])
+def test_reduced_run_whose_gain_overflows_diverges(game3_published, tuning3, case):
+    # A rate so hot that the first stage's field overflows: the next stage
+    # is at an infinite gain, where Qbar is not finite.  The stage there is
+    # NaN, with no floating-point warning, on the kernel and on the numpy
+    # field alike, so the record stops after the first step and the run
+    # ends in DivergenceError.
+    k = 1 if case == "one-deceiver" else 2
+    game = _without_sales_form(game3_published) if case == "no-sales-form" else game3_published
+    topo = DeceptionTopology((0, 1)[:k], ((2,), (0, 2))[:k], eps=1e-4,
+                             eps_rates=(1e300,) * k, cost_refs=(-1e10,) * k)
+    init = SimState(t=0.0, u=np.zeros(3), delta=np.full(k, -1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError) as err:
+            simulate("reduced", game, topo, tuning3, initial=init, horizon=100.0, dt=1e-3)
+    assert (err.value.axis, err.value.time) == ("tau_star", 1e-3)
 
 
 def test_reduced_run_started_at_a_pole_raises_singular(game3_published, topology3,
@@ -927,12 +996,12 @@ def test_reduced_run_started_at_a_pole_raises_singular(game3_published, topology
 
 def test_simulate_takes_the_generated_kernel_where_it_applies(game3_published, topology3,
                                                              tuning3, monkeypatch):
-    # Generated kernels: the full model wherever the costs have the sales
-    # form (every market, at any size), the averaged model with deceivers up
-    # to MAX_GENERATED_AVERAGED_PLAYERS and the reduced model with one
-    # deceiver at any size.  The affine fields (boundary, averaged without
-    # deceivers) take integrate_affine at every size; the rest the numpy
-    # field.
+    # Generated kernels wherever the costs have the sales form (every
+    # market, at any size): the full model, the averaged model with
+    # deceivers and the reduced model with any number of deceivers.  The
+    # affine fields (boundary, averaged without deceivers) take
+    # integrate_affine at every size; a game without the sales form takes
+    # the numpy field.
     routes = []
 
     def spy(module, name):
@@ -959,21 +1028,21 @@ def test_simulate_takes_the_generated_kernel_where_it_applies(game3_published, t
     tun = tuning3.scaled(0.1)
     two = DeceptionTopology((0, 1), ((2,), (0,)), eps=1e-4)
     bare = DeceptionTopology((), ())
-    top = market(dynamics.MAX_GENERATED_AVERAGED_PLAYERS)
-    above = market(dynamics.MAX_GENERATED_AVERAGED_PLAYERS + 1)
-    big = market(31)
+    fourteen, big = market(14), market(31)
     cases = [("full", game3_published, topology3, tun, "_full_kernel"),
              ("averaged", game3_published, topology3, tun, "_averaged_kernel"),
              ("reduced", game3_published, topology3, tun, "_reduced_kernel"),
-             ("reduced", game3_published, two, tun, "integrate_fixed"),
-             ("averaged", *top, "_averaged_kernel"),
-             ("averaged", *above, "integrate_fixed"),
+             ("reduced", game3_published, two, tun, "_reduced_kernel"),
+             ("averaged", *fourteen, "_averaged_kernel"),
+             ("averaged", *big, "_averaged_kernel"),
              ("full", *big, "_full_kernel"),
              ("full", *market(60), "_full_kernel"),
-             ("full", _without_sales_form(big[0]), *big[1:], "integrate_fixed"),
              ("reduced", *big, "_reduced_kernel")]
+    for model in ("full", "averaged", "reduced"):
+        cases += [(model, _without_sales_form(big[0]), *big[1:], "integrate_fixed"),
+                  (model, _without_sales_form(game3_published), two, tun, "integrate_fixed")]
     for game, topo, tuning in [(game3_published, topology3, tun), market(7), market(8),
-                               top, above, big]:
+                               fourteen, big]:
         cases += [("boundary", game, topo, tuning, "integrate_affine"),
                   ("averaged", game, bare, tuning, "integrate_affine")]
     for model, game, topo, tuning, route in cases:
@@ -1081,12 +1150,12 @@ def test_affine_zero_state_stays_zero_where_the_block_map_overflows(game3_publis
 
 
 def test_numpy_fields_diverge_without_a_warning(monkeypatch):
-    # The full model without the sales form and the averaged model above
-    # its kernel's bound step numpy fields through integrate_fixed; gains
-    # far too hot overflow them, and DivergenceError alone reports it, as on
-    # the generated kernels.  The record stops at the diverging block: a
-    # horizon a hundred times longer diverges at the same time, and no RK4
-    # step runs after that block.
+    # The full and the averaged model of a game without the sales form step
+    # numpy fields through integrate_fixed; gains far too hot overflow them,
+    # and DivergenceError alone reports it, as on the generated kernels.
+    # The record stops at the diverging block: a horizon a hundred times
+    # longer diverges at the same time, and no RK4 step runs after that
+    # block.
     steps = []
     rk4_step = numerics.rk4_step
 
@@ -1096,11 +1165,9 @@ def test_numpy_fields_diverge_without_a_warning(monkeypatch):
 
     monkeypatch.setattr(numerics, "rk4_step", counted)
     rng = np.random.default_rng(43)
-    for model, n, recast in (("averaged", dynamics.MAX_GENERATED_AVERAGED_PLAYERS + 1,
-                              lambda game: game),
-                             ("full", 31, _without_sales_form)):
+    for model, n in (("averaged", 14), ("full", 31)):
         r, m, sd = oracles.random_market(rng, n_min=n, n_max=n)
-        game = recast(build_quadratic_game(OligopolyParams(r, m, sd)))
+        game = _without_sales_form(build_quadratic_game(OligopolyParams(r, m, sd)))
         tuning = NESTuning(amplitude=np.full(n, 0.05), gain=np.full(n, 1e4), omega=1.0,
                            omega_ratio=tuple(range(3, 3 + n)))
         errors = []
