@@ -242,6 +242,28 @@ class _Evaluation:
         return self.rates * (grad @ dh).T
 
 
+def _quasi_equilibria(game, topology, d, basis) -> np.ndarray:
+    """``h(d)`` for each row of the gains ``d``: the Sherman-Morrison form
+    of the reduced model's kernel (``dynamics._reduced_kernel``) where its
+    screen (``dynamics._reduced_source``) passes, else ``solve_stack`` (NaN
+    where that fails the gate), which a game without the sales form takes
+    everywhere."""
+    if game.sales_form is None:
+        return _Evaluation(game, topology, d, basis=basis).h
+    v, q0, (pi, p) = game.sales_form[0], game.pseudogradient_matrix, basis
+    with np.errstate(all="ignore"):
+        diag = np.diagonal(q0) + v * v + d @ pi
+        r, y = v / diag, (game.pseudogradient_offset + d @ p) / diag
+        s = 1.0 - r @ v
+        h = -(y + r * ((y @ v) / s)[:, None])
+        rho, a = np.sum(np.abs(r), axis=1), np.abs(s)
+        tol = 2e-13 * (np.max(np.sum(np.abs(q0), axis=1)) + np.abs(d) @ np.max(np.abs(pi), axis=1))
+        rest = np.flatnonzero(~(tol * rho * (a / np.min(np.abs(v)) + rho) < a))
+    if rest.size:
+        h[rest] = _Evaluation(game, topology, d[rest], basis=basis).h
+    return h
+
+
 def perturbed_pseudogradient(
     game: QuadraticGame,
     topology: DeceptionTopology,

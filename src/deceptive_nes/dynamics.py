@@ -44,6 +44,7 @@ from .deception import (
     DeceptionTopology,
     _Evaluation,
     _pseudogradient_basis,
+    _quasi_equilibria,
 )
 from .oligopoly import QuadraticGame
 
@@ -362,7 +363,15 @@ def _vector_field(
         def f(t, d):
             if not np.isfinite(d).all():   # NaN, without the warnings of Qbar(d)
                 return np.full(d.shape, np.nan)
-            return d_gain * _Evaluation(game, topology, d, refs, basis).gaps
+            try:
+                return d_gain * _Evaluation(game, topology, d, refs, basis).gaps
+            except numerics.SingularMatrixError:
+                # past sum_k |d_k| max |pi_k| = 1e13 ||Q0||_inf the gate's
+                # threshold tops every entry of Q0: the gain has run off (NaN)
+                if np.abs(d) @ np.max(np.abs(basis[0]), axis=1) \
+                        < 1e13 * np.linalg.norm(game.pseudogradient_matrix, np.inf):
+                    raise
+                return np.full(d.shape, np.nan)
     else:
         c, a, tensor = _polynomial_field(model, game, topology, tuning, delta, freeze_delta)
 
@@ -461,19 +470,36 @@ class Trajectory:
 
         Header: ``t`` then ``u_1..u_N``, one ``delta_<player>`` column per
         deceiver (1-based player number), ``x_1..x_N``, ``J_1..J_N``,
-        ``P_1..P_N``.
+        ``P_1..P_N``.  Each block of columns is formatted in one ``%`` pass,
+        and reuses strings where the arrays are bitwise equal: ``x`` those of
+        ``u``, a constant ``delta`` its first row's, and ``P`` those of ``J``
+        sign-flipped where ``profits`` is ``-costs`` and no cost is NaN
+        (``%.12g`` prints ``nan`` for either sign).
         """
         players = range(1, self.u.shape[1] + 1)
         cols = ["t", *(f"u_{i}" for i in players),
                 *(f"delta_{z + 1}" for z in self.meta.deceivers),
                 *(f"{c}_{i}" for c in "xJP" for i in players)]
-        rows = np.column_stack(
-            [self.times, self.u, self.delta, self.x, self.costs, self.profits]
-        )
-        line = ",".join(["%.12g"] * len(cols)) + "\n"
-        text = ",".join(cols) + "\n" + line * len(rows) % tuple(rows.ravel().tolist())
+        m, d = len(self.times), self.delta
+
+        def text(block):   # the block's rows, joined by newlines
+            fmt = ",".join(["%.12g"] * block.shape[1])
+            return "\n".join([fmt] * len(block)) % tuple(block.ravel().tolist())
+
+        u, costs = text(self.u).splitlines(), text(self.costs)
+        x = u if self.x.tobytes() == self.u.tobytes() else text(self.x).splitlines()
+        if m and self.profits.tobytes() == (-self.costs).tobytes() \
+                and not np.isnan(self.costs).any():
+            profits = ("-" + costs.replace("\n", "\n-")).replace(",", ",-").replace("--", "")
+        else:
+            profits = text(self.profits)
+        blocks = [text(self.times[:, None]).splitlines(), u, x, costs.splitlines(),
+                  profits.splitlines()]
+        if d.shape[1]:
+            same = d[1:].tobytes() == d[:1].tobytes() * (m - 1)
+            blocks.insert(2, [text(d[:1])] * m if same else text(d).splitlines())
         with open(path, "w", newline="") as fh:
-            fh.write(text)
+            fh.write("\n".join(chain([",".join(cols)], map(",".join, zip(*blocks)))) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -768,9 +794,10 @@ def _averaged_source(n, deceivers, victims) -> tuple[str, tuple]:
     return run, residual
 
 
-def _reduced_kernel(game, topology, tuning, freeze_delta) -> tuple[str, str, dict]:
+def _reduced_kernel(game, topology, tuning, freeze_delta, basis=None) -> tuple[str, str, dict]:
     """Source of the reduced model's RK4 ``stage`` and ``run`` for this
-    market (:func:`_reduced_source`), and the namespace of numbers they read.
+    market (:func:`_reduced_source`), and the namespace of numbers they read;
+    ``basis`` is the market's :func:`_pseudogradient_basis`, if built.
 
     In the sales form ``Qbar = diag(D) - v v'``, so Sherman-Morrison gives
     ``h = -(y + g D^-1 v)`` with ``y = D^-1 Bbar``, ``s = 1 - v' D^-1 v``
@@ -779,15 +806,17 @@ def _reduced_kernel(game, topology, tuning, freeze_delta) -> tuple[str, str, dic
     and ``rs``.
     """
     v, m, theta, beta, gamma = game.sales_form
-    pi, p = _pseudogradient_basis(game, topology)
+    pi, p = _pseudogradient_basis(game, topology) if basis is None else basis
     q0, b0 = game.pseudogradient_matrix, game.pseudogradient_offset
     union = set(chain(*topology.victims))
     rest = [i for i in range(game.n_players) if i not in union]
     diag = np.diagonal(q0) + v * v
-    field = _vector_field("reduced", game, topology, tuning, None, freeze_delta)
+    # built by the first stage that fails the screen, if one does
+    field = functools.cache(lambda: _vector_field("reduced", game, topology, tuning, None,
+                                                  freeze_delta))
 
     def gated(*d):   # raises SingularMatrixError where Qbar(d) fails the gate
-        return tuple(field(0.0, np.array(d)).tolist())
+        return tuple(field()(0.0, np.array(d)).tolist())
 
     with np.errstate(divide="ignore", invalid="ignore"):
         # a zero D_i of a row nobody deceives sends every stage to the gate
@@ -974,6 +1003,12 @@ def simulate(
     # the boundary model's frozen gain
     if not (np.isfinite(y0).all() and np.isfinite(initial.delta).all()):
         raise DivergenceError(initial.t, axis)
+    # one basis for the reduced model's step rule, kernel and prices; one
+    # affine field c + A y, whose A = -K Qbar(delta0) sets the boundary's step
+    basis = _pseudogradient_basis(game, topology) if model == "reduced" else None
+    affine = model == "boundary" or model == "averaged" and not topology.n_deceivers
+    if affine:
+        c, a, _ = _polynomial_field(model, game, topology, tuning, initial.delta, freeze_delta)
     step_rule = ""   # what a refusal of the step count should name
     if dt is not None:
         step = float(dt)
@@ -981,11 +1016,14 @@ def simulate(
         step = 2.0 * math.pi / (float(np.max(tuning.frequencies())) * oversampling)
     else:
         if model == "reduced":
-            lam = float(np.linalg.norm(_Evaluation(game, topology, initial.delta).lam, np.inf))
+            lam = float(np.linalg.norm(_Evaluation(game, topology, initial.delta,
+                                                   basis=basis).lam, np.inf))
             rate = lam / omega
             step_rule = (f"; the reduced model's step is 0.2 / (||Lambda(delta0)||_inf / omega) "
                          f"at the start gain delta0 = {initial.delta.tolist()}, where "
                          f"||Lambda(delta0)||_inf = {lam:.4g}")
+        elif model == "boundary":
+            rate = float(np.linalg.norm(a, np.inf)) / scale
         else:
             qbar = _Evaluation(game, topology, initial.delta).pert.qbar
             rate = float(np.linalg.norm(tuning.gain[:, None] * qbar, np.inf)) / scale
@@ -1015,14 +1053,13 @@ def simulate(
     n_steps = stride * max(1, math.ceil(blocks - 1e-9))
 
     n = game.n_players
-    if model == "boundary" or model == "averaged" and not topology.n_deceivers:
-        # the field c + A y is affine: each RK4 step is one affine map
-        c, a, _ = _polynomial_field(model, game, topology, tuning, initial.delta, freeze_delta)
+    if affine:   # each RK4 step is one affine map
         times, states = numerics.integrate_affine(
             a, c, initial.t, y0, step, n_steps, record_every=stride)
     elif game.sales_form is not None:
         # unrolled float arithmetic in the sales form, O(n + sum_k |V_k|) a stage
-        build = {"full": _full_kernel, "averaged": _averaged_kernel, "reduced": _reduced_kernel}
+        build = {"full": _full_kernel, "averaged": _averaged_kernel,
+                 "reduced": functools.partial(_reduced_kernel, basis=basis)}
         kernel = build[model](game, topology, tuning, freeze_delta)
         times, states = _run_kernel(kernel, y0, initial.t, step, n_steps, stride)
     else:
@@ -1034,10 +1071,10 @@ def simulate(
         raise DivergenceError(times[-1], axis)
     if model == "reduced":
         d_mat = states
-        u_mat = _Evaluation(game, topology, d_mat).h
+        u_mat = _quasi_equilibria(game, topology, d_mat, basis)
         singular = np.flatnonzero(np.isnan(u_mat).any(axis=1))
         if singular.size:  # raise the first singular sample's error
-            _Evaluation(game, topology, d_mat[singular[0]]).h
+            _Evaluation(game, topology, d_mat[singular[0]], basis=basis).h
     elif model == "boundary":
         u_mat, d_mat = states, np.tile(initial.delta, (len(times), 1))
     else:

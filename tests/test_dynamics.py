@@ -40,7 +40,7 @@ from deceptive_nes import (
     simulate,
     solve_attainability,
 )
-from deceptive_nes import cli, dynamics, numerics
+from deceptive_nes import cli, deception, dynamics, numerics
 from deceptive_nes.dynamics import (
     MAX_SAMPLES, MAX_STEPS, MODEL_KINDS, _residual_polynomial,
 )
@@ -977,6 +977,30 @@ def test_reduced_run_whose_gain_overflows_diverges(game3_published, tuning3, cas
     assert (err.value.axis, err.value.time) == ("tau_star", 1e-3)
 
 
+@pytest.mark.parametrize("case", ["one-deceiver", "two-deceivers", "no-sales-form"])
+def test_reduced_run_whose_gain_leaps_to_a_huge_finite_value_diverges(game3_published,
+                                                                      tuning3, case):
+    # A hot rate with moderate cost references: the second stage is at a
+    # finite gain near 1e299, where 1e-13 ||Qbar||_inf tops every entry of
+    # Q0 and the relative pivot gate fails on the rows nobody deceives.
+    # The gain has run off, so the stage is NaN and the run ends in
+    # DivergenceError at the first block's end, not in SingularMatrixError.
+    k = 1 if case == "one-deceiver" else 2
+    game = _without_sales_form(game3_published) if case == "no-sales-form" else game3_published
+    topo = DeceptionTopology((0, 1)[:k], ((2,), (0, 2))[:k], eps=1e-4,
+                             eps_rates=(1e300,) * k, cost_refs=(-1200.0, -1400.0)[:k])
+    init = SimState(t=0.0, u=np.zeros(3), delta=np.full(k, -1.0))
+    leap = init.delta + 0.5e-3 * rhs("reduced", game, topo, tuning3, init)
+    assert np.isfinite(leap).all() and np.max(np.abs(leap)) > 1e290
+    with pytest.raises(numerics.SingularMatrixError):
+        deceptive_equilibrium(game, topo, leap)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError) as err:
+            simulate("reduced", game, topo, tuning3, initial=init, horizon=100.0, dt=1e-3)
+    assert (err.value.axis, err.value.time) == ("tau_star", 1e-3)
+
+
 def test_reduced_run_started_at_a_pole_raises_singular(game3_published, topology3,
                                                        tuning3, tmp_path):
     init = SimState(t=0.0, u=np.zeros(3), delta=np.array([SINGULAR_DELTA]))
@@ -1083,11 +1107,22 @@ def test_integrate_affine_matches_rk4_at_every_size_and_stride():
             assert np.max(np.abs(states[-1] - y)) <= 1e-12 * np.max(np.abs(y)), (m, stride)
 
 
+def _rk4_one_step_map(a, c, dt):
+    """``(r, s)`` with one classical RK4 step of ``y' = a y + c`` equal to
+    ``y -> r y + s``: the stages ``k_j = a y_j + c`` compose to ``r = I +
+    hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24`` and ``s = h(I + hA/2 + (hA)^2/6 +
+    (hA)^3/24) c`` with ``h = dt``."""
+    ha, eye = dt * a, np.eye(len(a))
+    series = eye + ha @ (eye / 2.0 + ha @ (eye / 6.0 + ha / 24.0))
+    return eye + ha @ series, dt * series @ c
+
+
 def test_integrate_affine_matches_rk4_over_long_records():
     # 5000 recorded samples take the doubled block maps up to P^4096: each
-    # row against integrate_fixed, relative to the row's largest entry, for
-    # decaying (c = 0) and settling (c != 0) fields.  The run spans 100 /
-    # ||a||_inf, so a decaying state stays far above the subnormal floats.
+    # row against RK4 stepped one step at a time by its one-step affine
+    # map, relative to the row's largest entry, for decaying (c = 0) and
+    # settling (c != 0) fields.  The run spans 100 / ||a||_inf, so a
+    # decaying state stays far above the subnormal floats.
     rng = np.random.default_rng(59)
     for m in range(1, 11):
         for stride in (1, 3):
@@ -1098,9 +1133,16 @@ def test_integrate_affine_matches_rk4_over_long_records():
             for field in (np.zeros(m), c):
                 times, states = numerics.integrate_affine(a, field, 0.0, y0, dt, n_steps,
                                                           record_every=stride)
-                ref_times, ref = numerics.integrate_fixed(lambda t, v: a @ v + field, 0.0, y0,
-                                                          dt, n_steps, record_every=stride)
-                assert np.array_equal(times, ref_times) and len(times) == 5001
+                r, s = _rk4_one_step_map(a, field, dt)
+                one = numerics.rk4_step(lambda t, v: a @ v + field, 0.0, y0, dt)
+                assert np.max(np.abs(r @ y0 + s - one)) <= 1e-14 * np.max(np.abs(one))
+                ref, y = [y0], y0
+                for step in range(1, n_steps + 1):
+                    y = r @ y + s
+                    if step % stride == 0:
+                        ref.append(y)
+                assert np.array_equal(times, np.arange(0, n_steps + 1, stride) * dt)
+                assert len(times) == 5001
                 scale = np.max(np.abs(ref), axis=1, keepdims=True)
                 assert np.all(np.abs(states - ref) <= 1e-11 * scale), (m, stride, field.any())
 
@@ -1426,3 +1468,105 @@ def test_write_csv_matches_per_cell_formatting(tmp_path):
         lines = ["t,u_1,u_2,u_3,delta_2,x_1,x_2,x_3,J_1,J_2,J_3,P_1,P_2,P_3"]
         lines += [",".join(format(x, ".12g") for x in row) for row in v.tolist()]
         assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+def _per_cell_csv(traj) -> bytes:
+    """The bytes ``write_csv`` must give: ``format(v, ".12g")`` per cell."""
+    players = range(1, traj.u.shape[1] + 1)
+    header = ["t", *(f"u_{i}" for i in players),
+              *(f"delta_{z + 1}" for z in traj.meta.deceivers),
+              *(f"{c}_{i}" for c in "xJP" for i in players)]
+    rows = np.column_stack([traj.times, traj.u, traj.delta, traj.x, traj.costs, traj.profits])
+    lines = [",".join(header), *(",".join(format(v, ".12g") for v in row)
+                                 for row in rows.tolist())]
+    return ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize("model", MODEL_KINDS)
+def test_write_csv_of_every_model_matches_per_cell_formatting(tmp_path, game3_published,
+                                                              topology3, tuning3, model):
+    # Each model's run takes the block reuse its arrays allow: x = u on the
+    # dither-free models (not on full), P = -J on every model, and a
+    # constant delta on boundary.
+    init = SimState(t=0.0, u=game3_published.nash_equilibrium() + 0.5, delta=np.array([1.0]))
+    horizon = {"full": 0.05, "averaged": 2000.0, "reduced": 2e4, "boundary": 200.0}[model]
+    traj = simulate(model, game3_published, topology3, tuning3.scaled(0.1), initial=init,
+                    horizon=horizon, stride=8 if model == "full" else 1)
+    assert np.array_equal(traj.x, traj.u) == (model != "full")
+    assert np.array_equal(traj.delta, np.tile(traj.delta[0], (len(traj.times), 1))) \
+        == (model == "boundary")
+    path = tmp_path / "trajectory.csv"
+    traj.write_csv(path)
+    assert path.read_bytes() == _per_cell_csv(traj)
+
+
+@pytest.mark.parametrize("case", ["signed-zero", "nan-inf", "no-deceivers", "one-row",
+                                  "flipped-zero"])
+def test_write_csv_reuses_blocks_only_where_the_bytes_stay(tmp_path, case):
+    # Hand-built records with x = u and P = -J bit for bit: signed zeros
+    # and a constant delta take the reused strings, NaN and infinite costs
+    # the per-block fallback (%.12g prints nan for either sign), and a
+    # record with no deceivers or one row has no delta column or one row.
+    # Where P holds 0.0 for a cost of 0.0, P is not -J and is formatted.
+    rng = np.random.default_rng(67)
+    m = 1 if case == "one-row" else 6
+    u = rng.uniform(-50.0, 50.0, size=(m, 3))
+    costs = rng.uniform(-2000.0, 2000.0, size=(m, 3)) * 10.0 ** rng.integers(-8, 9, size=(m, 3))
+    costs[0, :2] = [0.0, -0.0]
+    if case == "nan-inf":
+        costs[1:4, 1] = [np.nan, np.inf, -np.inf]
+    profits = -costs
+    if case == "flipped-zero":
+        profits[0, :2] = [0.0, 0.0]
+    k = 0 if case == "no-deceivers" else 2
+    delta = np.tile([-0.0, 2.5], (m, 1))[:, :k]
+    meta = dynamics.TrajectoryMeta(model="averaged", time_axis="tau", to_physical=1.0, dt=0.1,
+                                   stride=1, common_period=1.0, deceivers=(0, 2)[:k])
+    traj = dynamics.Trajectory(times=0.1 * np.arange(m), u=u, delta=delta, x=u.copy(),
+                               costs=costs, profits=profits, meta=meta)
+    path = tmp_path / "trajectory.csv"
+    traj.write_csv(path)
+    assert path.read_bytes() == _per_cell_csv(traj)
+    text = path.read_text()
+    assert text.count("\n") == m + 1 and ("delta" in text) == bool(k)
+
+
+def test_reduced_prices_closed_form_matches_solve_stack():
+    # simulate rebuilds the reduced model's prices h(delta) from the
+    # recorded gains by the kernel's Sherman-Morrison form and screen.
+    # Random markets with 1-3 deceivers: on random gains it equals the
+    # gated solve_stack to 1e-12 relative.  Gains beside a pole (a root of
+    # det Qbar along a random direction) whose cond_inf(Qbar) is 5e12 or
+    # more cannot pass the screen: they take solve_stack, bit for bit, and
+    # keep its NaN rows where the gate fails; the others stay within
+    # cond * 1e-15.
+    rng = np.random.default_rng(73)
+    deceivers, nan_rows, fallback = set(), 0, 0
+    for _ in range(40):
+        r, m, sd = oracles.random_market(rng, n_min=3, n_max=7)
+        game = build_quadratic_game(OligopolyParams(r, m, sd))
+        topo = DeceptionTopology(*oracles.random_topology(rng, game.n_players), eps=1e-3)
+        deceivers.add(topo.n_deceivers)
+        basis = dynamics._pseudogradient_basis(game, topo)
+        w = rng.standard_normal(topo.n_deceivers)
+        mu = np.linalg.eigvals(np.linalg.solve(game.pseudogradient_matrix,
+                                               np.diag(w @ basis[0])))
+        poles = [-1.0 / x.real for x in mu if x.imag == 0.0 and x.real != 0.0]
+        near = [p * (1.0 + e) * w for p in poles
+                for e in (0.0, 1e-16, -1e-16, 4e-16, -4e-16, 1e-14, -1e-13, 1e-10, 1e-7)]
+        far = rng.uniform(-2.0, 2.0, size=(30, topo.n_deceivers))
+        d = np.vstack([far, *near]) if near else far
+        got = deception._quasi_equilibria(game, topo, d, basis)
+        ev = dynamics._Evaluation(game, topo, d, basis=basis)
+        want, cond = ev.h, np.linalg.cond(ev.pert.qbar, np.inf)
+        screened = ~(cond < 5e12)
+        assert np.array_equal(got[screened], want[screened], equal_nan=True)
+        nan_rows += int(np.isnan(want).any(axis=1).sum())
+        fallback += int(screened.sum())
+        kept = ~screened
+        err = np.zeros(len(d))
+        err[kept] = np.max(np.abs(got[kept] - want[kept]), axis=1) \
+            / np.max(np.abs(want[kept]), axis=1)
+        assert np.all(err[:len(far)] <= 1e-12), err[:len(far)].max()
+        assert np.all(err <= np.maximum(1e-12, 1e-15 * cond)), err.max()
+    assert deceivers == {1, 2, 3} and nan_rows >= 20 and fallback > nan_rows
