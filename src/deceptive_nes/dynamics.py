@@ -28,13 +28,15 @@ factor back to physical time.
 from __future__ import annotations
 
 import functools
+import keyword
 import math
 import numbers
+import re
 import struct
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from typing import Callable, Sequence
 
 import numpy as np
@@ -506,43 +508,6 @@ class Trajectory:
 # simulation driver
 # ---------------------------------------------------------------------------
 
-def _run_loop(state, block, prologue=(), params=(), record=None) -> str:
-    """Source of ``run``, the loop of every generated kernel.
-
-    ``run(*state, t0, dt, n_steps, stride, ts, ys, *params)`` runs the
-    ``prologue`` lines, then the ``block`` lines ``n_steps // stride`` times
-    (a part-block would record nothing).  They advance the floats named in
-    ``state`` by one recording block of ``stride`` steps, and may read
-    ``last``, the steps taken once the block ends, ``half = dt / 2`` and
-    ``sixth = dt / 6``.  After each block it appends the time to ``ts`` and
-    the recorded values to ``ys``, and returns if one of them is not
-    finite.  The recorded values are the ``state`` floats, or the
-    expressions in ``record``, one per float.  ``params`` default to the
-    namespace's values: locals.
-    """
-    args = [*state, "t0", "dt", "n_steps", "stride", "ts", "ys", *(f"{p}={p}" for p in params)]
-    record = state if record is None else record
-    out = [v if e == v else f"rec{i}" for i, (v, e) in enumerate(zip(state, record))]
-    run = [f"def run({', '.join(args)}):",
-           "    half = 0.5 * dt",
-           "    sixth = dt / 6.0",
-           *(f"    {line}" for line in prologue),
-           "    for last in range(stride, n_steps + 1, stride):"]
-    run += [f"        {line}" for line in block]
-    run += [f"        {o} = {e}" for o, e in zip(out, record) if o != e]
-    run += ["        ts.append(t0 + last * dt)",
-            f"        ys.extend([{', '.join(out)}])",
-            f"        if not ({' and '.join(f'isfinite({o})' for o in out)}):",
-            "            return"]
-    return "\n".join(run) + "\n"
-
-
-def _step_loop(body) -> list[str]:
-    """The lines of one recording block for :func:`_run_loop`: the ``body``
-    of one step, ``stride`` times."""
-    return ["for _ in range(stride):", *(f"    {line}" for line in body)]
-
-
 def _rk4_body(state, stage) -> list[str]:
     """The lines of one classical RK4 step of the floats named in ``state``.
     ``stage(r, at, out)`` gives the lines that set the floats named in
@@ -556,11 +521,26 @@ def _rk4_body(state, stage) -> list[str]:
     return body + [f"{v} = {v} + sixth * (f1{v} + 2.0 * (f2{v} + f3{v}) + f4{v})" for v in state]
 
 
-def _stage_calls(r, at, out) -> list[str]:
-    """The ``stage`` of :func:`_rk4_body` for a kernel with a compiled
-    ``stage``: stage ``r`` calls it at the point."""
-    # the trailing comma keeps a one-component derivative a tuple
-    return ["".join(f"{o}, " for o in out) + f"= stage({', '.join(at)})"]
+def _block_source(state, carried, stage) -> str:
+    """Source of a kernel's ``block(*carried, rows, half, sixth, dt)``: one
+    RK4 step (:func:`_rk4_body`) of the floats named in ``state`` per item
+    ``row`` of ``rows``, returning the ``carried`` floats, the state first.
+    Every other name the steps read and never set, a number of the market,
+    is a parameter bound to the namespace's value: a local.
+    """
+    body = _rk4_body(state, stage)
+    # a line "x = ..." or "x, y, = ..." sets the names left of its " = "
+    assigned = {x for line in body if " = " in line
+                for x in re.findall(r"\w+", line.partition(" = ")[0])}
+    read = {x for line in body for x in re.findall(r"[^\W\d]\w*", line)}
+    given = {*carried, "row", "half", "sixth", "dt", *keyword.kwlist}
+    numbers = sorted(read - assigned - given)
+    args = [*carried, "rows", "half", "sixth", "dt", *(f"{x}={x}" for x in numbers)]
+    # the trailing comma keeps a one-float return a tuple
+    return "\n".join([f"def block({', '.join(args)}):",
+                      "    for row in rows:",
+                      *(f"        {line}" for line in body),
+                      f"    return {', '.join(carried)},"]) + "\n"
 
 
 def _sales_costs(y, players, total=None) -> list[str]:
@@ -572,17 +552,14 @@ def _sales_costs(y, players, total=None) -> list[str]:
             *(f"j{i} = {y[i]} * (th{i} * {y[i]} + be{i} - total) + ga{i}" for i in players)]
 
 
-def _full_kernel(game, topology, tuning, freeze_delta) -> tuple[str, str, dict]:
-    """Source of the full model's RK4 ``block`` and ``run`` loop for this
-    market (:func:`_full_source`), and the namespace of numbers they read.
-
-    The kernel steps the coordinates ``z = v o (u - m)`` of the game's
-    sales form (:attr:`QuadraticGame.sales_form`); RK4 commutes with that
-    affine map, so the run equals RK4 on ``u`` up to rounding.  The
-    namespace's ``tones`` is :func:`_tone_rows` on the market's tone
-    numbers, which it also holds by name (``a_i v_i`` as ``a{i}``, ``w{i}``,
-    ``k{i}`` and ``a_l v_{z_k}`` as ``a{z_k}_{l}``).  Raises ``ValueError``
-    for a game without the sales form.
+def _full_kernel(game, topology, tuning, freeze_delta) -> tuple:
+    """The full model's kernel ``(source, names, v, m, tones)`` for this
+    market (:func:`_run_kernel`): its ``block`` (:func:`_full_source`), the
+    numbers it reads, the sales form's ``v`` and ``m``, and :func:`_tone_rows`
+    on the market's tone numbers.  It steps the coordinates ``z = v o (u -
+    m)`` of the game's sales form (:attr:`QuadraticGame.sales_form`); RK4
+    commutes with that affine map, so the run equals RK4 on ``u`` up to
+    rounding.  Raises ``ValueError`` for a game without the sales form.
     """
     form = game.sales_form
     if form is None:
@@ -590,18 +567,15 @@ def _full_kernel(game, topology, tuning, freeze_delta) -> tuple[str, str, dict]:
     v, m, theta, beta, gamma = form
     a = tuning.amplitude * v
     k = -(2.0 * tuning.gain / tuning.amplitude) * v
-    w = tuning.frequencies()
     injections = [(list(vs), tuning.amplitude[list(vs)] * v[zk])
                   for zk, vs in zip(topology.deceivers, topology.victims)]
-    names = {"islice": islice, "tones": functools.partial(_tone_rows, a, k, w, injections)}
-    for key, values in (("a", a), ("w", w), ("k", k), ("v", v), ("m", m), ("th", theta),
-                        ("be", beta), ("ga", gamma)):
-        names.update((f"{key}{i}", x) for i, x in enumerate(values.tolist()))
-    for j, (zk, (vs, coeffs)) in enumerate(zip(topology.deceivers, injections)):
+    names = {f"{key}{i}": x for key, values in (("th", theta), ("be", beta), ("ga", gamma))
+             for i, x in enumerate(values.tolist())}
+    for j in range(topology.n_deceivers):
         names[f"g{j}"] = 0.0 if freeze_delta else topology.eps * topology.eps_rates[j]
         names[f"r{j}"] = topology.cost_refs[j]
-        names.update((f"a{zk}_{l}", x) for l, x in zip(vs, coeffs.tolist()))
-    return (*_full_source(game.n_players, topology.deceivers, topology.victims), names)
+    tones = functools.partial(_tone_rows, a, k, tuning.frequencies(), injections)
+    return _full_source(game.n_players, topology.deceivers, topology.victims), names, v, m, tones
 
 
 #: Steps of tones that :func:`_tone_rows` computes per fill of its table:
@@ -660,25 +634,18 @@ def _tone_rows(a, k, w, injections, t0, dt, n_steps):
 
 
 @functools.lru_cache(maxsize=16)
-def _full_source(n, deceivers, victims) -> tuple[str, str]:
-    """Source of the full model's ``block`` and ``run`` for ``n`` players
-    and these deceivers and victims, built once per structure.
+def _full_source(n, deceivers, victims) -> str:
+    """Source of the full model's ``block`` (:func:`_block_source`) for
+    ``n`` players and these deceivers and victims, built once per structure.
 
-    The state travels as separate floats ``z_i = v_i (u_i - m_i)`` and
-    ``d_k``: ``run`` maps the prices in once and each recorded block back
-    out as ``u_i = z_i / v_i + m_i``.  ``run`` calls ``block`` once per
-    recording block with the state, the tones at the block's start and an
-    iterator over its ``stride`` rows of :func:`_tone_rows`; ``block`` runs
-    the four RK4 stages of every step inline and returns the state and the
-    tones at its end.  The two are compiled apart, which keeps the
-    compiler's peak memory down.  Every player and victim is unrolled,
-    and every number is a bound name, never a literal.  The played price is
-    ``y = (z + a o s) + (delta . G)(a o s)`` in the same coordinates (the
-    tone rows carry ``a o s`` with ``a`` bound as ``a_i v_i``, and ``(G a o
-    s)_{z_k}`` with ``a_l v_{z_k}``), and a stage is O(n): ``Z = sum_j
-    y_j`` and ``J_i = y_i (theta_i y_i + beta_i - Z) + gamma_i``, chains
-    summed left to right (:func:`_sales_costs`), and ``dz_i = J_i (k_i
-    s_i)``.
+    The state is ``z_i = v_i (u_i - m_i)`` and ``d_k``, carried with the
+    tones at the last step's end; a step unpacks its row of
+    :func:`_tone_rows`.  The played price is ``y = (z + a o s) + (delta .
+    G)(a o s)`` in the same coordinates (the rows scale ``a o s`` by ``v``,
+    and ``(G a o s)_{z_k}`` by ``v_{z_k}``), and a stage is O(n): ``Z =
+    sum_j y_j`` and ``J_i = y_i (theta_i y_i + beta_i - Z) + gamma_i``,
+    chains summed left to right (:func:`_sales_costs`), and ``dz_i = J_i
+    (k_i s_i)``.
     """
     players = range(n)
     z, d = [f"z{i}" for i in players], [f"d{k}" for k in range(len(deceivers))]
@@ -700,27 +667,12 @@ def _full_source(n, deceivers, victims) -> tuple[str, str]:
         lines += [f"{out[i]} = j{i} * {t}k{i}" for i in players]
         return lines + [f"{out[n + k]} = g{k} * (j{zk} - r{k})" for k, zk in enumerate(deceivers)]
 
-    numbers = [*(f"{p}{i}" for p in ("th", "be", "ga") for i in players),
-               *(f"{p}{k}" for p in "gr" for k in range(len(deceivers)))]
-    carried = state + tone_names("e")
-    args = [*carried, "rows", "half", "sixth", "dt", *(f"{p}={p}" for p in numbers)]
-    block = [f"def block({', '.join(args)}):",
-             "    for row in rows:",
-             *(f"        {line}" for line in _rk4_body(state, stage)),
-             f"    return {', '.join(carried)}"]
-    prologue = [*(f"z{i} = v{i} * (z{i} - m{i})" for i in players),
-                "rows = tones(t0, dt, n_steps)",
-                f"{', '.join(tone_names('e'))}, = next(rows)"]
-    call = [f"{', '.join(carried)} = block({', '.join(carried)}, "
-            "islice(rows, stride), half, sixth, dt)"]
-    params = ["block", "tones", "islice", *(f"{p}{i}" for p in "vm" for i in players)]
-    run = _run_loop(state, call, prologue, params, [f"z{i} / v{i} + m{i}" for i in players] + d)
-    return "\n".join(block) + "\n", run
+    return _block_source(state, state + tone_names("e"), stage)
 
 
-def _averaged_kernel(game, topology, tuning, freeze_delta) -> tuple[str, dict]:
-    """Source of the averaged model's RK4 ``run`` for this market
-    (:func:`_averaged_source`), and the namespace of numbers it reads.
+def _averaged_kernel(game, topology, tuning, freeze_delta) -> tuple:
+    """The averaged model's kernel ``(source, names, v, m, None)`` for this
+    market (:func:`_run_kernel`), with the source of :func:`_averaged_source`.
 
     It steps the sales coordinates ``z = v o (u - m)`` of the game's
     :attr:`~QuadraticGame.sales_form`, as the full kernel does.  There the
@@ -731,9 +683,9 @@ def _averaged_kernel(game, topology, tuning, freeze_delta) -> tuple[str, dict]:
     """
     v, m, theta, beta, gamma = game.sales_form
     const, lin, quad = _residual_polynomial(game, topology, tuning)
-    run, residual = _averaged_source(game.n_players, topology.deceivers, topology.victims)
+    source, residual = _averaged_source(game.n_players, topology.deceivers, topology.victims)
     names = {f"{key}{i}": x for key, values in (
-        ("v", v), ("m", m), ("th", theta), ("be", beta), ("ga", gamma),
+        ("th", theta), ("be", beta), ("ga", gamma),
         ("kv", -(tuning.gain / tuning.omega) * v * v), ("ct", 2.0 * theta - 1.0),
     ) for i, x in enumerate(values.tolist())}
     g = 0.0 if freeze_delta else topology.eps / tuning.omega
@@ -744,21 +696,21 @@ def _averaged_kernel(game, topology, tuning, freeze_delta) -> tuple[str, dict]:
                       f"c{k}": float(const[k]), **{f"s{k}_{l}": float(pair[l]) for l in ls},
                       **{f"dv{k}_{i}": float(v[zk] / v[i]) for i in vs},
                       **{f"l{k}_{j}": float(lin[k, j]) for j in js}})
-    return run, names
+    return source, names, v, m, None
 
 
 @functools.lru_cache(maxsize=16)
 def _averaged_source(n, deceivers, victims) -> tuple[str, tuple]:
-    """Source of the averaged model's ``run`` for ``n`` players and these
-    deceivers and victims, and its residual terms, built once per structure.
+    """Source of the averaged model's ``block`` (:func:`_block_source`) for
+    ``n`` players and these deceivers and victims, and its residual terms,
+    built once per structure.
 
     A stage is O(n + sum_k |V_k|).  ``residual[k] = (js, ls)`` makes
     deceiver ``k``'s residual ``c_k + delta_k sum_{l in ls} s_kl delta_l +
     sum_{j in js} l_kj delta_j``: ``q[z_k]`` lives in row and column
     ``z_k``, so ``lin[k, j]`` is nonzero only where ``j = k`` or ``z_k`` is
     a victim of ``j``, and ``quad[k, j, l]`` where ``k`` is ``j`` or ``l``
-    and the victims of ``j`` and ``l`` overlap.  Every number is a
-    parameter of ``run`` bound to the namespace's value.
+    and the victims of ``j`` and ``l`` overlap.
     """
     players = range(n)
     z, d = [f"z{i}" for i in players], [f"d{k}" for k in range(len(deceivers))]
@@ -783,27 +735,20 @@ def _averaged_source(n, deceivers, victims) -> tuple[str, tuple]:
             lines.append(f"{out[n + k]} = g{k} * ({row})")
         return lines
 
-    params = [*(f"{p}{i}" for p in ("v", "m", "kv", "ct", "be") for i in players),
-              *(f"{p}{i}" for p in ("th", "ga") for i in deceivers)]
-    for k, (vs, (js, ls)) in enumerate(zip(victims, residual)):
-        params += [f"g{k}", f"r{k}", f"c{k}", *(f"dv{k}_{i}" for i in vs),
-                   *(f"l{k}_{j}" for j in js), *(f"s{k}_{l}" for l in ls)]
-    prologue = [f"z{i} = v{i} * (z{i} - m{i})" for i in players]
-    run = _run_loop(state, _step_loop(_rk4_body(state, stage)), prologue, params,
-                    [f"z{i} / v{i} + m{i}" for i in players] + d)
-    return run, residual
+    return _block_source(state, state, stage), residual
 
 
-def _reduced_kernel(game, topology, tuning, freeze_delta, basis=None) -> tuple[str, str, dict]:
-    """Source of the reduced model's RK4 ``stage`` and ``run`` for this
-    market (:func:`_reduced_source`), and the namespace of numbers they read;
-    ``basis`` is the market's :func:`_pseudogradient_basis`, if built.
+def _reduced_kernel(game, topology, tuning, freeze_delta, basis=None) -> tuple:
+    """The reduced model's kernel ``(source, names, v, m, None)`` for this
+    market (:func:`_run_kernel`), with the source of :func:`_reduced_source`
+    and no prices to map (empty ``v`` and ``m``); ``basis`` is the market's
+    :func:`_pseudogradient_basis`, if built.
 
     In the sales form ``Qbar = diag(D) - v v'``, so Sherman-Morrison gives
     ``h = -(y + g D^-1 v)`` with ``y = D^-1 Bbar``, ``s = 1 - v' D^-1 v``
     and ``g = v'y / s``, and ``Z = v'(h - m) = -g - v'm``.  The rows nobody
     deceives add the same terms at every gain, bound once as ``s0``, ``sy``
-    and ``rs``.
+    and ``rs``.  The namespace's ``gated`` is the numpy field.
     """
     v, m, theta, beta, gamma = game.sales_form
     pi, p = _pseudogradient_basis(game, topology) if basis is None else basis
@@ -834,14 +779,15 @@ def _reduced_kernel(game, topology, tuning, freeze_delta, basis=None) -> tuple[s
                       f"rate{k}": 0.0 if freeze_delta else topology.eps_rates[k] / tuning.omega,
                       f"ref{k}": topology.cost_refs[k]})
         names.update((f"{x}{k}_{i}", float(a[k, i])) for x, a in (("c", pi), ("p", p)) for i in vs)
-    return (*_reduced_source(topology.deceivers, topology.victims), names)
+    return _reduced_source(topology.deceivers, topology.victims), names, v[:0], m[:0], None
 
 
 @functools.lru_cache(maxsize=16)
-def _reduced_source(deceivers, victims) -> tuple[str, str]:
-    """Source of the reduced model's ``stage`` and ``run`` for these
-    deceivers and victims, built once per structure: a stage reads O(|V| +
-    K) globals of the namespace, ``V`` the union of the victim sets.
+def _reduced_source(deceivers, victims) -> str:
+    """Source of the reduced model's ``block`` (:func:`_block_source`) for
+    these deceivers and victims, built once per structure: a stage is O(|V|
+    + K), ``V`` the union of the victim sets.  A stage whose point fails the
+    screen takes the namespace's ``gated`` field instead of the closed form.
 
     The screen.  Partial pivoting keeps every pivot at or above 1 /
     ||Qbar^-1||_inf (the k-th is the largest entry in the first column of a
@@ -856,29 +802,35 @@ def _reduced_source(deceivers, victims) -> tuple[str, str]:
     d = [f"d{k}" for k in range(len(deceivers))]
     union = sorted(set(chain(*victims)))
 
-    def deceived(base, coeff, i):
-        return base + "".join(f" + {d[k]} * {coeff}{k}_{i}" for k, vs in enumerate(victims)
-                              if i in vs)
+    def stage(r, at, out):
+        pd = d if r == 1 else [f"p{x}" for x in d]
 
-    tol = "tq" + "".join(f" + abs({x}) * tp{k}" for k, x in enumerate(d))
-    costs = _sales_costs({zk: f"x{zk}" for zk in deceivers}, deceivers, "-g - vm")
-    field = "".join(f"rate{k} * (j{zk} - ref{k}), " for k, zk in enumerate(deceivers))
-    stage = [f"def stage({', '.join(d)}):",
-             *(f"    D{i} = {deceived(f'e{i}', 'c', i)}" for i in union),
-             f"    if {' and '.join(f'D{i}' for i in union)}:",
-             *(f"        r{i} = v{i} / D{i}" for i in union),
-             f"        s = s0{''.join(f' - v{i} * r{i}' for i in union)}",
-             f"        rho = rs{''.join(f' + abs(r{i})' for i in union)}",
-             "        a = abs(s)",
-             f"        if ({tol}) * rho * (a * iv + rho) < a:",
-             *(f"            y{i} = ({deceived(f'b{i}', 'p', i)}) / D{i}" for i in union),
-             f"            g = (sy{''.join(f' + v{i} * y{i}' for i in union)}) / s",
-             *(f"            x{zk} = -v{zk} * (y{zk} + r{zk} * g + m{zk})" for zk in deceivers),
-             *(f"            {line}" for line in costs),
-             f"            return {field}",
-             f"    return gated({', '.join(d)})"]
-    run = _run_loop(d, _step_loop(_rk4_body(d, _stage_calls)), params=["stage"])
-    return "\n".join(stage) + "\n", run
+        def deceived(base, coeff, i):
+            return base + "".join(f" + {pd[k]} * {coeff}{k}_{i}"
+                                  for k, vs in enumerate(victims) if i in vs)
+
+        tol = "tq" + "".join(f" + abs({x}) * tp{k}" for k, x in enumerate(pd))
+        gate = f"{', '.join(out)}, = gated({', '.join(pd)})"
+        closed = [*(f"y{i} = ({deceived(f'b{i}', 'p', i)}) / D{i}" for i in union),
+                  f"g = (sy{''.join(f' + v{i} * y{i}' for i in union)}) / s",
+                  *(f"x{zk} = -v{zk} * (y{zk} + r{zk} * g + m{zk})" for zk in deceivers),
+                  *_sales_costs({zk: f"x{zk}" for zk in deceivers}, deceivers, "-g - vm"),
+                  *(f"{o} = rate{k} * (j{zk} - ref{k})"
+                    for k, (o, zk) in enumerate(zip(out, deceivers)))]
+        nonzero = " and ".join(f"D{i}" for i in union)
+        return [*(f"{x} = {a}" for x, a in zip(pd, at) if x != a),
+                *(f"D{i} = {deceived(f'e{i}', 'c', i)}" for i in union),
+                f"if {nonzero}:",
+                *(f"    r{i} = v{i} / D{i}" for i in union),
+                f"    s = s0{''.join(f' - v{i} * r{i}' for i in union)}",
+                f"    rho = rs{''.join(f' + abs(r{i})' for i in union)}",
+                "    a = abs(s)",
+                f"if {nonzero} and ({tol}) * rho * (a * iv + rho) < a:",
+                *(f"    {line}" for line in closed),
+                "else:",
+                f"    {gate}"]
+
+    return _block_source(d, d, stage)
 
 
 @functools.lru_cache(maxsize=16)
@@ -887,27 +839,51 @@ def _compiled(source: str):
 
 
 def _run_kernel(kernel, y0, t0, dt, n_steps, stride) -> tuple[np.ndarray, np.ndarray]:
-    """Run a generated kernel, its sources (the full model's ``block`` or
-    the reduced model's ``stage``, then ``run``; or ``run`` alone) and the
-    namespace they read, from the packed state ``y0`` at ``t0`` for
-    ``n_steps // stride`` blocks of ``stride`` steps, or through the first
-    block whose end state is not finite.
+    """Run a kernel ``(source, names, v, m, tones)`` from the packed state
+    ``y0`` at ``t0`` for ``n_steps`` steps, recording as
+    :func:`numerics.integrate_fixed` does, ``(times, states)``: ``y0``,
+    each block of ``stride`` steps and a trailing part-block, through the
+    first block whose end state is not finite.
 
-    Each source is compiled on its own, which keeps the compiler's peak
-    memory down, and the code of recent market structures is kept
-    compiled.  Recorded samples go straight into one flat float buffer,
-    8 bytes a number.  Returns ``(times, states)``, one row per sample.
+    The first ``len(v)`` floats are prices, stepped as ``z = v o (u - m)``.
+    ``block`` (:func:`_block_source`), compiled once per source, takes one
+    recording block a call: its rows of ``tones(t0, dt, n_steps)``, whose
+    first row carries on with the state, or ``None``s.  The samples go into
+    one flat float buffer and are mapped back in place, ``u = z / v + m``
+    one column at a time, the scalar expression's floats; the record ends at
+    its first row that is not finite, a ``u`` that overflows included.
     """
-    *sources, names = kernel
-    names["isfinite"] = math.isfinite
+    source, names, v, m, tones = kernel
+    exec(_compiled(source), names)
+    block, n = names["block"], len(v)
     # a np.float64 step or start time costs the loop 4-5x
     t0, dt = float(t0), float(dt)
-    for source in sources:
-        exec(_compiled(source), names)
-    state = [float(v) for v in y0]
-    ts, ys = array("d", [t0]), array("d", state)
-    names["run"](*state, t0, dt, n_steps, stride, ts, ys)
-    return np.frombuffer(ts), np.frombuffer(ys).reshape(len(ts), len(state))
+    half, sixth = 0.5 * dt, dt / 6.0
+    y = np.array(y0, dtype=float)
+    ts, ys = array("d", [t0]), array("d", y.tolist())
+    y[:n] = v * (y[:n] - m)
+    carried, width = y.tolist(), y.size
+    if tones is None:
+        rows = repeat(None)
+    else:
+        rows = tones(t0, dt, n_steps)
+        carried += next(rows)
+    for first in range(0, n_steps, stride):
+        last = min(first + stride, n_steps)
+        carried = block(*carried, islice(rows, last - first), half, sixth, dt)
+        state = carried[:width]
+        ts.append(t0 + last * dt)
+        ys.extend(state)
+        if not all(map(math.isfinite, state)):
+            break
+    times, states = np.frombuffer(ts), np.frombuffer(ys).reshape(len(ts), width)
+    with np.errstate(over="ignore"):
+        for i in range(n):   # a whole-view ufunc would copy the record
+            col = states[1:, i]
+            np.add(np.divide(col, v[i], out=col), m[i], out=col)
+    finite = np.isfinite(states).all(axis=1)
+    end = len(ts) if finite.all() else int(finite.argmin()) + 1
+    return times[:end], states[:end]
 
 
 def _bounded_int(name: str, value, low: int) -> int:
@@ -944,7 +920,9 @@ def simulate(
     """Fixed-step deterministic integration of one model.
 
     ``horizon`` is in physical seconds regardless of the model's native
-    axis; ``stride`` records every that-many steps.  ``oversampling`` sets
+    axis; ``stride`` records every that-many steps, in whole strides past
+    the horizon, or one part-block for a horizon short of a stride: up to the
+    first step at or past it.  ``oversampling`` sets
     the full-model step to ``2*pi / (w_max * oversampling)`` (at least 16
     steps per fastest probing period); dither-free models pick their step
     from their own rate bounds unless ``dt`` (native-axis units) is given.
@@ -1050,7 +1028,9 @@ def simulate(
             f"recorded samples; the caps are {MAX_STEPS} steps and "
             f"{MAX_SAMPLES} samples{step_rule}"
         )
-    n_steps = stride * max(1, math.ceil(blocks - 1e-9))
+    # whole strides, rounded up, or one part-block ending within a step
+    n_steps = stride * math.ceil(blocks - 1e-9) if blocks >= 1.0 \
+        else max(1, math.ceil(native_horizon / step - 1e-9))
 
     n = game.n_players
     if affine:   # each RK4 step is one affine map

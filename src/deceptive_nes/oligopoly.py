@@ -110,13 +110,31 @@ def costs(params: OligopolyParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarra
 class QuadraticGame:
     """A game whose costs are ``J_i(x) = x' q[i] x / 2 + b[i]' x + c[i]``.
 
-    ``q`` has shape ``(n, n, n)`` (``q[i]`` symmetric), ``b`` shape ``(n, n)``
-    (row ``i`` belongs to player ``i``) and ``c`` shape ``(n,)``.
+    ``q`` has shape ``(n, n, n)``, ``b`` shape ``(n, n)`` (row ``i`` belongs
+    to player ``i``) and ``c`` shape ``(n,)``.  Each ``q[i]`` is symmetric
+    and nonzero only in its row and column ``i``, as a market's are:
+    :meth:`costs` and the pseudogradient read those entries alone, so any
+    other ``q`` raises ``ValueError``.
     """
 
     q: np.ndarray
     b: np.ndarray
     c: np.ndarray
+
+    def __post_init__(self):
+        q, n = np.asarray(self.q), self.n_players
+        if q.shape != (n, n, n):
+            raise ValueError(f"q has shape {q.shape}, expected {(n, n, n)}")
+        rows, cols = q.diagonal(0, 0, 1).T, q.diagonal(0, 0, 2).T   # q[i, i, j], q[i, j, i]
+        # compared as plain floats first: numpy costs more on a few entries
+        if rows.tolist() != cols.tolist() and not np.array_equal(rows, cols, equal_nan=True):
+            raise ValueError("every q[i] must be symmetric")
+        # row i of each q[i], stacked: the pseudogradient is linear
+        rows = rows.copy()
+        # counted without copying q: the rows and columns i share q[i, i, i]
+        if np.count_nonzero(q) > 2 * np.count_nonzero(rows) - np.count_nonzero(rows.diagonal()):
+            raise ValueError("q[i] may be nonzero only in row and column i")
+        object.__setattr__(self, "pseudogradient_matrix", rows)
 
     @property
     def n_players(self) -> int:
@@ -138,13 +156,6 @@ class QuadraticGame:
         rows = self.pseudogradient_matrix
         diag = np.diagonal(rows)
         return x * (x @ rows.T - 0.5 * diag * x) + x @ self.b.T + self.c
-
-    @cached_property
-    def pseudogradient_matrix(self) -> np.ndarray:
-        """Rows ``i`` of each ``q[i]`` stacked: the pseudogradient is linear."""
-        n = self.n_players
-        idx = np.arange(n)
-        return self.q[idx, idx, :]
 
     @cached_property
     def sales_form(self) -> tuple[np.ndarray, ...] | None:

@@ -424,7 +424,10 @@ def test_simulate_takes_only_integer_strides_and_oversampling(game3_published, t
     for bad in (32.5, 32.0, True, np.float64(32.0)):
         with pytest.raises(ValueError, match=r"oversampling must be an integer in 16\.\."):
             run(oversampling=bad)
-    traj = run(stride=np.int64(2), oversampling=np.int32(32))
+    # ten steps on every model's native axis: a horizon short of one stride
+    # would take a part-block
+    scale = {"averaged": tun.omega, "reduced": topology3.eps * tun.omega}.get(model, 1.0)
+    traj = run(stride=np.int64(2), oversampling=np.int32(32), horizon=1e-3 / scale)
     assert type(traj.meta.stride) is int and traj.meta.stride == 2
     assert np.allclose(np.diff(traj.times), 2e-4)
 
@@ -554,22 +557,18 @@ def test_full_kernel_source_depends_only_on_market_structure():
                         omega_ratio=tuning.omega_ratio[::-1])
     retopo = DeceptionTopology(topo.deceivers, topo.victims, eps=0.3,
                                cost_refs=rng.uniform(-9.0, 9.0, size=topo.n_deceivers))
-    *source, names = dynamics._full_kernel(game, topo, tuning, False)
-    *same, other_names = dynamics._full_kernel(other, retopo, retuned, True)
+    source, names, *_ = dynamics._full_kernel(game, topo, tuning, False)
+    same, other_names, *_ = dynamics._full_kernel(other, retopo, retuned, True)
     assert same == source
-    zk, victim = topo.deceivers[0], topo.victims[0][0]
-    assert all(names[k] != other_names[k]
-               for k in ("a0", "w0", "k0", "v0", "m0", "th0", "be0", "ga0", "g0", "r0",
-                         f"a{zk}_{victim}"))
-    numbers = {tok.string for text in source
-               for tok in tokenize.generate_tokens(io.StringIO(text).readline)
+    assert all(names[k] != other_names[k] for k in ("th0", "be0", "ga0", "g0", "r0"))
+    numbers = {tok.string for tok in tokenize.generate_tokens(io.StringIO(source).readline)
                if tok.type == tokenize.NUMBER}
     assert numbers <= {"0", "1", "0.0", "0.5", "2.0", "6.0"}, numbers
 
     # The stage is O(N): doubling the players at most about doubles its
     # tokens, where the dense stage's grow about fourfold.
     def stage_tokens(n):
-        stage, _ = dynamics._full_source(n, (0,), ((1, 2),))
+        stage = dynamics._full_source(n, (0,), ((1, 2),))
         return sum(1 for _ in tokenize.generate_tokens(io.StringIO(stage).readline))
 
     assert stage_tokens(40) <= 2.2 * stage_tokens(20), (stage_tokens(20), stage_tokens(40))
@@ -626,32 +625,25 @@ def test_sales_form_refuses_games_without_it():
 def test_full_kernel_long_run_matches_generic_rk4_on_rhs():
     # Thousands of steps of the bundled study at its freq-scale: the kernel
     # carries each step's end tones into the next, so every recorded row is
-    # checked against rhs + numerics.rk4_step, and every recorded time is
-    # exactly t0 + k * stride * dt.  5003 is no multiple of the stride: a
-    # direct caller gets the 714 whole blocks, and the 5 steps left record
-    # nothing.
+    # checked against integrate_fixed on rhs, and every recorded time is
+    # exactly t0 + k * stride * dt.  5003 is no multiple of the stride: the
+    # 714 whole blocks are followed by a part-block of the 5 steps left.
     scenario = load_scenario(bundled_scenario_path("three_firm_deception"))
     game, topo = scenario.game(), scenario.topology
     tuning = scenario.tuning.scaled(scenario.sim.freq_scale)
     t0, stride, n_steps = 0.25, 7, 5003
     dt = 2.0 * math.pi / (float(max(tuning.frequencies())) * 32)
-    init = SimState(t=t0, u=game.nash_equilibrium() + 0.3, delta=np.array([1.0]))
+    y0 = np.concatenate([game.nash_equilibrium() + 0.3, [1.0]])
     times, got = dynamics._run_kernel(dynamics._full_kernel(game, topo, tuning, False),
-                                      np.concatenate([init.u, init.delta]), t0, dt, n_steps,
-                                      stride)
-    assert times.size == 1 + n_steps // stride
-    assert times.tolist() == [t0 + k * stride * dt for k in range(times.size)]
+                                      y0, t0, dt, n_steps, stride)
+    assert times.size == 2 + n_steps // stride
+    assert times.tolist() == [t0 + k * stride * dt for k in range(times.size - 1)] \
+        + [t0 + n_steps * dt]
 
     def f(t, y):
         return rhs("full", game, topo, tuning, SimState(t=t, u=y[:3], delta=y[3:]))
 
-    y = np.concatenate([init.u, init.delta])
-    ref = [y]
-    for i in range(n_steps - n_steps % stride):
-        y = numerics.rk4_step(f, t0 + i * dt, y, dt)
-        if (i + 1) % stride == 0:
-            ref.append(y)
-    ref = np.array(ref)
+    _, ref = numerics.integrate_fixed(f, t0, y0, dt, n_steps, record_every=stride)
     scale = np.max(np.abs(ref), axis=1, keepdims=True)
     assert np.all(np.abs(got - ref) <= 1e-12 * scale), np.max(np.abs(got - ref) / scale)
     assert abs(got[-1, 3] - got[0, 3]) > 1e-3   # the gain moved
@@ -670,19 +662,23 @@ def test_full_kernel_tones_match_scalar_tones(topo):
     n, t0, stride = game.n_players, 0.25, 7
     dt = 2.0 * math.pi / (float(max(tuning.frequencies())) * 32)
     n_steps = stride * (3 * dynamics._TONE_CHUNK // stride + 2)
-    *_, names = dynamics._full_kernel(game, topo, tuning, False)
+    *_, tones = dynamics._full_kernel(game, topo, tuning, False)
+    # a_i v_i, -(2 k_i / a_i) v_i and a_l v_{z_k}, from the sales form
+    v = game.sales_form[0].tolist()
+    amp, gain, w = tuning.amplitude.tolist(), tuning.gain.tolist(), tuning.frequencies().tolist()
 
     def scalar(t):
-        s = [math.sin(names[f"w{i}"] * t) for i in range(n)]
-        row = [names[f"a{i}"] * s[i] for i in range(n)] + [names[f"k{i}"] * s[i] for i in range(n)]
+        s = [math.sin(w[i] * t) for i in range(n)]
+        row = [amp[i] * v[i] * s[i] for i in range(n)]
+        row += [-(2.0 * gain[i] / amp[i]) * v[i] * s[i] for i in range(n)]
         for zk, vs in zip(topo.deceivers, topo.victims):
-            total = names[f"a{zk}_{vs[0]}"] * s[vs[0]]
+            total = amp[vs[0]] * v[zk] * s[vs[0]]
             for l in vs[1:]:
-                total = total + names[f"a{zk}_{l}"] * s[l]
+                total = total + amp[l] * v[zk] * s[l]
             row.append(total)
         return row
 
-    rows = names["tones"](t0, dt, n_steps)
+    rows = tones(t0, dt, n_steps)
     assert list(next(rows)) == scalar(t0)
     half, te, k = 0.5 * dt, t0, 0
     for _ in range(n_steps // stride):
@@ -708,11 +704,9 @@ def test_kernel_sources_are_built_once_per_structure():
          DeceptionTopology((0,), ((1,),))),   # one victim against several
     ]
     for build, same, changed in builds:
-        *source, _ = build(game, same)
-        *again, _ = build(other, same)
-        *elsewise, _ = build(game, changed)
-        assert all(x is y for x, y in zip(source, again))
-        assert source != elsewise
+        source = build(game, same)[0]
+        assert build(other, same)[0] is source
+        assert build(game, changed)[0] != source
 
 
 @pytest.mark.parametrize("model", ["averaged", "reduced", "boundary",
@@ -762,12 +756,19 @@ def test_simulate_matches_generic_rk4_on_rhs(game3_published, topology3,
 SINGULAR_DELTA = 5.631716138867322   # -1/mu: Qbar(delta) of the study is singular
 
 
-def _kernel_namespace(kernel):
-    """Compile a generated ``(stage, run, names)`` as simulate() does."""
-    *sources, names = kernel
-    for source in sources:
-        exec(source, names)
-    return names
+def _reduced_stage(game, topo, tuning):
+    """The reduced kernel's field at a point ``d``, through its ``block``:
+    one step of zero length with ``sixth = 1`` takes every stage at ``d``
+    and returns ``d + (f + 2 (f + f) + f)`` for the stage's field ``f``
+    (:func:`_stepped`)."""
+    source, names, *_ = dynamics._reduced_kernel(game, topo, tuning, False)
+    exec(source, names)
+    return lambda *d: names["block"](*d, [None], 0.0, 1.0, 0.0)
+
+
+def _stepped(d, f):
+    """What :func:`_reduced_stage` returns at ``d`` for the field ``f``."""
+    return tuple(x + (w + 2.0 * (w + w) + w) for x, w in zip(d, f))
 
 
 def _reduced_case(rng, structure, n_players=5, resistance_scale=1.0):
@@ -811,13 +812,12 @@ def test_dither_free_kernel_sources_depend_only_on_market_structure():
               dynamics._averaged_kernel(other, retopo, retuned, False)),
              (dynamics._reduced_kernel(game, single, tuning, False),
               dynamics._reduced_kernel(other, resingle, retuned, False))]
-    for (*source, names), (*same, other_names) in pairs:
+    for (source, names, *_), (same, other_names, *_) in pairs:
         assert same == source
         floats = [key for key, value in names.items() if isinstance(value, float)]
         # only a structural zero is the same number in both markets
         assert all(names[key] != other_names[key] or names[key] == 0.0 for key in floats)
-        numbers = {tok.string for text in source
-                   for tok in tokenize.generate_tokens(io.StringIO(text).readline)
+        numbers = {tok.string for tok in tokenize.generate_tokens(io.StringIO(source).readline)
                    if tok.type == tokenize.NUMBER}
         assert numbers <= {"0", "1", "0.5", "1.0", "2.0", "6.0"}, numbers
 
@@ -903,8 +903,7 @@ def test_reduced_kernel_screen_covers_every_singular_gate(game3_published, topol
                                                           tuning3):
     # Near the pole the stage must raise wherever the gated solve does, and
     # return wherever it does not.
-    names = _kernel_namespace(dynamics._reduced_kernel(
-        game3_published, topology3, tuning3, False))
+    stage = _reduced_stage(game3_published, topology3, tuning3)
     gated = 0
     for scale in 10.0 ** -np.arange(6.0, 17.0, 0.25):
         for d in (SINGULAR_DELTA - scale, SINGULAR_DELTA + scale):
@@ -913,9 +912,9 @@ def test_reduced_kernel_screen_covers_every_singular_gate(game3_published, topol
             except numerics.SingularMatrixError:
                 gated += 1
                 with pytest.raises(numerics.SingularMatrixError):
-                    names["stage"](d)
+                    stage(d)
             else:
-                names["stage"](d)
+                stage(d)
     assert gated >= 10
 
 
@@ -929,7 +928,7 @@ def test_reduced_stage_divides_by_no_zero(game3_published, tuning3, k):
     # deceptive_equilibrium does, and otherwise returns the gated field.
     topo = DeceptionTopology((0, 1)[:k], ((2,), (0, 2))[:k], eps=1e-4,
                              cost_refs=(-1200.0, -1400.0)[:k])
-    names = _kernel_namespace(dynamics._reduced_kernel(game3_published, topo, tuning3, False))
+    stage = _reduced_stage(game3_published, topo, tuning3)
     q0, v = game3_published.pseudogradient_matrix, game3_published.sales_form[0]
     pi, _ = dynamics._pseudogradient_basis(game3_published, topo)
     base = np.array([0.0, 0.7])[:k]
@@ -950,11 +949,11 @@ def test_reduced_stage_divides_by_no_zero(game3_published, tuning3, k):
             except numerics.SingularMatrixError:
                 raised += 1
                 with pytest.raises(numerics.SingularMatrixError):
-                    names["stage"](*d.tolist())
+                    stage(*d.tolist())
             else:
                 want = rhs("reduced", game3_published, topo, tuning3,
                            SimState(t=0.0, u=np.zeros(3), delta=d))
-                assert names["stage"](*d.tolist()) == tuple(want.tolist()), d
+                assert stage(*d.tolist()) == _stepped(d.tolist(), want.tolist()), d
     assert raised >= 1
 
 
@@ -1243,6 +1242,82 @@ def test_generated_kernels_stop_at_the_first_non_finite_block(game3_published, t
         assert times.tolist() == [t0 + k * stride * dt for k in range(len(times))]
 
 
+@pytest.mark.parametrize("model", ["full", "averaged", "reduced"])
+def test_kernels_record_a_trailing_part_block_as_integrate_fixed(game3_published, topology3,
+                                                                 tuning3, model):
+    # 45 steps at stride 6: seven whole blocks and a part-block of the 3
+    # steps left, recorded at the same times as integrate_fixed on rhs
+    # records them, and at the same states up to rounding.
+    tun = tuning3.scaled(0.1)
+    build = {"full": dynamics._full_kernel, "averaged": dynamics._averaged_kernel,
+             "reduced": dynamics._reduced_kernel}[model]
+    dt = {"full": 1e-3, "averaged": 0.05, "reduced": 1e-3}[model]
+    t0, n_steps, stride = 0.25, 45, 6
+    init = SimState(t=t0, u=game3_published.nash_equilibrium() + 0.7, delta=np.array([1.3]))
+    y0 = dynamics._pack(model, init.u, init.delta)
+
+    def f(t, y):
+        u, d = (init.u, y) if model == "reduced" else (y[:3], y[3:])
+        return rhs(model, game3_published, topology3, tun, SimState(t=t, u=u, delta=d))
+
+    times, got = dynamics._run_kernel(build(game3_published, topology3, tun, False), y0, t0,
+                                      dt, n_steps, stride)
+    ref_times, ref = numerics.integrate_fixed(f, t0, y0, dt, n_steps, record_every=stride)
+    assert times.size == 9 and times.tolist() == ref_times.tolist()
+    scale = np.max(np.abs(ref), axis=1, keepdims=True)
+    assert np.all(np.abs(got - ref) <= 1e-12 * scale), np.max(np.abs(got - ref) / scale)
+    assert abs(got[-1, -1] - got[0, -1]) > 1e-6   # the gain moved
+
+
+def test_kernel_record_ends_at_the_first_price_that_overflows():
+    # A firm of resistance 1e150 has v = 4.8e-151, so its price u = z / v +
+    # m overflows from z = 8.7e157, long before z does.  With an own
+    # curvature that makes theta = 1/2 and a gain that makes its averaged
+    # row grow about 1.25-fold a step, the record must end at the first
+    # price that is infinite while the kernel's z is still finite: the
+    # same kernel recording z itself (v = 1, m = 0) goes on past that row.
+    params = OligopolyParams(np.array([0.67, 0.36, 1e150]), np.array([20.0, 29.0, 30.0]), 100.0)
+    v3 = build_quadratic_game(params).sales_form[0][2]
+    game = market_game(params, own_curvature={2: -v3 * v3})
+    topo = DeceptionTopology((0,), ((2,),), eps=1e-4)
+    tuning = NESTuning(amplitude=(0.04, 0.03, 0.05), gain=(1e-200, 1e-200, 1e300), omega=1.0,
+                       omega_ratio=(3, 4, 5))
+    source, names, v, m, _ = dynamics._averaged_kernel(game, topo, tuning, True)
+    init = SimState(t=0.0, u=np.array([50.0, 57.0, 48.0]), delta=np.zeros(1))
+    y0 = np.concatenate([init.u, init.delta])
+    times, got = dynamics._run_kernel((source, names, v, m, None), y0, 0.0, 1.0, 5000, 1)
+    z0 = np.concatenate([v * (init.u - m), init.delta])
+    _, z = dynamics._run_kernel((source, dict(names), np.ones(3), np.zeros(3), None),
+                                z0, 0.0, 1.0, 5000, 1)
+    end = len(times)
+    finite = np.isfinite(got).all(axis=1)
+    assert 100 < end < len(z) and finite[:-1].all() and got[-1, 2] == math.inf
+    assert np.isfinite(z[end - 1]).all()
+    with np.errstate(over="ignore"):
+        assert (got[1:, :3] == z[1:end, :3] / v + m).all()
+    with pytest.raises(DivergenceError) as err:
+        simulate("averaged", game, topo, tuning, initial=init, horizon=5000.0, dt=1.0,
+                 freeze_delta=True)
+    assert err.value.time == times[-1]
+
+
+@pytest.mark.parametrize("route", ["full", "averaged", "reduced", "boundary",
+                                   "averaged-nominal", "full-numpy", "averaged-numpy",
+                                   "reduced-numpy"])
+def test_a_horizon_short_of_one_stride_ends_within_a_step_of_it(game3_published, topology3,
+                                                                 tuning3, route):
+    # 0.01 s at stride 10^4 is one part-block on every route: the record is
+    # the start and one sample at or within one step past the horizon.
+    model, _, kind = route.partition("-")
+    game = _without_sales_form(game3_published) if kind == "numpy" else game3_published
+    topo = DeceptionTopology((), ()) if kind == "nominal" else topology3
+    horizon = 0.01
+    traj = simulate(model, game, topo, tuning3.scaled(0.1), horizon=horizon, stride=10_000)
+    step = traj.meta.dt * traj.meta.to_physical
+    end = traj.physical_times()[-1]
+    assert traj.times.size == 2 and -1e-9 * step <= end - horizon < step, (end, step)
+
+
 @pytest.mark.parametrize("model", MODEL_KINDS)
 def test_simulate_refuses_runs_above_the_step_cap(game3_published, topology3,
                                                   tuning3, model):
@@ -1260,19 +1335,23 @@ def test_simulate_refuses_runs_above_the_sample_cap(game3_published,
                  horizon=float(steps), dt=1.0, stride=1)
 
 
+@pytest.mark.parametrize("model", ["full", "averaged", "reduced"])
 def test_full_model_records_samples_compactly(game3_published, topology3,
-                                             tuning3):
-    # a recorded sample is t, three prices and one gain: 40 bytes of floats;
-    # the kernel is built and compiled inside the trace, whatever ran before
+                                             tuning3, model):
+    # a recorded sample is t, three prices and one gain: 40 bytes of floats
+    # (16 for the reduced model's t and gain); the kernel is built and
+    # compiled inside the trace, whatever ran before
     n_steps = 3000
+    build, source = {"full": (dynamics._full_kernel, dynamics._full_source),
+                     "averaged": (dynamics._averaged_kernel, dynamics._averaged_source),
+                     "reduced": (dynamics._reduced_kernel, dynamics._reduced_source)}[model]
     dynamics._compiled.cache_clear()
-    dynamics._full_source.cache_clear()
+    source.cache_clear()
     tracemalloc.start()
     try:
         init = default_initial(game3_published, topology3)
-        dynamics._run_kernel(dynamics._full_kernel(game3_published, topology3,
-                                                   tuning3.scaled(0.1), False),
-                             np.concatenate([init.u, init.delta]), 0.0, 1e-4, n_steps, 1)
+        dynamics._run_kernel(build(game3_published, topology3, tuning3.scaled(0.1), False),
+                             dynamics._pack(model, init.u, init.delta), 0.0, 1e-4, n_steps, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

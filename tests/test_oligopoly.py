@@ -10,6 +10,7 @@ import pytest
 
 from deceptive_nes import (
     OligopolyParams,
+    QuadraticGame,
     build_quadratic_game,
     costs,
     derive_aggregates,
@@ -171,6 +172,31 @@ def test_costs_vectorized_matches_per_player(game3):
         vec = game3.costs(x)
         per = np.array([game3.cost(i, x) for i in range(3)])
         assert np.max(np.abs(vec - per)) < 1e-9 * (1 + np.max(np.abs(per)))
+
+
+def test_quadratic_game_refuses_q_entries_that_costs_would_miss():
+    # costs() reads each q[i] in its row and column i only, where cost(i, x)
+    # reads every entry: with q[0][1, 2] = q[0][2, 1] = 0.5 the two gave
+    # 11.3 and 8.3 at x = (1, 2, 3).  Such a q, or a q[i] that is not
+    # symmetric, is refused; q[i] in row and column i alone is kept.
+    q, b, c = np.zeros((3, 3, 3)), np.zeros((3, 3)), np.array([1.8, 0.0, 0.0])
+    q[[0, 1, 2], [0, 1, 2], [0, 1, 2]] = 1.0
+    q[1, 1, 0] = q[1, 0, 1] = -0.5
+    b[0] = 1.0
+    game = QuadraticGame(q=q, b=b, c=c)
+    x = np.array([1.0, 2.0, 3.0])
+    assert game.cost(0, x) == game.costs(x)[0] == pytest.approx(8.3, rel=1e-15)
+    off = q.copy()
+    off[0, 1, 2] = off[0, 2, 1] = 0.5
+    assert 0.5 * x @ off[0] @ x + b[0] @ x + c[0] == pytest.approx(11.3, rel=1e-15)
+    with pytest.raises(ValueError, match="only in row and column i"):
+        QuadraticGame(q=off, b=b, c=c)
+    skew = q.copy()
+    skew[1, 1, 0] = -0.25
+    with pytest.raises(ValueError, match="symmetric"):
+        QuadraticGame(q=skew, b=b, c=c)
+    with pytest.raises(ValueError, match="shape"):
+        QuadraticGame(q=q[:, :2], b=b, c=c)
 
 
 def test_pseudogradient_blocks_frozen(game3):
