@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 import traceback
 from pathlib import Path
@@ -37,8 +38,6 @@ from .deceptive_game import (
 from .dynamics import MODEL_KINDS, DivergenceError, simulate
 from .scenario import Scenario, ScenarioError, load_scenario
 
-COMMANDS = ("nash", "stability", "attain", "simulate", "deceptive-game", "sweep")
-
 #: The gain flags each command reads; any other command refuses them.
 _DELTA_FLAGS = {
     "stability": ("delta", "delta_grid"),
@@ -54,21 +53,10 @@ class CommandError(ValueError):
     """Bad flag combination or a command unsupported by the scenario."""
 
 
-def _jsonable(value):
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
-
-
 def _write_json(out_dir: Path, name: str, payload: dict) -> None:
     try:   # strict JSON: a NaN or an infinity in a result is a numerical failure
-        text = json.dumps(_jsonable(payload), indent=2, sort_keys=True, allow_nan=False)
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False,
+                          default=lambda o: o.tolist())
     except ValueError as exc:
         raise numerics.ConvergenceError(f"{name} would hold a non-finite number") from exc
     (out_dir / name).write_text(text + "\n")
@@ -149,6 +137,7 @@ def _attain_payload(res: AttainabilityResult, game) -> dict:
 
 
 def _cmd_nash(scenario: Scenario, out_dir: Path, args) -> None:
+    """deception-free Nash prices, costs and profits"""
     game = scenario.game()
     x = game.nash_equilibrium()
     costs = game.costs(x)
@@ -160,6 +149,7 @@ def _cmd_nash(scenario: Scenario, out_dir: Path, args) -> None:
 
 
 def _cmd_stability(scenario: Scenario, out_dir: Path, args) -> None:
+    """stability-set membership at one delta or over a grid"""
     game = scenario.game()
     topology = scenario.topology
     gains = scenario.tuning.gain
@@ -186,6 +176,7 @@ def _cmd_stability(scenario: Scenario, out_dir: Path, args) -> None:
 
 
 def _cmd_attain(scenario: Scenario, out_dir: Path, args) -> None:
+    """solve for deceiver gains that hit the reference costs"""
     if scenario.topology.n_deceivers == 0:
         raise CommandError("attainability analysis needs a deception block")
     game = scenario.game()
@@ -194,15 +185,14 @@ def _cmd_attain(scenario: Scenario, out_dir: Path, args) -> None:
 
 
 def _cmd_simulate(scenario: Scenario, out_dir: Path, args) -> None:
+    """integrate one dynamical model and record a trajectory"""
     game = scenario.game()
     sim = scenario.sim
     model = args.model or sim.model
-    if model not in MODEL_KINDS:
-        raise CommandError(f"unknown model {model!r}")
     tuning = scenario.tuning
     scale = args.freq_scale if args.freq_scale is not None else sim.freq_scale
-    if scale <= 0:
-        raise CommandError("--freq-scale must be positive")
+    if not 0.0 < scale < math.inf:
+        raise CommandError(f"--freq-scale must be positive and finite, got {scale}")
     if scale != 1.0:
         tuning = tuning.scaled(scale)
     traj = simulate(
@@ -227,6 +217,7 @@ def _cmd_simulate(scenario: Scenario, out_dir: Path, args) -> None:
 
 
 def _cmd_deceptive_game(scenario: Scenario, out_dir: Path, args) -> None:
+    """construct and verify the victims' effective game"""
     topology = scenario.topology
     if topology.n_deceivers == 0:
         raise CommandError("deceptive-game analysis needs a deception block")
@@ -271,6 +262,7 @@ def _cmd_deceptive_game(scenario: Scenario, out_dir: Path, args) -> None:
 
 
 def _cmd_sweep(scenario: Scenario, out_dir: Path, args) -> None:
+    """tabulate equilibrium costs and stability over a delta grid"""
     topology = scenario.topology
     if topology.n_deceivers != 1:
         raise CommandError("sweep needs exactly one deceiver")
@@ -295,6 +287,7 @@ _HANDLERS = {
     "deceptive-game": _cmd_deceptive_game,
     "sweep": _cmd_sweep,
 }
+COMMANDS = tuple(_HANDLERS)
 
 
 @functools.cache
@@ -307,16 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Oligopoly pricing games under deceptive equilibrium seeking",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "nash": "deception-free Nash prices, costs and profits",
-        "stability": "stability-set membership at one delta or over a grid",
-        "attain": "solve for deceiver gains that hit the reference costs",
-        "simulate": "integrate one dynamical model and record a trajectory",
-        "deceptive-game": "construct and verify the victims' effective game",
-        "sweep": "tabulate equilibrium costs and stability over a delta grid",
-    }
-    for name in COMMANDS:
-        p = sub.add_parser(name, help=helps[name])
+    for name, handler in _HANDLERS.items():
+        p = sub.add_parser(name, help=handler.__doc__)
         p.add_argument("--scenario", required=True, help="scenario JSON file")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--delta", type=float, default=None,

@@ -985,8 +985,10 @@ def simulate(
     # affine field c + A y, whose A = -K Qbar(delta0) sets the boundary's step
     basis = _pseudogradient_basis(game, topology) if model == "reduced" else None
     affine = model == "boundary" or model == "averaged" and not topology.n_deceivers
-    if affine:
-        c, a, _ = _polynomial_field(model, game, topology, tuning, initial.delta, freeze_delta)
+    if affine:   # a gain / omega that overflows leaves a zero step, refused below
+        with np.errstate(over="ignore", invalid="ignore"):
+            c, a, _ = _polynomial_field(model, game, topology, tuning, initial.delta,
+                                        freeze_delta)
     step_rule = ""   # what a refusal of the step count should name
     if dt is not None:
         step = float(dt)

@@ -16,12 +16,13 @@ the one the market primitives imply.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
@@ -43,22 +44,38 @@ class ScenarioError(ValueError):
         super().__init__(f"{path}: {message} [{kind}]")
 
 
-def _need(obj: Mapping[str, Any], key: str, path: str) -> Any:
-    if key not in obj:
+_REQUIRED = object()
+_NO_DECEPTION = DeceptionTopology(deceivers=(), victims=())
+
+
+def _get(obj: Mapping[str, Any], key: str, path: str, read: Callable[[Any, str], Any],
+         default: Any = _REQUIRED) -> Any:
+    """``read(obj[key], "<path>.<key>")``; an absent key gives ``default``,
+    and is refused as ``missing-field`` where there is none."""
+    if key in obj:
+        return read(obj[key], f"{path}.{key}")
+    if default is _REQUIRED:
         raise ScenarioError("missing-field", f"{path}.{key}", "required field is missing")
-    return obj[key]
+    return default
 
 
-def _as_mapping(value: Any, path: str) -> Mapping[str, Any]:
-    if not isinstance(value, dict):
-        raise ScenarioError("bad-type", path, f"expected an object, got {type(value).__name__}")
-    return value
+def _each(read: Callable[[Any, str], Any], values: list, path: str) -> list:
+    return [read(v, f"{path}[{i}]") for i, v in enumerate(values)]
 
 
-def _as_list(value: Any, path: str) -> list:
-    if not isinstance(value, list):
-        raise ScenarioError("bad-type", path, f"expected an array, got {type(value).__name__}")
-    return value
+def _typed(types: type | tuple[type, ...], name: str) -> Callable[[Any, str], Any]:
+    """A reader that passes a value of ``types``, never a bool, and refuses
+    any other as ``bad-type``."""
+    def read(value: Any, path: str) -> Any:
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise ScenarioError("bad-type", path, f"expected {name}, got {type(value).__name__}")
+        return value
+    return read
+
+
+_as_mapping = _typed(dict, "an object")
+_as_list = _typed(list, "an array")
+_as_int = _typed(int, "an integer")
 
 
 def _as_number(value: Any, path: str) -> float:
@@ -73,20 +90,26 @@ def _as_number(value: Any, path: str) -> float:
     return number
 
 
-def _as_int(value: Any, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ScenarioError("bad-type", path, f"expected an integer, got {type(value).__name__}")
-    return value
-
-
 def _positive(value: float, path: str) -> float:
     if not value > 0.0:
         raise ScenarioError("nonpositive-parameter", path, f"must be strictly positive, got {value}")
     return value
 
 
+def _positive_number(value: Any, path: str) -> float:
+    return _positive(_as_number(value, path), path)
+
+
 def _number_list(value: Any, path: str) -> list[float]:
     return [_as_number(v, f"{path}[{i}]") for i, v in enumerate(_as_list(value, path))]
+
+
+def _counted(value: Any, path: str, count: int, what: str) -> list[float]:
+    """A list of ``count`` numbers, one for each of the ``what``."""
+    values = _number_list(value, path)
+    if len(values) != count:
+        raise ScenarioError("length-mismatch", path, f"{len(values)} entries for {count} {what}")
+    return values
 
 
 def _player_index(value: Any, n: int, path: str) -> int:
@@ -99,10 +122,29 @@ def _player_index(value: Any, n: int, path: str) -> int:
     return idx - 1
 
 
+def _player_key(key: str, n: int, path: str) -> int:
+    """A 1-based player number written as an object key: the integer's own
+    decimal string, so no two keys name one player."""
+    try:
+        number = int(key)
+    except ValueError:
+        raise ScenarioError("bad-type", path, "player key must be an integer string") from None
+    if str(number) != key:
+        raise ScenarioError("bad-type", path, f"player key must be written as {number}")
+    return _player_index(number, n, path)
+
+
+def _firms(value: Any, path: str) -> list[float]:
+    values = _number_list(value, path)
+    if len(values) < 2:
+        raise ScenarioError("bad-market", path, "need at least two firms")
+    return _each(_positive, values, path)
+
+
 def _ratio(value: Any, path: str) -> Fraction:
     obj = _as_mapping(value, path)
-    num = _as_int(_need(obj, "num", path), f"{path}.num")
-    den = _as_int(_need(obj, "den", path), f"{path}.den")
+    num = _get(obj, "num", path, _as_int)
+    den = _get(obj, "den", path, _as_int)
     if den <= 0:
         raise ScenarioError("nonpositive-parameter", f"{path}.den", "denominator must be positive")
     if num <= 0:
@@ -114,6 +156,21 @@ def _ratio(value: Any, path: str) -> Fraction:
     if not 0.0 < value < math.inf:
         raise ScenarioError("non-finite", path, "num/den must be a positive finite float")
     return Fraction(num, den)
+
+
+def _ratios(values: list, path: str) -> tuple[Fraction, ...]:
+    ratios = tuple(_each(_ratio, values, path))
+    if len(set(ratios)) != len(ratios):
+        raise ScenarioError(
+            "duplicate-frequency", path, "frequency ratios must be pairwise distinct",
+        )
+    try:
+        common_period(ratios)
+    except OverflowError:
+        raise ScenarioError(
+            "non-finite", path, "the common probing period of these ratios overflows a float",
+        ) from None
+    return ratios
 
 
 def _bounded_int(value: Any, low: int, path: str) -> int:
@@ -138,6 +195,25 @@ class SimConfig:
     freq_scale: float = 1.0
 
 
+def _model(value: Any, path: str) -> str:
+    if value not in MODEL_KINDS:
+        raise ScenarioError("bad-model", path, f"model must be one of {', '.join(MODEL_KINDS)}")
+    return value
+
+
+def _sim(value: Any, path: str) -> SimConfig:
+    sm = _as_mapping(value, path)
+    return SimConfig(
+        model=_get(sm, "model", path, _model, SimConfig.model),
+        horizon=_get(sm, "horizon", path, _positive_number, SimConfig.horizon),
+        stride=_get(sm, "stride", path, lambda v, p: _bounded_int(v, 1, p), SimConfig.stride),
+        # below 16 steps per fastest probing period the dither is not resolved
+        oversampling=_get(sm, "oversampling", path, lambda v, p: _bounded_int(v, 16, p),
+                          SimConfig.oversampling),
+        freq_scale=_get(sm, "freq_scale", path, _positive_number, SimConfig.freq_scale),
+    )
+
+
 @dataclass(frozen=True)
 class Scenario:
     params: OligopolyParams
@@ -154,13 +230,17 @@ class Scenario:
         return market_game(self.params, self.own_curvature)
 
     def initial_state(self, game: QuadraticGame | None = None) -> SimState:
-        """Initial integrator state; defaults to the (possibly offset) Nash
-        prices with zero deceiver gains."""
-        game = game if game is not None else self.game()
-        state = default_initial(game, self.topology, offset=self.u_offset)
-        u = state.u if self.initial_u is None else self.initial_u
-        d = state.delta if self.initial_delta is None else self.initial_delta
-        return SimState(t=0.0, u=u, delta=d)
+        """Initial integrator state: ``initial_u``, else the (possibly offset)
+        Nash prices of ``game``, and ``initial_delta``, else zero deceiver
+        gains.  Given prices need no Nash solve, so the market may be one
+        without an equilibrium."""
+        u, delta = self.initial_u, self.initial_delta
+        if u is None:
+            game = game if game is not None else self.game()
+            u = default_initial(game, self.topology, offset=self.u_offset).u
+        if delta is None:
+            delta = np.zeros(self.topology.n_deceivers)
+        return SimState(t=0.0, u=u, delta=delta)
 
     def to_dict(self) -> dict:
         """Plain-JSON form (1-based indices), inverse of :func:`scenario_from_dict`."""
@@ -184,13 +264,7 @@ class Scenario:
                     for r in self.tuning.omega_ratio
                 ],
             },
-            "sim": {
-                "model": self.sim.model,
-                "horizon": self.sim.horizon,
-                "stride": self.sim.stride,
-                "oversampling": self.sim.oversampling,
-                "freq_scale": self.sim.freq_scale,
-            },
+            "sim": dataclasses.asdict(self.sim),
         }
         if self.topology.n_deceivers:
             doc["deception"] = {
@@ -224,182 +298,92 @@ class Scenario:
 
 def scenario_from_dict(doc: Mapping[str, Any]) -> Scenario:
     doc = _as_mapping(doc, "$")
-    market = _as_mapping(_need(doc, "market", "$"), "$.market")
-    resistance = _number_list(_need(market, "resistance", "$.market"), "$.market.resistance")
+    market = _get(doc, "market", "$", _as_mapping)
+    resistance = _get(market, "resistance", "$.market", _firms)
     n = len(resistance)
-    if n < 2:
-        raise ScenarioError("bad-market", "$.market.resistance", "need at least two firms")
-    for i, r in enumerate(resistance):
-        _positive(r, f"$.market.resistance[{i}]")
-    marginal = _number_list(
-        _need(market, "marginal_cost", "$.market"), "$.market.marginal_cost"
-    )
-    if len(marginal) != n:
-        raise ScenarioError(
-            "length-mismatch", "$.market.marginal_cost",
-            f"{len(marginal)} entries for {n} firms",
-        )
-    for i, m in enumerate(marginal):
-        if m < 0.0:
-            raise ScenarioError(
-                "nonpositive-parameter", f"$.market.marginal_cost[{i}]",
-                "marginal cost cannot be negative",
-            )
-    demand = _positive(
-        _as_number(_need(market, "total_demand", "$.market"), "$.market.total_demand"),
-        "$.market.total_demand",
-    )
+
+    def costs(value: Any, path: str) -> list[float]:
+        values = _counted(value, path, n, "firms")
+        for i, m in enumerate(values):
+            if m < 0.0:
+                raise ScenarioError("nonpositive-parameter", f"{path}[{i}]",
+                                    "marginal cost cannot be negative")
+        return values
+
+    def curvatures(value: Any, path: str) -> dict[int, float]:
+        keyed = [(k, v, f"{path}.{k}") for k, v in _as_mapping(value, path).items()]
+        return {_player_key(k, n, p): _positive_number(v, p) for k, v, p in keyed}
+
     params = OligopolyParams(
         resistance=np.array(resistance),
-        marginal_cost=np.array(marginal),
-        total_demand=demand,
+        marginal_cost=np.array(_get(market, "marginal_cost", "$.market", costs)),
+        total_demand=_get(market, "total_demand", "$.market", _positive_number),
     )
+    own_curvature = _get(market, "own_curvature", "$.market", curvatures, {})
 
-    own_curvature: dict[int, float] = {}
-    if "own_curvature" in market:
-        oc = _as_mapping(market["own_curvature"], "$.market.own_curvature")
-        for key, value in oc.items():
-            path = f"$.market.own_curvature.{key}"
-            try:
-                raw = int(key)
-            except ValueError:
-                raise ScenarioError("bad-type", path, "player key must be an integer string")
-            idx = _player_index(raw, n, path)
-            own_curvature[idx] = _positive(_as_number(value, path), path)
+    def per_firm(values: list) -> list:   # the tuning's lists, one entry per firm
+        if len(values) != n:
+            raise ScenarioError("length-mismatch", "$.tuning",
+                                f"amplitude/gain/omega_ratio must each have {n} entries")
+        return values
 
-    tun = _as_mapping(_need(doc, "tuning", "$"), "$.tuning")
-    amplitude = _number_list(_need(tun, "amplitude", "$.tuning"), "$.tuning.amplitude")
-    gain = _number_list(_need(tun, "gain", "$.tuning"), "$.tuning.gain")
-    omega = _as_number(_need(tun, "omega", "$.tuning"), "$.tuning.omega")
-    ratios_raw = _as_list(_need(tun, "omega_ratio", "$.tuning"), "$.tuning.omega_ratio")
-    if len(amplitude) != n or len(gain) != n or len(ratios_raw) != n:
-        raise ScenarioError(
-            "length-mismatch", "$.tuning",
-            f"amplitude/gain/omega_ratio must each have {n} entries",
-        )
-    for i, v in enumerate(amplitude):
-        _positive(v, f"$.tuning.amplitude[{i}]")
-    for i, v in enumerate(gain):
-        _positive(v, f"$.tuning.gain[{i}]")
-    _positive(omega, "$.tuning.omega")
-    ratios = tuple(
-        _ratio(v, f"$.tuning.omega_ratio[{i}]") for i, v in enumerate(ratios_raw)
-    )
-    if len(set(ratios)) != len(ratios):
-        raise ScenarioError(
-            "duplicate-frequency", "$.tuning.omega_ratio",
-            "frequency ratios must be pairwise distinct",
-        )
-    try:
-        common_period(ratios)
-    except OverflowError:
-        raise ScenarioError(
-            "non-finite", "$.tuning.omega_ratio",
-            "the common probing period of these ratios overflows a float",
-        ) from None
+    def positives(value: Any, path: str) -> list[float]:
+        return _each(_positive, per_firm(_number_list(value, path)), path)
+
+    tun = _get(doc, "tuning", "$", _as_mapping)
     tuning = NESTuning(
-        amplitude=np.array(amplitude), gain=np.array(gain),
-        omega=omega, omega_ratio=ratios,
+        amplitude=np.array(_get(tun, "amplitude", "$.tuning", positives)),
+        gain=np.array(_get(tun, "gain", "$.tuning", positives)),
+        omega=_get(tun, "omega", "$.tuning", _positive_number),
+        omega_ratio=_get(tun, "omega_ratio", "$.tuning",
+                         lambda v, p: _ratios(per_firm(_as_list(v, p)), p)),
     )
 
-    if "deception" in doc:
-        dec = _as_mapping(doc["deception"], "$.deception")
-        eps = _positive(
-            _as_number(_need(dec, "eps", "$.deception"), "$.deception.eps"),
-            "$.deception.eps",
-        )
-        entries = _as_list(_need(dec, "deceivers", "$.deception"), "$.deception.deceivers")
-        deceivers: list[int] = []
-        victims: list[tuple[int, ...]] = []
-        rates: list[float] = []
-        refs: list[float] = []
-        for i, entry in enumerate(entries):
-            path = f"$.deception.deceivers[{i}]"
-            entry = _as_mapping(entry, path)
-            player = _player_index(_need(entry, "player", path), n, f"{path}.player")
-            vlist = _as_list(_need(entry, "victims", path), f"{path}.victims")
-            vs = tuple(
-                _player_index(v, n, f"{path}.victims[{j}]") for j, v in enumerate(vlist)
-            )
-            if player in vs:
-                raise ScenarioError(
-                    "self-victim", f"{path}.victims",
-                    f"player {player + 1} cannot deceive itself",
-                )
+    players: list[int] = []
+
+    def player(value: Any, path: str) -> int:
+        idx = _player_index(value, n, path)
+        if idx in players:
+            raise ScenarioError("duplicate-deceiver", path, f"player {idx + 1} listed twice")
+        players.append(idx)
+        return idx
+
+    def deceiver(value: Any, path: str) -> tuple[int, tuple[int, ...], float, float]:
+        entry = _as_mapping(value, path)
+        z = _get(entry, "player", path, player)
+
+        def targets(value: Any, path: str) -> tuple[int, ...]:
+            vs = tuple(_each(lambda v, p: _player_index(v, n, p), _as_list(value, path), path))
+            if z in vs:
+                raise ScenarioError("self-victim", path, f"player {z + 1} cannot deceive itself")
             if not vs:
-                raise ScenarioError(
-                    "missing-field", f"{path}.victims", "victim list is empty"
-                )
-            rate = _positive(
-                _as_number(entry.get("eps_rate", 1.0), f"{path}.eps_rate"),
-                f"{path}.eps_rate",
-            )
-            ref = _as_number(_need(entry, "cost_ref", path), f"{path}.cost_ref")
-            if player in deceivers:
-                raise ScenarioError(
-                    "duplicate-deceiver", f"{path}.player",
-                    f"player {player + 1} listed twice",
-                )
-            deceivers.append(player)
-            victims.append(vs)
-            rates.append(rate)
-            refs.append(ref)
-        topology = DeceptionTopology(
-            deceivers=tuple(deceivers), victims=tuple(victims),
-            eps=eps, eps_rates=tuple(rates), cost_refs=tuple(refs),
-        )
-    else:
-        topology = DeceptionTopology(deceivers=(), victims=(), eps=1.0)
+                raise ScenarioError("missing-field", path, "victim list is empty")
+            return vs
 
-    sim = SimConfig()
-    if "sim" in doc:
-        sm = _as_mapping(doc["sim"], "$.sim")
-        model = sm.get("model", sim.model)
-        if model not in MODEL_KINDS:
-            raise ScenarioError(
-                "bad-model", "$.sim.model",
-                f"model must be one of {', '.join(MODEL_KINDS)}",
-            )
-        horizon = _positive(_as_number(sm.get("horizon", sim.horizon), "$.sim.horizon"),
-                            "$.sim.horizon")
-        stride = _bounded_int(sm.get("stride", sim.stride), 1, "$.sim.stride")
-        # below 16 steps per fastest probing period the dither is not resolved
-        oversampling = _bounded_int(sm.get("oversampling", sim.oversampling), 16,
-                                    "$.sim.oversampling")
-        freq_scale = _positive(
-            _as_number(sm.get("freq_scale", sim.freq_scale), "$.sim.freq_scale"),
-            "$.sim.freq_scale",
-        )
-        sim = SimConfig(model=model, horizon=horizon, stride=stride,
-                        oversampling=oversampling, freq_scale=freq_scale)
+        return (z, _get(entry, "victims", path, targets),
+                _get(entry, "eps_rate", path, _positive_number, 1.0),
+                _get(entry, "cost_ref", path, _as_number))
 
-    initial_u = initial_delta = None
-    u_offset = 0.0
-    if "initial" in doc:
-        init = _as_mapping(doc["initial"], "$.initial")
-        if "u" in init:
-            vals = _number_list(init["u"], "$.initial.u")
-            if len(vals) != n:
-                raise ScenarioError(
-                    "length-mismatch", "$.initial.u",
-                    f"{len(vals)} entries for {n} firms",
-                )
-            initial_u = np.array(vals)
-        if "delta" in init:
-            vals = _number_list(init["delta"], "$.initial.delta")
-            if len(vals) != topology.n_deceivers:
-                raise ScenarioError(
-                    "length-mismatch", "$.initial.delta",
-                    f"{len(vals)} entries for {topology.n_deceivers} deceivers",
-                )
-            initial_delta = np.array(vals)
-        if "u_offset" in init:
-            u_offset = _as_number(init["u_offset"], "$.initial.u_offset")
+    def deception(value: Any, path: str) -> DeceptionTopology:
+        block = _as_mapping(value, path)
+        eps = _get(block, "eps", path, _positive_number)
+        entries = _get(block, "deceivers", path, lambda v, p: _each(deceiver, _as_list(v, p), p))
+        deceivers, victims, rates, refs = zip(*entries) if entries else ((),) * 4
+        return DeceptionTopology(deceivers=deceivers, victims=victims, eps=eps,
+                                 eps_rates=rates, cost_refs=refs)
 
+    topology = _get(doc, "deception", "$", deception, _NO_DECEPTION)
+    sim = _get(doc, "sim", "$", _sim, SimConfig())
+    init = _get(doc, "initial", "$", _as_mapping, {})
+    k = topology.n_deceivers
     return Scenario(
         params=params, own_curvature=own_curvature, tuning=tuning,
-        topology=topology, sim=sim, initial_u=initial_u,
-        initial_delta=initial_delta, u_offset=u_offset,
+        topology=topology, sim=sim,
+        initial_u=_get(init, "u", "$.initial",
+                       lambda v, p: np.array(_counted(v, p, n, "firms")), None),
+        initial_delta=_get(init, "delta", "$.initial",
+                           lambda v, p: np.array(_counted(v, p, k, "deceivers")), None),
+        u_offset=_get(init, "u_offset", "$.initial", _as_number, 0.0),
     )
 
 

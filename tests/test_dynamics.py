@@ -410,6 +410,18 @@ def test_simulate_validation(game3_published, topology3, tuning3):
         simulate("reduced", game3_published, bare, tuning3, horizon=1.0)
 
 
+@pytest.mark.filterwarnings("error")
+def test_affine_averaged_run_at_a_tiny_omega_is_refused_without_a_warning(
+        game3_published, tuning3):
+    # Without deceivers the averaged field is affine, and gain / omega
+    # overflows at omega = 1e-320; the step rule refuses the zero step it
+    # leaves, and the overflow on the way raises no RuntimeWarning.
+    tiny = dataclasses.replace(tuning3, omega=1e-320)
+    bare = DeceptionTopology(deceivers=(), victims=())
+    with pytest.raises(ValueError, match="integration step on the tau axis is 0"):
+        simulate("averaged", game3_published, bare, tiny, horizon=60.0, stride=8)
+
+
 @pytest.mark.parametrize("model", MODEL_KINDS)
 def test_simulate_takes_only_integer_strides_and_oversampling(game3_published, topology3,
                                                               tuning3, model):

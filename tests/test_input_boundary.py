@@ -286,3 +286,28 @@ def test_flag_refusals_write_pinned_error_json(tmp_path, capsys, argv, error):
     assert cli.main([argv[0], "--scenario", str(scenario), "--out", str(out),
                      *argv[1:]]) == 2
     assert (out / "error.json").read_text() == error
+
+
+@pytest.mark.parametrize("keys, bad", [
+    ({"3": 2.0, "03": 5.0}, "03"),
+    ({"1_0": 2.0}, "1_0"),
+    ({" 2 ": 2.0}, " 2 "),
+    ({"+2": 2.0}, "+2"),
+])
+def test_own_curvature_keys_are_plain_decimal_player_numbers(keys, bad):
+    # int() also reads "03", "1_0", " 2 " and "+2"; a second spelling of a
+    # player would silently override the first.
+    with pytest.raises(ScenarioError) as info:
+        scenario_from_dict(_edited(("market", "own_curvature"), keys))
+    number = int(bad)
+    assert (info.value.kind, info.value.path, str(info.value)) == (
+        "bad-type", f"$.market.own_curvature.{bad}",
+        f"$.market.own_curvature.{bad}: player key must be written as {number} [bad-type]")
+
+
+def test_own_curvature_keys_round_trip():
+    doc = _edited(("market", "own_curvature"), {"1": 0.5, "3": 2.0})
+    scenario = scenario_from_dict(doc)
+    assert scenario.own_curvature == {0: 0.5, 2: 2.0}
+    assert scenario.to_dict()["market"]["own_curvature"] == {"1": 0.5, "3": 2.0}
+    assert scenario_from_dict(scenario.to_dict()).to_dict() == scenario.to_dict()

@@ -573,6 +573,59 @@ def test_cli_unrepresentable_step_or_horizon_exits_2(tmp_path, scen_path,
     assert "must be a positive finite float" in err["message"], err["message"]
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "0"])
+def test_cli_freq_scale_must_be_positive_and_finite(tmp_path, scen_path, value):
+    out = tmp_path / "out"
+    assert main(["simulate", "--scenario", scen_path, "--out", str(out),
+                 "--freq-scale", value]) == 2
+    with open(out / "error.json") as fh:
+        err = json.load(fh)
+    assert err["error"] == "CommandError"
+    assert err["message"] == f"--freq-scale must be positive and finite, got {float(value)}"
+
+
+@pytest.mark.filterwarnings("error")
+def test_cli_affine_averaged_run_at_a_tiny_omega_exits_2_without_a_warning(
+        tmp_path, nominal_path, capsys):
+    with open(nominal_path) as fh:
+        doc = json.load(fh)
+    doc["tuning"]["omega"] = 1e-320
+    bad = tmp_path / "tiny.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["simulate", "--scenario", str(bad), "--out", str(out),
+                 "--model", "averaged"]) == 2
+    with open(out / "error.json") as fh:
+        err = json.load(fh)
+    assert err["kind"] == "validation"
+    assert "integration step on the tau axis is 0" in err["message"]
+    assert "Warning" not in capsys.readouterr().err
+
+
+#: Firm 3's own curvature at which the nominal market's Q0 is singular
+#: (pivot 2.8e-17), so it has no Nash prices to start from.
+SINGULAR_Q33 = 0.2746734791661341
+
+
+@pytest.mark.parametrize("model", ["full", "averaged", "boundary"])
+def test_cli_simulate_from_given_prices_solves_no_nash_prices(tmp_path, nominal_path,
+                                                               model):
+    with open(nominal_path) as fh:
+        doc = json.load(fh)
+    doc["market"]["own_curvature"] = {"3": SINGULAR_Q33}
+    doc["sim"]["horizon"] = 5.0
+    path = tmp_path / "singular.json"
+    argv = ["simulate", "--scenario", str(path), "--model", model]
+    path.write_text(json.dumps(doc))
+    assert main([*argv, "--out", str(tmp_path / "nash")]) == 3
+    with open(tmp_path / "nash" / "error.json") as fh:
+        assert "singular" in json.load(fh)["message"]
+    doc["initial"] = {"u": [40, 45, 50]}
+    path.write_text(json.dumps(doc))
+    assert main([*argv, "--out", str(tmp_path / "given")]) == 0
+    assert load_scenario(path).initial_state().u.tolist() == [40.0, 45.0, 50.0]
+
+
 def test_cli_reduced_run_beside_a_pole_names_its_step_rule(tmp_path, scen_path):
     # Started beside the pole at delta = 5.6317, the reduced model's step
     # comes from a huge ||Lambda(delta0)||_inf, and the run needs more steps
