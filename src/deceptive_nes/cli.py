@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 import traceback
 from pathlib import Path
@@ -191,7 +190,7 @@ def _cmd_simulate(scenario: Scenario, out_dir: Path, args) -> None:
     model = args.model or sim.model
     tuning = scenario.tuning
     scale = args.freq_scale if args.freq_scale is not None else sim.freq_scale
-    if not 0.0 < scale < math.inf:
+    if not (scale > 0.0 and np.isfinite(scale)):
         raise CommandError(f"--freq-scale must be positive and finite, got {scale}")
     if scale != 1.0:
         tuning = tuning.scaled(scale)
