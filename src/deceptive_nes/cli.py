@@ -315,15 +315,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _attach_gain_values(argv: list[str]) -> list[str]:
+def _attach_negative_values(argv: list[str]) -> list[str]:
     """``--delta -inf`` as ``--delta=-inf``: argparse reads a value that
-    starts with ``-`` and is not a plain number, such as ``-inf`` or the grid
-    ``-1:1:0.5``, as an option.  A flag is a gain flag also when abbreviated
-    (``--del``, ``--delta-g``), as argparse accepts it."""
+    starts with ``-`` and is not a plain number, such as ``-1e-3`` or the grid
+    ``-1:1:0.5``, as an option.  The gain flags and ``--freq-scale`` are
+    matched also when abbreviated (``--del``, ``--freq``), as argparse does."""
     out: list[str] = []
     for arg in argv:
-        if out and len(out[-1]) > 2 and "--delta-grid".startswith(out[-1]) \
-                and arg.startswith("-") and not arg.startswith("--"):
+        if out and len(out[-1]) > 2 and arg.startswith("-") and not arg.startswith("--") \
+                and any(flag.startswith(out[-1]) for flag in ("--delta-grid", "--freq-scale")):
             out[-1] += "=" + arg
         else:
             out.append(arg)
@@ -332,7 +332,7 @@ def _attach_gain_values(argv: list[str]) -> list[str]:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser().parse_args(_attach_gain_values(list(argv)))
+    args = build_parser().parse_args(_attach_negative_values(list(argv)))
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)

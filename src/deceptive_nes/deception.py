@@ -2,9 +2,10 @@
 
 A subset of players ("deceivers") each inject copies of selected other
 players' ("victims") probing signals, scaled by a gain ``delta_k``.  All of
-that is one linear map: the injection tensor ``G`` of
-:meth:`DeceptionTopology.injection`, with ``G[k, z_k, l] = 1`` for every
-victim ``l`` of deceiver ``z_k``.  The played prices are
+that is one linear map, stored as the victim mask ``H`` of
+:meth:`DeceptionTopology.victim_mask` (``H[k, l] = 1`` for every victim
+``l`` of deceiver ``k``, player ``z_k``): deceiver ``k`` injects ``G[k] =
+e_{z_k} H[k]'`` into the played prices
 
     x = u + (I + delta . G)(a o s),      delta . G = sum_k delta_k G[k],
 
@@ -119,19 +120,19 @@ class DeceptionTopology:
                 if not 0 <= j < n_players:
                     raise ValueError(f"player index {j} out of range for {n_players} players")
 
-    def injection(self, n_players: int) -> np.ndarray:
-        """Injection tensor ``G`` of shape ``(n_deceivers, n, n)``.
+    def victim_mask(self, n_players: int) -> np.ndarray:
+        """Victim mask ``H`` of shape ``(n_deceivers, n)``: ``H[k, l] = 1``
+        for every victim ``l`` of deceiver ``k`` and zero elsewhere.
 
-        ``G[k, z_k, l] = 1`` for every victim ``l`` of deceiver ``z_k`` and
-        zero elsewhere, so deceiver ``k`` adds ``delta_k`` times its victims'
-        tones to its own price.  Every other use of the topology in
-        arithmetic is algebra on this tensor.
+        Deceiver ``k`` adds ``delta_k`` times its victims' tones to its own
+        price, so its injection matrix is ``G[k] = e_{z_k} H[k]'``.  Every
+        other use of the topology in arithmetic is algebra on this mask.
         """
         self.validate_against(n_players)
-        g = np.zeros((self.n_deceivers, n_players, n_players))
-        for k, (z, vs) in enumerate(zip(self.deceivers, self.victims)):
-            g[k, z, list(vs)] = 1.0
-        return g
+        h = np.zeros((self.n_deceivers, n_players))
+        for k, vs in enumerate(self.victims):
+            h[k, list(vs)] = 1.0
+        return h
 
     def attacker_positions(self, n_players: int) -> tuple[tuple[int, ...], ...]:
         """For every player ``j``, the deceiver *positions* ``k`` with ``j`` a victim.
@@ -139,8 +140,7 @@ class DeceptionTopology:
         Positions index into ``deceivers`` / ``delta``; use
         ``deceivers[k]`` to recover the attacking player.
         """
-        hit = self.injection(n_players).any(axis=1)   # hit[k, j]: j is a victim of k
-        return tuple(tuple(np.flatnonzero(hit[:, j]).tolist()) for j in range(n_players))
+        return tuple(tuple(np.flatnonzero(col).tolist()) for col in self.victim_mask(n_players).T)
 
 
 @dataclass(frozen=True)
@@ -162,9 +162,8 @@ def _pseudogradient_basis(
     ``q[j]`` lives in row and column ``j``, so its row ``z_k`` meets victim
     row ``j`` of ``Qbar`` on the diagonal only.
     """
-    g = topology.injection(game.n_players)
-    return (np.einsum("kij,ji->kj", g, game.pseudogradient_matrix),
-            np.einsum("kij,ji->kj", g, game.b))
+    hit, z = topology.victim_mask(game.n_players), list(topology.deceivers)
+    return hit * game.pseudogradient_matrix[:, z].T, hit * game.b[:, z].T
 
 
 def _matching_polynomials(game, topology, basis, ref, centre, radius):
@@ -187,7 +186,8 @@ def _matching_polynomials(game, topology, basis, ref, centre, radius):
     det = np.linalg.det(qbar)
     rhs = -(game.pseudogradient_offset + d @ p)[..., None]
     h = numerics._linalg(np.linalg.solve, qbar, rhs)[..., 0]
-    gap = 0.5 * np.einsum("mi,ij,mj->m", h, game.q[z], h) + h @ game.b[z] + game.c[z] - ref
+    gap = 0.5 * np.einsum("mi,ij,mj->m", h, game.hessians([z])[0], h) \
+        + h @ game.b[z] + game.c[z] - ref
     # the nodes are roots of unity, so the Vandermonde matrix V has V^H V = (2|V| + 2) I
     fit = np.vander(circle, increasing=True).conj().T / circle.size
     with np.errstate(over="ignore", invalid="ignore"):
@@ -238,7 +238,7 @@ class _Evaluation:
         pi, p = self.basis
         z = list(self.topology.deceivers)
         dh = numerics.solve_linear(self.pert.qbar, -(pi * self.h + p).T)
-        grad = self.game.q[z] @ self.h + self.game.b[z]
+        grad = self.game.hessians(z) @ self.h + self.game.b[z]
         return self.rates * (grad @ dh).T
 
 
@@ -408,19 +408,17 @@ def solve_attainability(
         raise ValueError(f"expected {n} cost references, got shape {refs.shape}")
     k_gains = np.ones(game.n_players) if gains is None else np.asarray(gains, float)
     basis = _pseudogradient_basis(game, topology)
-    seen: dict[bytes, _Evaluation] = {}
+    last: _Evaluation | None = None
 
     def at(delta) -> _Evaluation:
-        """The evaluation at ``delta``; every gain vector is evaluated once.
-        Of the points without ``Lambda`` only the newest is kept: an older
-        one was a line-search trial that Newton rejected."""
+        """The evaluation at ``delta``, kept while ``delta`` is the last gain
+        asked for: Newton asks for ``Lambda`` where it last evaluated the
+        field, and ``polish`` reads the gap and ``Lambda`` of one point."""
+        nonlocal last
         d = np.asarray(delta, dtype=float)
-        if d.tobytes() not in seen:
-            newest = next(reversed(seen), None)
-            if newest is not None and "lam" not in vars(seen[newest]):
-                del seen[newest]
-            seen[d.tobytes()] = _Evaluation(game, topology, d, refs, basis)
-        return seen[d.tobytes()]
+        if last is None or last.pert.delta.tobytes() != d.tobytes():
+            last = _Evaluation(game, topology, d, refs, basis)
+        return last
 
     def field(delta) -> np.ndarray:
         """The matching field, NaN where ``Qbar(delta)`` is singular."""

@@ -50,15 +50,14 @@ class DeceptiveGame:
         """Exact quadratic coefficients of the deceptive costs.
 
         Per player ``i`` only the own-price entries move: the curvature
-        becomes ``qbar[i, i]``, the own linear coefficient ``bbar[i]``, and
-        the constant picks up ``sigma_i``.
+        becomes ``qbar[i, i]`` (``qbar`` is the base pseudogradient matrix off
+        its diagonal), the own linear coefficient ``bbar[i]``, and the
+        constant picks up ``sigma_i``.
         """
         idx = np.arange(self.n_players)
-        q = self.base.q.copy()
         b = self.base.b.copy()
-        q[idx, idx, idx] = np.diagonal(self.pert.qbar)
         b[idx, idx] = self.pert.bbar
-        return QuadraticGame(q=q, b=b, c=self.base.c + self.sigma)
+        return QuadraticGame(self.pert.qbar, b, self.base.c + self.sigma)
 
 
 def build_deceptive_game(
@@ -86,10 +85,10 @@ def build_deceptive_game(
         )
     if base is None:
         base = build_quadratic_game(params)
-    # (delta . G)[z, i]: how strongly deceiver z re-injects victim i's tone
-    injected = np.tensordot(d, topology.injection(params.n_players), axes=1)
     r = params.resistance
-    gamma = (derive_aggregates(params).r_parallel / (2.0 * r)) * ((1.0 / r) @ injected)
+    # sum over deceivers k of victim i of delta_k / R_{z_k}
+    injected = ((1.0 / r)[list(topology.deceivers)] * d) @ topology.victim_mask(params.n_players)
+    gamma = (derive_aggregates(params).r_parallel / (2.0 * r)) * injected
     sigma = -gamma * params.marginal_cost ** 2
     pert = perturbed_pseudogradient(base, topology, d)
     return DeceptiveGame(

@@ -179,21 +179,21 @@ def dither_vector(
     physical time ``t``.
 
     Player ``i`` contributes ``a_i sin(w_i t)``; a deceiver additionally
-    re-injects each victim's sinusoid scaled by its current gain (``G`` is
-    :meth:`DeceptionTopology.injection`).  For an array of times ``delta``
-    holds one row per time and the result one row per time.
+    re-injects each victim's sinusoid scaled by its current gain (``G[k] =
+    e_{z_k} H[k]'``, :meth:`DeceptionTopology.victim_mask`).  For an array
+    of times ``delta`` holds one row per time and the result one row per time.
     """
     return _played_prices(0.0, tuning, topology, delta, t)
 
 
 def _played_prices(u, tuning, topology, delta, t) -> np.ndarray:
-    """``x = u + (I + delta . G)(a o s)``, summed as ``(u + a o s) + (delta .
-    G)(a o s)``; the full model's generated kernel sums the same terms in
-    its sales-form coordinates (:func:`_full_source`)."""
+    """``x = u + (I + delta . G)(a o s)``: ``u + a o s`` plus ``delta_k H[k]
+    . (a o s)`` in entry ``z_k``; the full model's generated kernel sums the
+    same terms in its sales-form coordinates (:func:`_full_source`)."""
     tones = tuning.amplitude * np.sin(np.multiply.outer(t, tuning.frequencies()))
-    g = topology.injection(tuning.n_players)
-    d = np.asarray(delta, dtype=float)
-    return (u + tones) + np.einsum("...k,kij,...j->...i", d, g, tones)
+    x = u + tones
+    x[..., list(topology.deceivers)] += delta * (tones @ topology.victim_mask(tuning.n_players).T)
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -226,12 +226,12 @@ def _residual_polynomial(
     """
     a2 = np.asarray(tuning.amplitude, dtype=float) ** 2
     z = list(topology.deceivers)
-    q = game.q[z]
-    g = topology.injection(game.n_players)
+    q = game.hessians(z)
+    hit = topology.victim_mask(game.n_players)
     const = 0.25 * np.einsum("kmm,m->k", q, a2)
-    lin = 0.5 * np.einsum("kmi,jim,m->kj", q, g, a2)
-    # G[j] is row z_j, so quad[k, j, l] = q[z_k][z_l, z_j] sum_{c in V_j, V_l} a_c^2 / 4
-    hit = g.any(axis=1)
+    # G[j] = e_{z_j} H[j]', so lin[k, j] = q[z_k][V_j, z_j] . a_{V_j}^2 / 2
+    # and quad[k, j, l] = q[z_k][z_l, z_j] sum_{c in V_j, V_l} a_c^2 / 4
+    lin = 0.5 * np.einsum("kmj,jm,m->kj", q[:, :, z], hit, a2)
     quad = 0.25 * q[:, z][:, :, z].transpose(0, 2, 1) * ((hit * a2) @ hit.T)
     return const, lin, quad
 
@@ -318,7 +318,7 @@ def _polynomial_field(model, game, topology, tuning, delta, freeze_delta):
     c[n:] = g[:, 0] * (game.c[z] - np.asarray(topology.cost_refs, dtype=float) + const)
     a[n:, :n] = g * game.b[z]
     a[n:, n:] = g * lin
-    t[n:, :n, :n] = g[:, :, None] * 0.5 * game.q[z]
+    t[n:, :n, :n] = g[:, :, None] * 0.5 * game.hessians(z)
     t[n:, n:, n:] = g[:, :, None] * quad
     return c, a, t
 

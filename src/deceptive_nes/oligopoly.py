@@ -110,40 +110,42 @@ def costs(params: OligopolyParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarra
 class QuadraticGame:
     """A game whose costs are ``J_i(x) = x' q[i] x / 2 + b[i]' x + c[i]``.
 
-    ``q`` has shape ``(n, n, n)``, ``b`` shape ``(n, n)`` (row ``i`` belongs
-    to player ``i``) and ``c`` shape ``(n,)``.  Each ``q[i]`` is symmetric
-    and nonzero only in its row and column ``i``, as a market's are:
-    :meth:`costs` and the pseudogradient read those entries alone, so any
-    other ``q`` raises ``ValueError``.
+    Each ``q[i]`` is symmetric and nonzero only in its row and column ``i``,
+    as a market's are, so its row ``i`` holds all of it.  Those rows make up
+    ``pseudogradient_matrix``, shape ``(n, n)``; :meth:`hessians` builds the
+    dense ``q[i]``.  ``b`` has shape ``(n, n)`` (row ``i`` belongs to player
+    ``i``) and ``c`` shape ``(n,)``.
     """
 
-    q: np.ndarray
+    pseudogradient_matrix: np.ndarray
     b: np.ndarray
     c: np.ndarray
 
     def __post_init__(self):
-        q, n = np.asarray(self.q), self.n_players
-        if q.shape != (n, n, n):
-            raise ValueError(f"q has shape {q.shape}, expected {(n, n, n)}")
-        rows, cols = q.diagonal(0, 0, 1).T, q.diagonal(0, 0, 2).T   # q[i, i, j], q[i, j, i]
-        # compared as plain floats first: numpy costs more on a few entries
-        if rows.tolist() != cols.tolist() and not np.array_equal(rows, cols, equal_nan=True):
-            raise ValueError("every q[i] must be symmetric")
-        # row i of each q[i], stacked: the pseudogradient is linear
-        rows = rows.copy()
-        # counted without copying q: the rows and columns i share q[i, i, i]
-        if np.count_nonzero(q) > 2 * np.count_nonzero(rows) - np.count_nonzero(rows.diagonal()):
-            raise ValueError("q[i] may be nonzero only in row and column i")
-        object.__setattr__(self, "pseudogradient_matrix", rows)
+        shape, n = np.shape(self.pseudogradient_matrix), self.n_players
+        if shape != (n, n):
+            raise ValueError(f"pseudogradient_matrix has shape {shape}, expected {(n, n)}")
 
     @property
     def n_players(self) -> int:
         return int(self.c.size)
 
+    def hessians(self, players: Sequence[int]) -> np.ndarray:
+        """Dense ``q[i]`` of each listed player, shape ``(len(players), n, n)``."""
+        n = self.n_players
+        q = np.zeros((len(players), n, n))
+        for qi, i in zip(q, players):
+            qi[i] = qi[:, i] = self.pseudogradient_matrix[i]
+        return q
+
+    @property
+    def q(self) -> np.ndarray:
+        """Every player's dense Hessian, shape ``(n, n, n)``, built on each read."""
+        return self.hessians(range(self.n_players))
+
     def cost(self, i: int, x: np.ndarray) -> float:
         x = np.asarray(x, dtype=float)
-        qi = self.q[i]
-        return float(0.5 * x @ qi @ x + self.b[i] @ x + self.c[i])
+        return float(0.5 * x @ self.hessians([i])[0] @ x + self.b[i] @ x + self.c[i])
 
     def costs(self, x: np.ndarray) -> np.ndarray:
         """All player costs at once; ``x`` may carry leading axes (one price
@@ -253,11 +255,7 @@ def build_quadratic_game(params: OligopolyParams) -> QuadraticGame:
         raise ValueError(
             f"the market's cost coefficients overflow a float: resistance "
             f"{r}, marginal_cost {m}, total_demand {sd:g}")
-    n = len(r)
-    idx = np.arange(n)
-    q = np.zeros((n, n, n))
-    q[idx, idx] = q[idx, :, idx] = np.array(rows)   # q[i, i, :] and q[i, :, i]
-    return QuadraticGame(q=q, b=np.array(b), c=np.array(c))
+    return QuadraticGame(np.array(rows), np.array(b), np.array(c))
 
 
 def override_own_curvature(
@@ -269,12 +267,12 @@ def override_own_curvature(
     that player's own-price curvature.  All other coefficients are kept.
     """
     n = game.n_players
-    q = game.q.copy()
+    rows = game.pseudogradient_matrix.copy()
     for i, value in own_curvature.items():
         if not 0 <= i < n:
             raise ValueError(f"player index {i} out of range for {n} players")
-        q[i, i, i] = float(value)
-    return dataclasses.replace(game, q=q)
+        rows[i, i] = float(value)
+    return dataclasses.replace(game, pseudogradient_matrix=rows)
 
 
 def market_game(

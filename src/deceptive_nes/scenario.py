@@ -358,6 +358,10 @@ def scenario_from_dict(doc: Mapping[str, Any]) -> Scenario:
                 raise ScenarioError("self-victim", path, f"player {z + 1} cannot deceive itself")
             if not vs:
                 raise ScenarioError("missing-field", path, "victim list is empty")
+            for i, v in enumerate(vs):
+                if v in vs[:i]:
+                    raise ScenarioError("duplicate-victim", f"{path}[{i}]",
+                                        f"player {v + 1} listed twice")
             return vs
 
         return (z, _get(entry, "victims", path, targets),

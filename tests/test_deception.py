@@ -80,16 +80,15 @@ def test_attacker_positions(topology3):
     assert pos == ((), (), (0,)), f"positions {pos}"
 
 
-def test_injection_tensor_marks_each_victim_once():
+def test_victim_mask_marks_each_victim_once():
     topo = DeceptionTopology(deceivers=(3, 0), victims=((1, 2), (2,)))
-    expected = np.zeros((2, 4, 4))
-    expected[0, 3, [1, 2]] = 1.0
-    expected[1, 0, 2] = 1.0
-    assert np.array_equal(topo.injection(4), expected)
+    expected = np.array([[0.0, 1.0, 1.0, 0.0],
+                         [0.0, 0.0, 1.0, 0.0]])
+    assert np.array_equal(topo.victim_mask(4), expected)
     assert topo.attacker_positions(4) == ((), (0,), (0, 1), ())
-    assert DeceptionTopology((), ()).injection(3).shape == (0, 3, 3)
+    assert DeceptionTopology((), ()).victim_mask(3).shape == (0, 3)
     with pytest.raises(ValueError):
-        topo.injection(3)
+        topo.victim_mask(3)
 
 
 # ── perturbed pseudogradient ─────────────────────────────────────────────────

@@ -3,6 +3,8 @@ perceived-desirability reporting."""
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from deceptive_nes import (
     deceptive_cost,
     deceptive_costs,
     deceptive_equilibrium,
+    market_game,
     perceived_desirability,
     verify_deceptive_nash,
 )
@@ -42,6 +45,24 @@ def test_inflation_and_offset_frozen(params3, topology3):
     # sigma_i = -gamma_i m_i^2 ties the two columns together
     assert abs(dgame.sigma[2] + dgame.inflation_coeff[2]
                * params3.marginal_cost[2] ** 2) < 1e-9
+
+
+def test_a_120_firm_market_and_its_deceptive_game_hold_no_dense_hessians():
+    # One (120, 120, 120) float tensor alone takes 13.8 MB; a game holds one
+    # pseudogradient row per firm, so the override and the quadratic copy
+    # rows only.
+    rng = np.random.default_rng(120)
+    params = OligopolyParams(*oracles.random_market(rng, 120, 120))
+    topology = DeceptionTopology(deceivers=(0, 7), victims=((1, 2, 3), (2, 40)))
+    tracemalloc.start()
+    try:
+        game = market_game(params, {5: 2.0})
+        tilde = build_deceptive_game(params, topology, np.array([1.3, -0.4]), base=game)
+        tilde.quadratic()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def test_quadratic_touches_only_victim_own_blocks(params3, topology3):

@@ -471,14 +471,13 @@ def test_simulate_records_uniform_grid(game3_published, topology3, tuning3):
 
 
 def _without_sales_form(game):
-    """``game`` with the pair ``q[0, 0, 1]``, ``q[1, 1, 0]`` (and its mirror
-    entries) scaled by 1.1: with three or more players its off-diagonal
-    pseudogradient is no longer rank one, so the costs have no sales form."""
-    q = game.q.copy()
-    for i, j in ((0, 1), (1, 0)):
-        q[i, i, j] *= 1.1
-        q[i, j, i] *= 1.1
-    return dataclasses.replace(game, q=q)
+    """``game`` with the pseudogradient entries ``[0, 1]`` and ``[1, 0]``
+    (``q[0, 0, 1]``, ``q[1, 1, 0]`` and their mirror entries) scaled by 1.1:
+    with three or more players its off-diagonal pseudogradient is no longer
+    rank one, so the costs have no sales form."""
+    rows = game.pseudogradient_matrix.copy()
+    rows[[0, 1], [1, 0]] *= 1.1
+    return dataclasses.replace(game, pseudogradient_matrix=rows)
 
 
 def test_full_integrator_matches_generic_rk4_on_rhs(game3_published,

@@ -174,29 +174,20 @@ def test_costs_vectorized_matches_per_player(game3):
         assert np.max(np.abs(vec - per)) < 1e-9 * (1 + np.max(np.abs(per)))
 
 
-def test_quadratic_game_refuses_q_entries_that_costs_would_miss():
+def test_quadratic_game_costs_agree_with_dense_hessians():
     # costs() reads each q[i] in its row and column i only, where cost(i, x)
-    # reads every entry: with q[0][1, 2] = q[0][2, 1] = 0.5 the two gave
-    # 11.3 and 8.3 at x = (1, 2, 3).  Such a q, or a q[i] that is not
-    # symmetric, is refused; q[i] in row and column i alone is kept.
-    q, b, c = np.zeros((3, 3, 3)), np.zeros((3, 3)), np.array([1.8, 0.0, 0.0])
-    q[[0, 1, 2], [0, 1, 2], [0, 1, 2]] = 1.0
-    q[1, 1, 0] = q[1, 0, 1] = -0.5
+    # reads the dense q[i] built from the pseudogradient row; the two agree,
+    # and a pseudogradient matrix of the wrong shape is refused.
+    rows, b, c = np.eye(3), np.zeros((3, 3)), np.array([1.8, 0.0, 0.0])
+    rows[1, 0] = -0.5
     b[0] = 1.0
-    game = QuadraticGame(q=q, b=b, c=c)
+    game = QuadraticGame(rows, b, c)
     x = np.array([1.0, 2.0, 3.0])
     assert game.cost(0, x) == game.costs(x)[0] == pytest.approx(8.3, rel=1e-15)
-    off = q.copy()
-    off[0, 1, 2] = off[0, 2, 1] = 0.5
-    assert 0.5 * x @ off[0] @ x + b[0] @ x + c[0] == pytest.approx(11.3, rel=1e-15)
-    with pytest.raises(ValueError, match="only in row and column i"):
-        QuadraticGame(q=off, b=b, c=c)
-    skew = q.copy()
-    skew[1, 1, 0] = -0.25
-    with pytest.raises(ValueError, match="symmetric"):
-        QuadraticGame(q=skew, b=b, c=c)
+    assert [game.cost(i, x) for i in range(3)] == game.costs(x).tolist()
+    assert game.q[1, 1, 0] == game.q[1, 0, 1] == -0.5
     with pytest.raises(ValueError, match="shape"):
-        QuadraticGame(q=q[:, :2], b=b, c=c)
+        QuadraticGame(rows[:, :2], b, c)
 
 
 def test_pseudogradient_blocks_frozen(game3):
@@ -243,7 +234,9 @@ def test_nash_is_unilateral_minimum(game3):
 # ── own-curvature override ───────────────────────────────────────────────────
 
 def test_override_changes_single_entry(game3):
+    before = game3.pseudogradient_matrix.copy()
     new = override_own_curvature(game3, {2: 2.1779947427713107})
+    assert np.array_equal(game3.pseudogradient_matrix, before), "override wrote into its input"
     diff = np.abs(new.q - game3.q)
     assert new.q[2, 2, 2] == 2.1779947427713107
     diff[2, 2, 2] = 0.0

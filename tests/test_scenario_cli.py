@@ -85,6 +85,16 @@ def test_bundled_scenarios_load():
         assert abs(game.q[2, 2, 2] - 2.1779947427713107) < 1e-15
 
 
+def test_duplicate_victim_is_refused_at_its_path():
+    doc = _mutate(["deception", "deceivers"],
+                  [{"player": 1, "victims": [3, 3], "cost_ref": -1.0}])
+    with pytest.raises(ScenarioError) as exc:
+        scenario_from_dict(doc)
+    assert (exc.value.kind, exc.value.path, str(exc.value)) == (
+        "duplicate-victim", "$.deception.deceivers[0].victims[1]",
+        "$.deception.deceivers[0].victims[1]: player 3 listed twice [duplicate-victim]")
+
+
 def test_error_kinds():
     missing = copy.deepcopy(GOOD)
     del missing["market"]
@@ -337,6 +347,21 @@ def test_cli_freq_scale_and_model_override(tmp_path, scen_path):
     assert doc["model"] == "averaged"
     # tau axis: native dt is scale-free but sample count tracks omega
     assert doc["time_axis"] == "tau"
+
+
+@pytest.mark.parametrize("value", ["-1e-3", "-inf"])
+def test_cli_negative_freq_scale_after_a_space_reaches_its_check(tmp_path, scen_path, value):
+    # argparse reads "-1e-3" as an option unless it is attached to its flag:
+    # the spaced forms, flag written out or abbreviated, must answer with the
+    # error.json of the attached form.
+    errors = []
+    for flags in (["--freq-scale=" + value], ["--freq-scale", value], ["--freq", value]):
+        out = tmp_path / str(len(errors))
+        assert main(["simulate", "--scenario", scen_path, "--out", str(out), *flags]) == 2
+        errors.append((out / "error.json").read_bytes())
+    assert errors[0] == errors[1] == errors[2]
+    assert json.loads(errors[0])["message"] == \
+        f"--freq-scale must be positive and finite, got {float(value)}"
 
 
 # ── CLI failure modes ────────────────────────────────────────────────────────
