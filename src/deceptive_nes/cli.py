@@ -26,6 +26,7 @@ from .deception import (
     AttainabilityResult,
     hurwitz_verdict,
     in_stability_set,
+    loop_abscissa,
     perturbed_pseudogradient,
     solve_attainability,
 )
@@ -161,9 +162,9 @@ def _cmd_stability(scenario: Scenario, out_dir: Path, args) -> None:
     else:
         delta = _single_deceiver_delta(scenario, args.delta)
     pert = perturbed_pseudogradient(game, topology, delta)
-    m = -(gains[:, None] * pert.qbar)
-    sa = numerics.spectral_abscissa(m)
-    ok = hurwitz_verdict(m, sa)   # in_stability_set, from the abscissa at hand
+    sa = loop_abscissa(pert.qbar, gains)
+    # in_stability_set, from the abscissa at hand
+    ok = hurwitz_verdict(-(gains[:, None] * pert.qbar), sa)
     if args.delta_grid is not None:
         _write_grid_csv(out_dir, ["delta", "spectral_abscissa"], [delta[:, 0], sa], ok)
         return

@@ -210,11 +210,15 @@ class _Evaluation:
         self.rates = np.asarray(topology.eps_rates, dtype=float)
         self.basis = _pseudogradient_basis(game, topology) if basis is None else basis
         pi, p = self.basis
-        self.pert = PerturbedPseudogradient(
-            qbar=game.pseudogradient_matrix + (d @ pi)[..., None] * np.eye(game.n_players),
-            bbar=game.pseudogradient_offset + d @ p,
-            delta=d,
-        )
+        # a gain so large that a product overflows leaves inf or NaN entries,
+        # and no warning: a stability verdict reads only Qbar, and refuses
+        # one that is not finite (loop_abscissa)
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.pert = PerturbedPseudogradient(
+                qbar=game.pseudogradient_matrix + (d @ pi)[..., None] * np.eye(game.n_players),
+                bbar=game.pseudogradient_offset + d @ p,
+                delta=d,
+            )
 
     @cached_property
     def h(self) -> np.ndarray:
@@ -281,17 +285,41 @@ def perturbed_pseudogradient(
     return _Evaluation(game, topology, delta).pert
 
 
+def loop_abscissa(qbar: np.ndarray, gains: np.ndarray) -> float | np.ndarray:
+    """Spectral abscissa of the seeking loop ``-diag(gains) @ qbar`` for
+    positive ``gains``: a float for one matrix, one entry per matrix for a
+    stack.
+
+    A finite, exactly symmetric ``qbar`` (every market's ``Qbar(delta)``)
+    makes the loop similar to the symmetric ``-S qbar S``, ``S =
+    diag(sqrt(gains))``, so its spectrum is real and the abscissa is ``-min
+    eigvalsh(S qbar S)``.  Any other ``qbar`` takes
+    :func:`numerics.spectral_abscissa`, which raises
+    :class:`~deceptive_nes.numerics.ConvergenceError` on one that is not
+    finite.
+    """
+    if np.isfinite(qbar).all() and np.array_equal(qbar, np.swapaxes(qbar, -1, -2)):
+        s = np.sqrt(gains)
+        abscissa = -numerics._linalg(np.linalg.eigvalsh, s[:, None] * qbar * s)[..., 0]
+        return float(abscissa) if abscissa.ndim == 0 else abscissa
+    return numerics.spectral_abscissa(-(gains[:, None] * qbar))
+
+
 def in_stability_set(
     pert: PerturbedPseudogradient, gains: Sequence[float]
 ) -> bool | np.ndarray:
     """Whether ``-diag(gains) @ Qbar(delta)`` is Hurwitz (delta keeps the
-    equilibrium-seeking loop stable); one verdict per stacked delta."""
+    equilibrium-seeking loop stable); one verdict per stacked delta.  The
+    abscissa is :func:`loop_abscissa`'s, the margin :func:`is_hurwitz`'s."""
     k = np.asarray(gains, dtype=float)
     if k.shape != (pert.qbar.shape[-1],):
         raise ValueError("need one positive gain per player")
     if np.any(k <= 0.0):
         raise ValueError("gains must be strictly positive")
-    return is_hurwitz(-k[:, None] * pert.qbar)
+    if not k.size:   # no players: vacuously Hurwitz, as is_hurwitz has it
+        return True
+    verdict = hurwitz_verdict(-k[:, None] * pert.qbar, loop_abscissa(pert.qbar, k))
+    return verdict if pert.qbar.ndim > 2 else bool(verdict)
 
 
 def deceptive_equilibrium(

@@ -293,26 +293,30 @@ def _pack(model: str, u: np.ndarray, delta: np.ndarray) -> np.ndarray:
 
 def _polynomial_field(model, game, topology, tuning, delta, freeze_delta):
     """``(c, A, T)`` with the ``averaged`` or ``boundary`` field equal to
-    ``c + (A + T @ y) @ y``.
+    ``c + (A + T @ y) @ y``, and ``T`` None where the field is affine,
+    ``c + A @ y``.
 
     The averaged field is quadratic in ``y = (u, delta)``: ``T`` carries
     ``delta_k pi_k o u`` in the price rows and the cost Hessian and residual
-    cross terms in the gain rows.  The boundary field is ``-K Qbar(delta)
-    y``, so its ``c`` and ``T`` are zero.
+    cross terms in the gain rows.  Without deceivers only the price rows
+    ``-K (Q0 u + B0) / omega`` are left, which are affine.  So is the
+    boundary field ``-K Qbar(delta) y``, whose ``c`` is zero.
     """
     n = game.n_players
     if model == "boundary":
         qbar = _Evaluation(game, topology, delta).pert.qbar
-        return np.zeros(n), -(tuning.gain[:, None] * qbar), np.zeros((n, n, n))
+        return np.zeros(n), -(tuning.gain[:, None] * qbar), None
+    k_w = (tuning.gain / tuning.omega)[:, None]
+    c_u, a_u = -k_w[:, 0] * game.pseudogradient_offset, -k_w * game.pseudogradient_matrix
+    if not topology.n_deceivers:
+        return c_u, a_u, None
     pi, p = _pseudogradient_basis(game, topology)
     z, m, idx = list(topology.deceivers), n + topology.n_deceivers, np.arange(n)
-    k_w = (tuning.gain / tuning.omega)[:, None]
     g = (0.0 if freeze_delta else topology.eps / tuning.omega) \
         * np.asarray(topology.eps_rates, dtype=float)[:, None]
     const, lin, quad = _residual_polynomial(game, topology, tuning)
     c, a, t = np.zeros(m), np.zeros((m, m)), np.zeros((m, m, m))
-    c[:n] = -k_w[:, 0] * game.pseudogradient_offset
-    a[:n, :n] = -k_w * game.pseudogradient_matrix
+    c[:n], a[:n, :n] = c_u, a_u
     a[:n, n:] = -k_w * p.T
     t[idx, idx, n:] = -k_w * pi.T
     c[n:] = g[:, 0] * (game.c[z] - np.asarray(topology.cost_refs, dtype=float) + const)
@@ -378,7 +382,7 @@ def _vector_field(
         c, a, tensor = _polynomial_field(model, game, topology, tuning, delta, freeze_delta)
 
         def f(t, y):
-            return c + (a + tensor @ y) @ y
+            return c + (a if tensor is None else a + tensor @ y) @ y
     return f
 
 

@@ -11,6 +11,7 @@ import pytest
 from deceptive_nes import (
     DeceptionTopology,
     OligopolyParams,
+    QuadraticGame,
     build_quadratic_game,
     cost_gaps,
     deceptive_equilibrium,
@@ -19,10 +20,16 @@ from deceptive_nes import (
     lambda_matrix,
     matching_field,
     market_game,
+    numerics,
     perturbed_pseudogradient,
     solve_attainability,
 )
-from deceptive_nes.deception import AttainabilitySearch
+from deceptive_nes.deception import (
+    HURWITZ_RTOL,
+    AttainabilitySearch,
+    PerturbedPseudogradient,
+    loop_abscissa,
+)
 
 import oracles
 
@@ -180,6 +187,8 @@ def test_hurwitz_helper():
     assert is_hurwitz(np.diag([-1.0, -2.0]))
     assert not is_hurwitz(np.diag([-1.0, 1e-4]))
     assert is_hurwitz(np.zeros((0, 0))), "empty matrix is vacuously Hurwitz"
+    assert in_stability_set(PerturbedPseudogradient(np.zeros((0, 0)), np.zeros(0),
+                                                    np.zeros(0)), []) is True
 
 
 def test_stability_membership_three_firm(game3_published, topology3):
@@ -200,6 +209,88 @@ def test_stability_boundary_brackets_singular_point(game3_published,
                                   np.array([SINGULAR_DELTA + 1e-3]))
     assert in_stability_set(lo, GAINS)
     assert not in_stability_set(hi, GAINS)
+
+
+def _rays_to_the_pole(params, game, topo, rng):
+    """Gains ``t w`` along a random ray ``w > 0``: both signs of ``t``, the
+    pole (the least ``t > 0`` with ``Qbar(t w)`` singular) and a rounding
+    step either side of it, and on to where an entry of ``D(t w) =
+    diag(Qbar) + v**2`` reaches 0, and past that."""
+    q0 = game.pseudogradient_matrix
+    w = rng.uniform(0.1, 1.0, size=topo.n_deceivers)
+    slope = np.zeros(params.n_players)   # Qbar(t w) = Q0 - t diag(slope)
+    for wk, z, vs in zip(w, topo.deceivers, topo.victims):
+        slope[list(vs)] -= wk * q0[list(vs), z]
+    t_pole = 1.0 / np.max(np.linalg.eigvals(np.linalg.solve(q0, np.diag(slope))).real)
+    v = np.sqrt(oracles.aggregates(params.resistance)[0]) / params.resistance
+    hit = slope > 0.0
+    t_flat = np.min((np.diagonal(q0) + v * v)[hit] / slope[hit])
+    t = np.concatenate([np.linspace(-3.0, 3.0, 13) * t_pole,
+                        t_pole * (1.0 + np.array([-1e-9, 0.0, 1e-9])),
+                        [t_flat, 2.0 * t_flat]])
+    return t[:, None] * w
+
+
+def test_symmetric_route_matches_the_oracle_on_random_markets():
+    # Every market's Qbar(delta) is exactly symmetric, so loop_abscissa takes
+    # eigvalsh; against numpy's general eigenvalues on -K Qbar, with random
+    # positive gains and rays that cross the pole and reach D(delta) <= 0.
+    rng = np.random.default_rng(2024)
+    points = 0
+    for trial in range(200):
+        params = OligopolyParams(*oracles.random_market(rng, 2, 8))
+        n = params.n_players
+        game = market_game(params)
+        if trial % 2:   # an own-curvature override, raised: Q0 stays positive definite
+            i = int(rng.integers(n))
+            game = market_game(params, {i: game.pseudogradient_matrix[i, i]
+                                        * rng.uniform(1.0, 3.0)})
+        deceivers, victims = oracles.random_topology(rng, n)
+        topo = DeceptionTopology(deceivers=deceivers, victims=victims)
+        gains = 10.0 ** rng.uniform(-3.0, 1.0, size=n)
+        pert = perturbed_pseudogradient(game, topo, _rays_to_the_pole(params, game, topo, rng))
+        assert np.array_equal(pert.qbar, np.swapaxes(pert.qbar, 1, 2))
+        got = loop_abscissa(pert.qbar, gains)
+        verdicts = in_stability_set(pert, gains)
+        for qbar, mine, verdict in zip(pert.qbar, got, verdicts):
+            m = -gains[:, None] * qbar
+            scale = 1.0 + np.max(np.sum(np.abs(m), axis=1))
+            want = oracles.np_abscissa(m)
+            assert abs(mine - want) <= 1e-14 * scale, (trial, mine, want)
+            # the verdict is numpy's outside the margin band, and the margin
+            # rule itself except within rounding of the margin
+            margin = -HURWITZ_RTOL * scale
+            if not margin <= want < 0.0:
+                assert verdict == oracles.np_is_hurwitz(m), (trial, want)
+            if abs(want - margin) > 1e-14 * scale:
+                assert verdict == (want < margin), (trial, want)
+            points += 1
+    assert points == 200 * 18
+
+
+def test_asymmetric_qbar_takes_the_general_route(game3_published, topology3):
+    # one off-diagonal entry changed: the abscissa is numerics' bit for bit
+    rows = game3_published.pseudogradient_matrix.copy()
+    rows[0, 2] *= 1.5
+    game = QuadraticGame(rows, game3_published.b, game3_published.c)
+    for delta in ([2.486], [[0.0], [2.486], [6.0]]):
+        pert = perturbed_pseudogradient(game, topology3, delta)
+        m = -(GAINS[:, None] * pert.qbar)
+        got, want = loop_abscissa(pert.qbar, GAINS), numerics.spectral_abscissa(m)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        assert np.array_equal(in_stability_set(pert, GAINS), is_hurwitz(m))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_a_qbar_that_is_not_finite_still_raises(bad):
+    # eigvalsh would return NaN without complaint; the general route refuses
+    qbar = np.array([[2.0, -0.5], [-0.5, bad]])
+    for q in (qbar, np.stack([np.eye(2), qbar])):
+        with pytest.raises(numerics.ConvergenceError):
+            loop_abscissa(q, np.ones(2))
+        pert = PerturbedPseudogradient(qbar=q, bbar=np.zeros(q.shape[:-1]), delta=np.zeros(1))
+        with pytest.raises(numerics.ConvergenceError):
+            in_stability_set(pert, np.ones(2))
 
 
 def test_unit_ball_always_stable_quick():

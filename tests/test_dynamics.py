@@ -1389,6 +1389,28 @@ def test_full_kernel_memory_stays_bounded_at_a_large_stride(game3_published, top
     assert peak < 300_000, f"{peak} B"
 
 
+@pytest.mark.parametrize("model, topology", [
+    ("boundary", DeceptionTopology(deceivers=(0,), victims=((1, 2),))),
+    ("averaged", DeceptionTopology(deceivers=(), victims=())),
+])
+def test_affine_fields_hold_no_cubic_tensor(model, topology):
+    # The affine fields are (c, A): a 200-firm run holds a few (n + 1)^2
+    # matrices, far below the 64 MB of an (n, n, n) tensor.
+    rng = np.random.default_rng(200)
+    game = market_game(OligopolyParams(*oracles.random_market(rng, 200, 200)))
+    tuning = NESTuning(amplitude=np.full(200, 0.05), gain=rng.uniform(0.01, 0.2, 200),
+                       omega=1.0, omega_ratio=range(1, 201))
+    initial = default_initial(game, topology)   # a pure-Python gate, slow under the trace
+    tracemalloc.start()
+    try:
+        traj = simulate(model, game, topology, tuning, initial, horizon=1.0, stride=8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(traj.u).all()
+    assert peak < 8e6, f"peak {peak / 1e6:.1f} MB"
+
+
 def test_freeze_delta_holds_gain_constant(game3_published, topology3,
                                           tuning3):
     init = SimState(t=0.0, u=game3_published.nash_equilibrium(),

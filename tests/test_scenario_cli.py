@@ -26,7 +26,7 @@ from deceptive_nes import (
     write_scenario,
 )
 from deceptive_nes.cli import main
-from deceptive_nes.deception import hurwitz_verdict
+from deceptive_nes.deception import hurwitz_verdict, loop_abscissa
 
 GOOD = {
     "market": {
@@ -283,7 +283,7 @@ def test_cli_grid_csvs_match_a_per_row_formatter(tmp_path, scen_path):
         grid = cli._parse_grid(spec)
         pert = perturbed_pseudogradient(game, topo, grid[:, None])
         m = -(gains[:, None] * pert.qbar)
-        sa = numerics.spectral_abscissa(m)
+        sa = loop_abscissa(pert.qbar, gains)
         costs = game.costs(numerics.solve_stack(pert.qbar, -pert.bbar))
         ok = in_stability_set(pert, gains) & ~np.isnan(costs).any(axis=1)
         expected = {
@@ -468,6 +468,33 @@ def test_cli_overflowing_result_exits_3(tmp_path, scen_path):
     with open(out / "error.json") as fh:
         err = json.load(fh)
     assert err["kind"] == "numerical" and "non-finite" in err["message"], err
+
+
+def test_cli_stability_at_a_gain_whose_bbar_overflows(tmp_path, capsys, scen_path):
+    # delta = 1e308 overflows Bbar, which a verdict never reads: the finite
+    # Qbar still gets its verdict, without a warning (an error in this suite)
+    out = tmp_path / "huge"
+    assert main(["stability", "--scenario", scen_path, "--out", str(out),
+                 "--delta", "1e308"]) == 0
+    assert capsys.readouterr().err == ""
+    doc = _summary(out)
+    assert doc["in_delta"] is False and math.isfinite(doc["spectral_abscissa"])
+
+
+def test_cli_stability_at_a_gain_whose_qbar_overflows_exits_3(tmp_path, capsys,
+                                                               scen_path):
+    # tiny resistances make |pi| about 5e149, so Qbar(1e308) is not finite
+    with open(scen_path) as fh:
+        doc = json.load(fh)
+    doc["market"]["resistance"] = [1e-150, 0.36, 1e-150]
+    scen = tmp_path / "tiny.json"
+    scen.write_text(json.dumps(doc))
+    for argv in (["stability", "--delta", "1e308"], ["sweep", "--delta-grid", "1e308:1e308:1"]):
+        out = tmp_path / argv[0]
+        assert main([argv[0], "--scenario", str(scen), "--out", str(out), *argv[1:]]) == 3
+        with open(out / "error.json") as fh:
+            err = json.load(fh)
+        assert err["kind"] == "numerical" and err["error"] == "ConvergenceError", err
 
 
 def test_cli_gain_values_may_start_with_a_minus(tmp_path, scen_path):
