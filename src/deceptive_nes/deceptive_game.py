@@ -86,10 +86,14 @@ def build_deceptive_game(
     if base is None:
         base = build_quadratic_game(params)
     r = params.resistance
-    # sum over deceivers k of victim i of delta_k / R_{z_k}
-    injected = ((1.0 / r)[list(topology.deceivers)] * d) @ topology.victim_mask(params.n_players)
-    gamma = (derive_aggregates(params).r_parallel / (2.0 * r)) * injected
-    sigma = -gamma * params.marginal_cost ** 2
+    # sum over deceivers k of victim i of delta_k / R_{z_k}; a gain so large
+    # that a product overflows leaves an infinite or NaN entry, as it does
+    # in Bbar(delta), without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        injected = ((1.0 / r)[list(topology.deceivers)] * d) \
+            @ topology.victim_mask(params.n_players)
+        gamma = (derive_aggregates(params).r_parallel / (2.0 * r)) * injected
+        sigma = -gamma * params.marginal_cost ** 2
     pert = perturbed_pseudogradient(base, topology, d)
     return DeceptiveGame(
         params=params,

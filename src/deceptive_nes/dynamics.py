@@ -122,8 +122,10 @@ class NESTuning:
 
     @functools.cached_property
     def _frequencies(self) -> np.ndarray:
-        # built once per tuning: a simulate run reads them up to three times
-        return self.omega * np.array([float(r) for r in self.omega_ratio])
+        # built once per tuning: a simulate run reads them up to three times.
+        # An overflow to inf leaves the full model a zero step, refused there
+        with np.errstate(over="ignore"):
+            return self.omega * np.array([float(r) for r in self.omega_ratio])
 
     def scaled(self, factor) -> "NESTuning":
         """Same tuning with the base frequency multiplied by ``factor``.
@@ -291,40 +293,17 @@ def _pack(model: str, u: np.ndarray, delta: np.ndarray) -> np.ndarray:
     return np.concatenate([u, delta])
 
 
-def _polynomial_field(model, game, topology, tuning, delta, freeze_delta):
-    """``(c, A, T)`` with the ``averaged`` or ``boundary`` field equal to
-    ``c + (A + T @ y) @ y``, and ``T`` None where the field is affine,
-    ``c + A @ y``.
-
-    The averaged field is quadratic in ``y = (u, delta)``: ``T`` carries
-    ``delta_k pi_k o u`` in the price rows and the cost Hessian and residual
-    cross terms in the gain rows.  Without deceivers only the price rows
-    ``-K (Q0 u + B0) / omega`` are left, which are affine.  So is the
-    boundary field ``-K Qbar(delta) y``, whose ``c`` is zero.
+def _affine_field(model, game, topology, tuning, delta):
+    """``(c, A)`` with the ``boundary`` field, or the ``averaged`` field of a
+    game without deceivers, equal to ``c + A @ y``: ``c = 0`` and ``A = -K
+    Qbar(delta)`` for the boundary, ``-(K / omega)(B0, Q0)`` for the
+    averaged prices.
     """
-    n = game.n_players
     if model == "boundary":
         qbar = _Evaluation(game, topology, delta).pert.qbar
-        return np.zeros(n), -(tuning.gain[:, None] * qbar), None
+        return np.zeros(game.n_players), -(tuning.gain[:, None] * qbar)
     k_w = (tuning.gain / tuning.omega)[:, None]
-    c_u, a_u = -k_w[:, 0] * game.pseudogradient_offset, -k_w * game.pseudogradient_matrix
-    if not topology.n_deceivers:
-        return c_u, a_u, None
-    pi, p = _pseudogradient_basis(game, topology)
-    z, m, idx = list(topology.deceivers), n + topology.n_deceivers, np.arange(n)
-    g = (0.0 if freeze_delta else topology.eps / tuning.omega) \
-        * np.asarray(topology.eps_rates, dtype=float)[:, None]
-    const, lin, quad = _residual_polynomial(game, topology, tuning)
-    c, a, t = np.zeros(m), np.zeros((m, m)), np.zeros((m, m, m))
-    c[:n], a[:n, :n] = c_u, a_u
-    a[:n, n:] = -k_w * p.T
-    t[idx, idx, n:] = -k_w * pi.T
-    c[n:] = g[:, 0] * (game.c[z] - np.asarray(topology.cost_refs, dtype=float) + const)
-    a[n:, :n] = g * game.b[z]
-    a[n:, n:] = g * lin
-    t[n:, :n, :n] = g[:, :, None] * 0.5 * game.hessians(z)
-    t[n:, n:, n:] = g[:, :, None] * quad
-    return c, a, t
+    return -k_w[:, 0] * game.pseudogradient_offset, -k_w * game.pseudogradient_matrix
 
 
 def _vector_field(
@@ -337,8 +316,10 @@ def _vector_field(
 ) -> Callable[[float, np.ndarray], np.ndarray]:
     """The derivative ``f(t, y)`` of ``model`` on its native axis, with ``y``
     packed as in :func:`rhs` and everything that does not depend on the
-    state computed once; the dither-free ``averaged`` and ``boundary``
-    fields are the polynomial of :func:`_polynomial_field`.
+    state computed once.  The ``averaged`` field with deceivers is ``du =
+    -(K / omega)(Qbar(delta) u + Bbar(delta))`` and ``ddelta = (eps / omega)
+    rates (J_z(u) - ref + residual(delta))``; the affine fields are those of
+    :func:`_affine_field`.
 
     ``delta`` is the frozen gain of the ``boundary`` model; the other models
     read their gains from ``y``, and ``freeze_delta`` zeroes their gain
@@ -378,11 +359,22 @@ def _vector_field(
                         < 1e13 * np.linalg.norm(game.pseudogradient_matrix, np.inf):
                     raise
                 return np.full(d.shape, np.nan)
-    else:
-        c, a, tensor = _polynomial_field(model, game, topology, tuning, delta, freeze_delta)
+    elif model == "averaged" and topology.n_deceivers:
+        pi, p = _pseudogradient_basis(game, topology)
+        q0, b0 = game.pseudogradient_matrix, game.pseudogradient_offset
+        k_w, d_gain = tuning.gain / tuning.omega, topology.eps * rates / tuning.omega
+        const, lin, quad = _residual_polynomial(game, topology, tuning)
 
         def f(t, y):
-            return c + (a if tensor is None else a + tensor @ y) @ y
+            u, d = y[:n], y[n:]
+            du = -k_w * (q0 @ u + (d @ pi) * u + b0 + d @ p)
+            residual = const + (lin + quad @ d) @ d
+            return np.concatenate([du, d_gain * (game.costs(u)[z] - refs + residual)])
+    else:
+        c, a = _affine_field(model, game, topology, tuning, delta)
+
+        def f(t, y):
+            return c + a @ y
     return f
 
 
@@ -680,7 +672,7 @@ def _averaged_kernel(game, topology, tuning, freeze_delta) -> tuple:
 
     It steps the sales coordinates ``z = v o (u - m)`` of the game's
     :attr:`~QuadraticGame.sales_form`, as the full kernel does.  There the
-    price rows of :func:`_polynomial_field` are ``dz_i = -(k_i v_i^2 /
+    price rows of the field of :func:`_vector_field` are ``dz_i = -(k_i v_i^2 /
     omega)((2 theta_i - 1) z_i + beta_i - Z - z_i sum_{k: i in V_k} delta_k
     v_{z_k} / v_i)``, and gain row ``k`` is ``g_k (J_{z_k} - ref_k +
     residual_k)``.
@@ -986,13 +978,13 @@ def simulate(
     if not (np.isfinite(y0).all() and np.isfinite(initial.delta).all()):
         raise DivergenceError(initial.t, axis)
     # one basis for the reduced model's step rule, kernel and prices; one
-    # affine field c + A y, whose A = -K Qbar(delta0) sets the boundary's step
+    # affine field c + A y (:func:`_affine_field`), whose A = -K Qbar(delta0)
+    # sets the boundary's step
     basis = _pseudogradient_basis(game, topology) if model == "reduced" else None
     affine = model == "boundary" or model == "averaged" and not topology.n_deceivers
     if affine:   # a gain / omega that overflows leaves a zero step, refused below
         with np.errstate(over="ignore", invalid="ignore"):
-            c, a, _ = _polynomial_field(model, game, topology, tuning, initial.delta,
-                                        freeze_delta)
+            c, a = _affine_field(model, game, topology, tuning, initial.delta)
     step_rule = ""   # what a refusal of the step count should name
     if dt is not None:
         step = float(dt)

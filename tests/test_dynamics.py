@@ -348,14 +348,16 @@ def test_full_rhs_matches_hand_formula(game3_published, topology3, tuning3):
 
 
 def test_dither_free_fields_match_oracle_route():
-    # The averaged and boundary fields, assembled once as a polynomial in
-    # (u, delta), against the models written out from the oracle blocks:
-    # one to three deceivers, overlapping victims included.
+    # The averaged and boundary fields against the models written out from
+    # the oracle blocks: one to three deceivers, overlapping victims
+    # included, and last a game without the sales form, whose scaled
+    # entries meet its deceiver's and a victim's rows.
     rng = np.random.default_rng(43)
     topologies = [((0,), ((2,),)), ((0, 1), ((1, 2), (2,))),
                   ((1, 3, 2), ((0,), (0, 2), (0, 3)))]
     topologies += [oracles.random_topology(rng, 4) for _ in range(4)]
-    for deceivers, victims in topologies:
+    cases = [(deceivers, victims, False) for deceivers, victims in topologies]
+    for deceivers, victims, scaled in cases + [((0,), ((1, 2),), True)]:
         r, m, sd = oracles.random_market(rng, n_min=4, n_max=4)
         k = len(deceivers)
         topo = DeceptionTopology(deceivers, victims, eps=rng.uniform(1e-4, 1.0),
@@ -371,6 +373,10 @@ def test_dither_free_fields_match_oracle_route():
         delta = rng.uniform(-2.0, 2.0, size=k)
 
         q, b, c = oracles.quadratic_blocks(r, m, sd)
+        if scaled:   # the entries of _without_sales_form, in both Hessians
+            game = _without_sales_form(game)
+            q[:2, [0, 1], [1, 0]] *= 1.1
+        assert (game.sales_form is None) == scaled
         qbar, bbar = oracles.perturbed_blocks(
             q, b, *oracles.pseudogradient_blocks(q, b), deceivers, victims, delta)
         resid = oracles.simpson_residual(
@@ -1411,13 +1417,46 @@ def test_affine_fields_hold_no_cubic_tensor(model, topology):
     assert peak < 8e6, f"peak {peak / 1e6:.1f} MB"
 
 
+@pytest.mark.parametrize("route", ["full", "averaged", "reduced",
+                                   "full-numpy", "averaged-numpy", "reduced-numpy"])
 def test_freeze_delta_holds_gain_constant(game3_published, topology3,
-                                          tuning3):
-    init = SimState(t=0.0, u=game3_published.nash_equilibrium(),
-                    delta=np.array([2.486]))
-    traj = simulate("full", game3_published, topology3, tuning3.scaled(0.1),
-                    initial=init, horizon=0.2, stride=8, freeze_delta=True)
-    assert np.all(traj.delta == 2.486)
+                                          tuning3, route):
+    # on the generated kernels, and on the numpy fields that step a game
+    # without the sales form; the averaged run spans tau = 20
+    model, _, kind = route.partition("-")
+    game = _without_sales_form(game3_published) if kind else game3_published
+    tun = tuning3.scaled(0.1)
+    init = SimState(t=0.0, u=game.nash_equilibrium(), delta=np.array([2.486]))
+    traj = simulate(model, game, topology3, tun, initial=init,
+                    horizon=20.0 / tun.omega if model == "averaged" else 0.2,
+                    stride=8, freeze_delta=True)
+    assert len(traj.times) > 2 and np.all(traj.delta == 2.486)
+
+
+def test_numpy_averaged_field_holds_no_cubic_tensor():
+    # A 200-firm game without the sales form, with a deceiver, takes the
+    # numpy averaged field: its rhs and a 100-step run hold a few n^2
+    # arrays, far below the 66 MB of one dense (n + 1)^3 array.
+    rng = np.random.default_rng(200)
+    game = market_game(OligopolyParams(*oracles.random_market(rng, 200, 200)))
+    game = _without_sales_form(game)
+    assert game.sales_form is None
+    topology = DeceptionTopology((0,), ((1, 2),), eps=1e-4)
+    tuning = NESTuning(amplitude=np.full(200, 0.05), gain=rng.uniform(0.01, 0.2, 200),
+                       omega=1.0, omega_ratio=range(1, 201))
+    initial = SimState(t=0.0, u=default_initial(game, topology).u, delta=np.array([0.5]))
+    runs = [lambda: rhs("averaged", game, topology, tuning, initial),
+            lambda: simulate("averaged", game, topology, tuning, initial, horizon=5.0,
+                             stride=8, dt=0.05).u]
+    for run in runs:
+        tracemalloc.start()
+        try:
+            out = run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(out).all()
+        assert peak < 8e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def test_default_initial(game3_published, topology3):

@@ -7,14 +7,18 @@ values.  A refusal is recorded as its ``(kind, path, message)`` and an
 accepted document as its :meth:`Scenario.to_dict`; the whole list is pinned
 by its sha256, and one explicit case per failure kind shows what it holds.
 The text of every ``-h`` and the ``error.json`` of the flag refusals are
-pinned byte for byte.
+pinned byte for byte, and a sweep of extreme flag values on both bundled
+scenarios ends each run in a result or a classified failure.
 """
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import hashlib
+import io
 import json
+import sys
 
 import pytest
 
@@ -286,6 +290,37 @@ def test_flag_refusals_write_pinned_error_json(tmp_path, capsys, argv, error):
     assert cli.main([argv[0], "--scenario", str(scenario), "--out", str(out),
                      *argv[1:]]) == 2
     assert (out / "error.json").read_text() == error
+
+
+#: The flag values of the sweep: the float extremes, both signs, and zero.
+EXTREMES = ["1e308", "-1e308", "1e-308", "-1e-308", repr(sys.float_info.max), "5e-324", "0"]
+
+
+def _extreme_runs(value: str) -> list[list[str]]:
+    """Every command line of the sweep that gives a flag ``value``."""
+    return [*([c, f"--delta={value}"] for c in ("stability", "deceptive-game")),
+            *([c, f"--delta-grid={value}:{value}:1"] for c in ("stability", "sweep")),
+            *(["simulate", f"--model={m}", f"--freq-scale={value}"]
+              for m in ("full", "averaged", "reduced", "boundary"))]
+
+
+@pytest.mark.parametrize("name", ["three_firm_deception", "three_firm_nominal"])
+def test_extreme_flag_values_end_in_a_result_or_a_classified_failure(tmp_path, name):
+    # Each gain flag and --freq-scale at each extreme, on each command that
+    # reads it: exit 0, 2 or 3, and no warning (an error in this suite,
+    # which would end the run as an internal failure, exit 1).
+    scenario = bundled_scenario_path(name)
+    runs = [argv for value in EXTREMES for argv in _extreme_runs(value)]
+    assert len(runs) == 56
+    failed = []
+    for i, argv in enumerate(runs):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main([argv[0], f"--scenario={scenario}", f"--out={tmp_path / str(i)}",
+                             *argv[1:]])
+        if code not in (0, 2, 3) or "Warning" in err.getvalue():
+            failed.append((code, argv, err.getvalue().strip().splitlines()[-1:]))
+    assert not failed, failed
 
 
 @pytest.mark.parametrize("keys, bad", [

@@ -637,6 +637,38 @@ def test_cli_freq_scale_must_be_positive_and_finite(tmp_path, scen_path, value):
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", ["1e308", repr(sys.float_info.max)])
+def test_cli_freq_scale_that_overflows_the_frequencies_exits_2_without_a_warning(
+        tmp_path, scen_path, nominal_path, capsys, scale):
+    # omega * ratio overflows to inf, which leaves the full model a zero
+    # step: the step rule refuses it, on both bundled scenarios
+    for i, path in enumerate((scen_path, nominal_path)):
+        out = tmp_path / str(i)
+        assert main(["simulate", "--scenario", path, "--out", str(out), "--model", "full",
+                     "--freq-scale", scale]) == 2
+        with open(out / "error.json") as fh:
+            err = json.load(fh)
+        assert err["kind"] == "validation"
+        assert "integration step on the t axis is 0" in err["message"], err
+        assert "Warning" not in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("delta", ["1e308", "-1e308"])
+def test_cli_deceptive_game_at_an_overflowing_gain_exits_3_without_a_warning(
+        tmp_path, scen_path, capsys, delta):
+    # the victim's cost shift overflows, as Bbar(delta) does, and the Nash
+    # solve on the ill-conditioned Qbar(delta) refuses the game
+    out = tmp_path / "out"
+    assert main(["deceptive-game", "--scenario", scen_path, "--out", str(out),
+                 f"--delta={delta}"]) == 3
+    with open(out / "error.json") as fh:
+        err = json.load(fh)
+    assert err["kind"] == "numerical" and err["error"] == "SingularMatrixError", err
+    assert "Warning" not in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")
 def test_cli_affine_averaged_run_at_a_tiny_omega_exits_2_without_a_warning(
         tmp_path, nominal_path, capsys):
     with open(nominal_path) as fh:
