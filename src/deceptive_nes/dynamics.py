@@ -364,12 +364,16 @@ def _vector_field(
         q0, b0 = game.pseudogradient_matrix, game.pseudogradient_offset
         k_w, d_gain = tuning.gain / tuning.omega, topology.eps * rates / tuning.omega
         const, lin, quad = _residual_polynomial(game, topology, tuning)
+        # the deceivers' rows of QuadraticGame.costs
+        qz, hz, bz, cz = q0[z], 0.5 * np.diagonal(q0)[z], game.b[z], game.c[z]
 
         def f(t, y):
             u, d = y[:n], y[n:]
             du = -k_w * (q0 @ u + (d @ pi) * u + b0 + d @ p)
             residual = const + (lin + quad @ d) @ d
-            return np.concatenate([du, d_gain * (game.costs(u)[z] - refs + residual)])
+            uz = u[z]
+            costs = uz * (qz @ u - hz * uz) + bz @ u + cz
+            return np.concatenate([du, d_gain * (costs - refs + residual)])
     else:
         c, a = _affine_field(model, game, topology, tuning, delta)
 
@@ -517,26 +521,40 @@ def _rk4_body(state, stage) -> list[str]:
     return body + [f"{v} = {v} + sixth * (f1{v} + 2.0 * (f2{v} + f3{v}) + f4{v})" for v in state]
 
 
-def _block_source(state, carried, stage) -> str:
-    """Source of a kernel's ``block(*carried, rows, half, sixth, dt)``: one
-    RK4 step (:func:`_rk4_body`) of the floats named in ``state`` per item
-    ``row`` of ``rows``, returning the ``carried`` floats, the state first.
-    Every other name the steps read and never set, a number of the market,
-    is a parameter bound to the namespace's value: a local.
+def _block_source(state, carried, stage, prices=0) -> str:
+    """Source of a kernel's ``block(*carried, blocks, record, half, sixth,
+    dt)``, which integrates a whole record in one call: per item ``rows`` of
+    ``blocks``, one RK4 step (:func:`_rk4_body`) of the floats named in
+    ``state`` per item ``row`` of ``rows``, then ``record`` of the state as
+    a tuple.  It stops after the first recorded state that is not finite,
+    where the first ``prices`` floats ``z_i`` count through their prices
+    ``u_i = z_i / v_i + m_i``: a sum of ``x - x`` over them and the rest,
+    zero unless one is infinite or NaN.  That test reads ``v{i}`` and
+    ``m{i}`` from the namespace once a block; every other name the steps
+    read and never set, a number of the market, is a parameter bound to the
+    namespace's value: a local.
     """
     body = _rk4_body(state, stage)
+    tested = [f"u{i}" for i in range(prices)] + state[prices:]
+    check = [*(f"u{i} = {state[i]} / v{i} + m{i}" for i in range(prices)),
+             f"zero = {' + '.join(f'({x} - {x})' for x in tested)}"]
     # a line "x = ..." or "x, y, = ..." sets the names left of its " = "
     assigned = {x for line in body if " = " in line
                 for x in re.findall(r"\w+", line.partition(" = ")[0])}
     read = {x for line in body for x in re.findall(r"[^\W\d]\w*", line)}
     given = {*carried, "row", "half", "sixth", "dt", *keyword.kwlist}
     numbers = sorted(read - assigned - given)
-    args = [*carried, "rows", "half", "sixth", "dt", *(f"{x}={x}" for x in numbers)]
-    # the trailing comma keeps a one-float return a tuple
+    args = [*carried, "blocks", "record", "half", "sixth", "dt",
+            *(f"{x}={x}" for x in numbers)]
+    # the trailing comma keeps a one-float state a tuple
     return "\n".join([f"def block({', '.join(args)}):",
-                      "    for row in rows:",
-                      *(f"        {line}" for line in body),
-                      f"    return {', '.join(carried)},"]) + "\n"
+                      "    for rows in blocks:",
+                      "        for row in rows:",
+                      *(f"            {line}" for line in body),
+                      f"        record(({', '.join(state)},))",
+                      *(f"        {line}" for line in check),
+                      "        if zero != zero:",
+                      "            break"]) + "\n"
 
 
 def _sales_costs(y, players, total=None) -> list[str]:
@@ -663,7 +681,7 @@ def _full_source(n, deceivers, victims) -> str:
         lines += [f"{out[i]} = j{i} * {t}k{i}" for i in players]
         return lines + [f"{out[n + k]} = g{k} * (j{zk} - r{k})" for k, zk in enumerate(deceivers)]
 
-    return _block_source(state, state + tone_names("e"), stage)
+    return _block_source(state, state + tone_names("e"), stage, n)
 
 
 def _averaged_kernel(game, topology, tuning, freeze_delta) -> tuple:
@@ -731,7 +749,7 @@ def _averaged_source(n, deceivers, victims) -> tuple[str, tuple]:
             lines.append(f"{out[n + k]} = g{k} * ({row})")
         return lines
 
-    return _block_source(state, state, stage), residual
+    return _block_source(state, state, stage, n), residual
 
 
 def _reduced_kernel(game, topology, tuning, freeze_delta, basis=None) -> tuple:
@@ -839,47 +857,46 @@ def _run_kernel(kernel, y0, t0, dt, n_steps, stride) -> tuple[np.ndarray, np.nda
     ``y0`` at ``t0`` for ``n_steps`` steps, recording as
     :func:`numerics.integrate_fixed` does, ``(times, states)``: ``y0``,
     each block of ``stride`` steps and a trailing part-block, through the
-    first block whose end state is not finite.
+    first block whose end state is not finite, a price ``u`` that overflows
+    included.
 
     The first ``len(v)`` floats are prices, stepped as ``z = v o (u - m)``.
-    ``block`` (:func:`_block_source`), compiled once per source, takes one
-    recording block a call: its rows of ``tones(t0, dt, n_steps)``, whose
-    first row carries on with the state, or ``None``s.  The samples go into
-    one flat float buffer and are mapped back in place, ``u = z / v + m``
-    one column at a time, the scalar expression's floats; the record ends at
-    its first row that is not finite, a ``u`` that overflows included.
+    ``block`` (:func:`_block_source`), compiled once per source, integrates
+    the whole record in one call, with ``v`` and ``m`` bound as the numbers
+    ``v{i}`` and ``m{i}`` of its price test.  It takes the rows of ``tones(t0,
+    dt, n_steps)``, whose first row carries on with the state, or ``None``s,
+    one ``islice`` of them per recording block, and extends one flat float
+    buffer with each block's end state.  The samples are mapped back in
+    place, ``u = z / v + m`` one column at a time, the floats of the price
+    test; the times are ``t0 + k dt`` after ``k`` steps.
     """
     source, names, v, m, tones = kernel
+    n = len(v)
+    names.update(zip([f"{x}{i}" for x in "vm" for i in range(n)], [*v.tolist(), *m.tolist()]))
     exec(_compiled(source), names)
-    block, n = names["block"], len(v)
     # a np.float64 step or start time costs the loop 4-5x
     t0, dt = float(t0), float(dt)
-    half, sixth = 0.5 * dt, dt / 6.0
     y = np.array(y0, dtype=float)
-    ts, ys = array("d", [t0]), array("d", y.tolist())
+    ys = array("d", y.tolist())
     y[:n] = v * (y[:n] - m)
-    carried, width = y.tolist(), y.size
+    carried = y.tolist()
     if tones is None:
         rows = repeat(None)
     else:
         rows = tones(t0, dt, n_steps)
         carried += next(rows)
-    for first in range(0, n_steps, stride):
-        last = min(first + stride, n_steps)
-        carried = block(*carried, islice(rows, last - first), half, sixth, dt)
-        state = carried[:width]
-        ts.append(t0 + last * dt)
-        ys.extend(state)
-        if not all(map(math.isfinite, state)):
-            break
-    times, states = np.frombuffer(ts), np.frombuffer(ys).reshape(len(ts), width)
+    # the steps of each recording block: whole strides, then a part-block
+    whole, part = divmod(n_steps, stride)
+    counts = chain(repeat(stride, whole), [part] if part else [])
+    names["block"](*carried, map(islice, repeat(rows), counts), ys.extend, 0.5 * dt,
+                   dt / 6.0, dt)
+    states = np.frombuffer(ys).reshape(-1, y.size)
     with np.errstate(over="ignore"):
         for i in range(n):   # a whole-view ufunc would copy the record
             col = states[1:, i]
             np.add(np.divide(col, v[i], out=col), m[i], out=col)
-    finite = np.isfinite(states).all(axis=1)
-    end = len(ts) if finite.all() else int(finite.argmin()) + 1
-    return times[:end], states[:end]
+    steps = np.minimum(np.arange(len(states)) * stride, n_steps)
+    return t0 + steps * dt, states
 
 
 def _bounded_int(name: str, value, low: int) -> int:

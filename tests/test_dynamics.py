@@ -775,12 +775,18 @@ SINGULAR_DELTA = 5.631716138867322   # -1/mu: Qbar(delta) of the study is singul
 
 def _reduced_stage(game, topo, tuning):
     """The reduced kernel's field at a point ``d``, through its ``block``:
-    one step of zero length with ``sixth = 1`` takes every stage at ``d``
-    and returns ``d + (f + 2 (f + f) + f)`` for the stage's field ``f``
-    (:func:`_stepped`)."""
+    a record of one step of zero length with ``sixth = 1`` takes every
+    stage at ``d`` and records ``d + (f + 2 (f + f) + f)`` for the stage's
+    field ``f`` (:func:`_stepped`)."""
     source, names, *_ = dynamics._reduced_kernel(game, topo, tuning, False)
     exec(source, names)
-    return lambda *d: names["block"](*d, [None], 0.0, 1.0, 0.0)
+
+    def stage(*d):
+        recorded = []
+        names["block"](*d, [[None]], recorded.extend, 0.0, 1.0, 0.0)
+        return tuple(recorded)
+
+    return stage
 
 
 def _stepped(d, f):
@@ -1286,6 +1292,42 @@ def test_kernels_record_a_trailing_part_block_as_integrate_fixed(game3_published
     assert abs(got[-1, -1] - got[0, -1]) > 1e-6   # the gain moved
 
 
+@pytest.mark.parametrize("model", ["full", "averaged", "reduced"])
+def test_recording_does_not_perturb_the_arithmetic(game3_published, topology3, tuning3, model):
+    # The stride-k record is every k-th row of the stride-1 record, bit for
+    # bit, and a trailing part-block its last row: recording only reads the
+    # state.  100 steps leave a part-block at k = 3 and 8.  A hot run that
+    # diverges at step r mid-block records the same rows before that block,
+    # then the block's end at step min(ceil(r / k) k, 100), not finite.
+    build = {"full": dynamics._full_kernel, "averaged": dynamics._averaged_kernel,
+             "reduced": dynamics._reduced_kernel}[model]
+    tun = tuning3.scaled(0.1)
+    runs = {   # (topology, tuning, dt, the step r a hot run diverges at)
+        "full": [(topology3, tun, 1e-3, None),
+                 (topology3, dataclasses.replace(tun, gain=3.0 * tun.gain), 1e-3, 91)],
+        "averaged": [(topology3, tun, 0.05, None), (topology3, tun, 1.0, 11)],
+        "reduced": [(topology3, tun, 1e-3, None),
+                    (dataclasses.replace(topology3, eps_rates=(1e12,)), tun, 1.0, 1)],
+    }[model]
+    y0 = dynamics._pack(model, game3_published.nash_equilibrium() + 0.7, np.array([1.3]))
+    t0, n_steps = 0.25, 100
+    for topo, tuning, dt, diverges in runs:
+        kernel = build(game3_published, topo, tuning, False)
+        _, ref = dynamics._run_kernel(kernel, y0, t0, dt, n_steps, 1)
+        end = len(ref) - 1   # the step of the last row
+        assert end == (diverges or n_steps)
+        assert np.isfinite(ref[-1]).all() == (diverges is None)
+        for k in (1, 3, 8):
+            times, got = dynamics._run_kernel(kernel, y0, t0, dt, n_steps, k)
+            steps = [*range(0, end, k), min(-(-end // k) * k, n_steps)]
+            assert times.tolist() == [t0 + s * dt for s in steps], k
+            assert got[:-1].tobytes() == ref[steps[:-1]].tobytes(), k
+            if steps[-1] == end:
+                assert got[-1].tobytes() == ref[end].tobytes(), k
+            else:   # the end of the block the run diverged in
+                assert not np.isfinite(got[-1]).all(), k
+
+
 def test_kernel_record_ends_at_the_first_price_that_overflows():
     # A firm of resistance 1e150 has v = 4.8e-151, so its price u = z / v +
     # m overflows from z = 8.7e157, long before z does.  With an own
@@ -1312,6 +1354,16 @@ def test_kernel_record_ends_at_the_first_price_that_overflows():
     assert np.isfinite(z[end - 1]).all()
     with np.errstate(over="ignore"):
         assert (got[1:, :3] == z[1:end, :3] / v + m).all()
+    # The kernel stops stepping at the end of the block of that row.  Fed
+    # rows that count its steps (the averaged kernel reads none of a row),
+    # at stride 7 it takes the steps to that block's end and no more.
+    handed = iter(range(5002))
+    stride = 7
+    last, _ = dynamics._run_kernel(
+        (source, dict(names), v, m, lambda t0, dt, n_steps: (() for _ in handed)),
+        y0, 0.0, 1.0, 5000, stride)
+    taken = next(handed) - 1   # the rows handed out, less the one at t0
+    assert taken == -(-(end - 1) // stride) * stride == last[-1], (taken, end)
     with pytest.raises(DivergenceError) as err:
         simulate("averaged", game, topo, tuning, initial=init, horizon=5000.0, dt=1.0,
                  freeze_delta=True)
